@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import heapq
 import json
-import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -63,7 +64,6 @@ class ArticleRecord:
 class IndexStats:
     record_count: int
     token_count: int
-    build_timestamp: float = field(default_factory=time.time, compare=False)
 
 
 def _parse_record(row: dict, where: str) -> ArticleRecord:
@@ -170,14 +170,17 @@ class BiblioIndex:
 
         Ties break on |pub_year - year_hint| (when a hint is given; records
         without a year sort last), then on ascending article_id, so the
-        ranking is a total order.
+        ranking is a total order. Only records whose shared count reaches
+        the k-th largest count (the smallest, when fewer than k records
+        match) are sorted: the ranking orders by count first, so no other
+        record can enter the top k, and the result, ties included, equals a
+        full sort of every candidate.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        shared: dict[str, int] = {}
+        shared: Counter[str] = Counter()
         for token in set(tokens):
-            for article_id in self._postings.get(token, ()):
-                shared[article_id] = shared.get(article_id, 0) + 1
+            shared.update(self._postings.get(token, ()))
         if not shared:
             return []
 
@@ -191,7 +194,8 @@ class BiblioIndex:
                 distance = 0
             return (-shared[article_id], distance, article_id)
 
-        ranked = sorted(shared, key=sort_key)
+        kth = heapq.nlargest(k, shared.values())[-1]
+        ranked = sorted((a for a, count in shared.items() if count >= kth), key=sort_key)
         return [self._records[a] for a in ranked[:k]]
 
 

@@ -56,9 +56,12 @@ def normalize_fragment(raw_text: str) -> str:
     Case-folds, strips diacritics down to base letters, and collapses every
     run of non-alphanumeric characters to a single space. Idempotent.
     """
-    decomposed = unicodedata.normalize("NFKD", raw_text)
-    stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
-    return _NON_ALNUM_RE.sub(" ", stripped.casefold()).strip()
+    if not raw_text.isascii():
+        # Skipped for ASCII text, which NFKD leaves unchanged and which has
+        # no combining characters.
+        decomposed = unicodedata.normalize("NFKD", raw_text)
+        raw_text = "".join(c for c in decomposed if not unicodedata.combining(c))
+    return _NON_ALNUM_RE.sub(" ", raw_text.casefold()).strip()
 
 
 def segment_reference_section(memo: Memo, config: SegmenterConfig | None = None) -> str | None:

@@ -14,7 +14,7 @@ import io
 import json
 import logging
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
 from .config import PipelineConfig
@@ -60,6 +60,33 @@ def _require(path: Path, stage: str) -> Path:
     if not path.exists():
         raise StageDependencyError(f"stage '{stage}' requires missing artifact: {path}")
     return path
+
+
+# Upstream artifacts already loaded in this process: kind -> (sha256 of the
+# file's bytes, loaded object). The key is the content, not the path, so an
+# edited file is never served stale, and each kind holds one entry, so a long
+# session does not accumulate indexes. This lets `all` parse each artifact once.
+_loaded: dict[str, tuple[str, Any]] = {}
+
+_T = TypeVar("_T")
+
+
+def _load_once(kind: str, path: Path, load: Callable[[Path], _T]) -> _T:
+    digest = _sha256_path(path)
+    cached = _loaded.get(kind)
+    if cached is not None and cached[0] == digest:
+        return cached[1]
+    value = load(path)
+    _loaded[kind] = (digest, value)
+    return value
+
+
+def _load_articles(path: Path) -> biblio.BiblioIndex:
+    return _load_once("articles", path, lambda p: biblio.ingest_records(p)[0])
+
+
+def _load_awards(path: Path) -> funding.AwardDatabase:
+    return _load_once("awards", path, funding.load_award_db)
 
 
 def _jsonl_bytes(rows: Iterable[dict]) -> bytes:
@@ -151,6 +178,10 @@ def run_ingest(config: PipelineConfig) -> dict[str, Path]:
             + "\n"
         ).encode("utf-8"),
     }
+    # Rows round-trip to equal records, so later stages reading these bytes
+    # may reuse the objects built from the raw inputs.
+    _loaded["articles"] = (_sha256_bytes(outputs["articles.jsonl"]), index)
+    _loaded["awards"] = (_sha256_bytes(outputs["awards.jsonl"]), award_db)
     inputs = {
         "corpus": config.corpus_path,
         "records": config.records_path,
@@ -168,7 +199,7 @@ def run_resolve(config: PipelineConfig) -> dict[str, Path]:
     articles_path = _require(ingest_dir / "articles.jsonl", STAGE_RESOLVE)
 
     fragments = [corpus.fragment_from_row(row) for row in _read_jsonl(fragments_path)]
-    index, _ = biblio.ingest_records(articles_path)
+    index = _load_articles(articles_path)
 
     remote_client = None
     if config.remote.enabled:
@@ -200,8 +231,8 @@ def run_link(config: PipelineConfig) -> dict[str, Path]:
     aliases_path = _require(ingest_dir / "aliases.csv", STAGE_LINK)
 
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
-    index, _ = biblio.ingest_records(articles_path)
-    award_db = funding.load_award_db(awards_path)
+    index = _load_articles(articles_path)
+    award_db = _load_awards(awards_path)
     aliases = funding.load_aliases(aliases_path, on_unmapped=config.on_unmapped)
 
     resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
@@ -280,7 +311,7 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
     resolution_path = _require(resolve_dir / "resolution.jsonl", STAGE_STATS)
 
     links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
-    award_db = funding.load_award_db(awards_path)
+    award_db = _load_awards(awards_path)
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
 
     memo_funder_pairs = [
@@ -421,7 +452,7 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
     links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
     coverage = _read_coverage(coverage_path)
-    index, _ = biblio.ingest_records(articles_path)
+    index = _load_articles(articles_path)
     funder_stats = _read_stat_results(tests_funders_path)
     org_stats = _read_stat_results(tests_orgs_path)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,35 +62,51 @@ class RemoteLookupClient:
         self.cache_dir = Path(cache_dir)
         self._fetch = fetch or _default_fetch
         self._sleep = sleep
-        self._gate = threading.Lock()
         self._last_request = 0.0
 
     def _cache_path(self, query: str) -> Path:
         return self.cache_dir / f"{query_hash(query)}.json"
 
     def _read_cache(self, query: str) -> dict | None:
+        """The cached payload, or None on a miss.
+
+        An entry that is not a JSON object (for example a file truncated by
+        an interrupted write) counts as a miss.
+        """
         path = self._cache_path(query)
         if not path.exists():
             return None
-        return json.loads(path.read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            payload = None
+        if not isinstance(payload, dict):
+            logger.warning("remote cache entry %s is not a JSON object, treated as a miss", path)
+            return None
+        return payload
 
     def _write_cache(self, query: str, payload: dict) -> None:
+        # Write a temporary file beside the entry and rename it into place, so
+        # a reader never sees a partly written entry.
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self._cache_path(query)
-        path.write_text(
-            json.dumps(payload, sort_keys=True, ensure_ascii=True) + "\n", encoding="utf-8"
-        )
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(
+                json.dumps(payload, sort_keys=True, ensure_ascii=True) + "\n", encoding="utf-8"
+            )
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def _throttle(self) -> None:
         if self.config.rps <= 0:
             return
         interval = 1.0 / self.config.rps
-        with self._gate:
-            now = time.monotonic()
-            wait = self._last_request + interval - now
-            if wait > 0:
-                self._sleep(wait)
-            self._last_request = time.monotonic()
+        wait = self._last_request + interval - time.monotonic()
+        if wait > 0:
+            self._sleep(wait)
+        self._last_request = time.monotonic()
 
     def _request(self, query: str) -> dict:
         delay = 0.5

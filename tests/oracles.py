@@ -1,14 +1,17 @@
 """Independent reference implementations the tests check the package against.
 
 These deliberately avoid the package's own code paths: the signed-rank
-oracle walks every sign pattern, and the year-imputation oracle applies the
-selection rule as explicit filter passes.
+oracle walks every sign pattern, the year-imputation oracle applies the
+selection rule as explicit filter passes, and the search oracle scores every
+record against the query and sorts them all.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
+from memomap.biblio import ArticleRecord
 from memomap.funding import Award
 
 
@@ -37,3 +40,29 @@ def oracle_impute(pub_year: int, records: list[Award]) -> tuple[str | None, int]
     preferred = [r for r in closest if pub_year - r.fiscal_year == largest_d]
     chosen = min(preferred, key=lambda r: r.full_project_number)
     return chosen.full_project_number, chosen.fiscal_year
+
+
+def oracle_search(
+    records: Iterable[ArticleRecord], tokens: Iterable[str], year_hint: int | None, k: int
+) -> list[str]:
+    """Top-k article ids by a full sort of every record sharing a query token.
+
+    Order: most shared tokens, then smallest |pub_year - year_hint| (records
+    without a year last when a hint is given), then ascending article_id.
+    """
+    query = set(tokens)
+    ranked = []
+    for record in records:
+        indexed = record.title_tokens() | record.journal_tokens() | record.author_tokens()
+        shared = len(query & indexed)
+        if not shared:
+            continue
+        if year_hint is None:
+            distance = 0.0
+        elif record.pub_year is None:
+            distance = float("inf")
+        else:
+            distance = float(abs(record.pub_year - year_hint))
+        ranked.append((-shared, distance, record.article_id))
+    ranked.sort()
+    return [article_id for _, _, article_id in ranked[:k]]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from memomap.biblio import IngestError, ingest_records
 
 from conftest import article_row, write_jsonl
+from oracles import oracle_search
 
 
 class TestIngest:
@@ -111,6 +113,57 @@ class TestSearch:
         assert index.search(["a"], k=3) == []
         assert [r.article_id for r in index.search(["j"], k=3)] == ["1"]
         assert [r.article_id for r in index.search(["quayle"], k=3)] == ["1"]
+
+
+class TestTopKMatchesFullSort:
+    """search() ranks only records at or above the k-th shared count; the
+    oracle sorts every candidate. Small vocabularies force heavy ties."""
+
+    WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    SURNAMES = ["Adams", "Baker", "Chen"]
+
+    def random_rows(self, rng: random.Random, n: int) -> list[dict]:
+        rows = []
+        for i in range(n):
+            rows.append(
+                article_row(
+                    f"{rng.randrange(10**6):06d}-{i}",
+                    " ".join(rng.sample(self.WORDS, rng.randint(1, 4))),
+                    authors=[f"{rng.choice(self.SURNAMES)} {rng.choice('AB')}"],
+                    journal=rng.choice(["J Test Med", "Lancet", "JAMA"]),
+                    pub_year=rng.choice([None, 1999, 2000, 2001, 2004, 2010]),
+                )
+            )
+        return rows
+
+    def check(self, index, tokens, year_hint, k):
+        got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
+        assert got == oracle_search(index.records(), tokens, year_hint, k)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_indexes(self, seed):
+        rng = random.Random(seed)
+        index, _ = ingest_records(self.random_rows(rng, rng.randint(5, 60)))
+        query_pool = self.WORDS + ["adams", "chen", "a", "b", "lancet", "med", "nothing"]
+        for _ in range(30):
+            tokens = rng.sample(query_pool, rng.randint(1, 5))
+            year_hint = rng.choice([None, 2000, 2003, 2010])
+            for k in (1, 2, 5, 10, len(index), len(index) + 7):
+                self.check(index, tokens, year_hint, k)
+
+    @pytest.mark.parametrize("year_hint", [None, 2002])
+    @pytest.mark.parametrize("k", [1, 4, 9, 40])
+    def test_tie_at_kth_count(self, k, year_hint):
+        # Twelve records share all three query tokens, so k < 12 cuts inside
+        # one tie group that only year distance and id can order.
+        rows = [
+            article_row(f"t{i:02d}", "alpha beta gamma", pub_year=(None if i % 4 == 0 else 1998 + i))
+            for i in range(12)
+        ]
+        rows += [article_row(f"u{i:02d}", "alpha beta", pub_year=2002) for i in range(6)]
+        index, _ = ingest_records(rows)
+        self.check(index, ["alpha", "beta", "gamma"], year_hint, k)
+        self.check(index, ["alpha", "beta"], year_hint, k)
 
 
 def test_frozen_index_rejects_adds(small_index):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import unicodedata
 
 import pytest
@@ -184,6 +185,36 @@ class TestNormalize:
         for _ in range(100):
             s = "".join(rng.choice(pool) for _ in range(rng.randint(1, 80)))
             assert normalize_fragment(s) == oracle(s)
+
+
+    @staticmethod
+    def nfkd_path(s: str) -> str:
+        # The general path of normalize_fragment, applied to every input.
+        decomposed = unicodedata.normalize("NFKD", s)
+        stripped = "".join(c for c in decomposed if not unicodedata.combining(c))
+        return re.sub(r"[^a-z0-9]+", " ", stripped.casefold()).strip()
+
+    def test_ascii_matches_nfkd_path(self):
+        for code in range(128):
+            for s in (chr(code), f"Ab{chr(code)}9z", f"{chr(code)} X{chr(code)}"):
+                assert normalize_fragment(s) == self.nfkd_path(s), repr(s)
+        rng = random.Random(7)
+        for _ in range(5000):
+            s = "".join(chr(rng.randrange(128)) for _ in range(rng.randint(0, 40)))
+            assert normalize_fragment(s) == self.nfkd_path(s), repr(s)
+
+    @pytest.mark.parametrize(
+        ("raw", "expected"),
+        [
+            ("Müller", "muller"),
+            ("\ufb01brosis", "fibrosis"),  # "fi" ligature
+            ("\uff12\uff10\uff10\uff15", "2005"),  # full-width digits
+            ("e\u0301tude", "etude"),  # combining acute accent
+            ("STRASSE Straße", "strasse strasse"),
+        ],
+    )
+    def test_non_ascii_folds(self, raw, expected):
+        assert normalize_fragment(raw) == expected
 
 
 class TestLoadCorpus:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -13,8 +14,10 @@ from memomap.cli import (
     EXIT_OK,
     main,
 )
+from memomap import biblio, funding
 from memomap.config import ConfigError, load_config
-from memomap.pipeline import StageDependencyError, run_all, run_stats
+from memomap.resolver import fragment_years
+from memomap.pipeline import StageDependencyError, run_all, run_resolve, run_stats
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
 INPUT_FILES = ("memos.jsonl", "articles.jsonl", "awards.jsonl", "aliases.csv", "config.yaml")
@@ -86,6 +89,65 @@ class TestStages:
         config = str(workspace / "config.yaml")
         assert main(["all", "--config", config]) == EXIT_OK
         assert main(["report", "--config", config, "--memo", "CAG-NOPE"]) == EXIT_DEPENDENCY
+
+
+class TestLoadOnce:
+    def test_all_loads_articles_and_awards_once(self, workspace, monkeypatch):
+        calls = {"ingest_records": 0, "load_award_db": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(biblio, "ingest_records", counted("ingest_records", biblio.ingest_records))
+        monkeypatch.setattr(funding, "load_award_db", counted("load_award_db", funding.load_award_db))
+        run_all(load_config(workspace / "config.yaml"))
+        assert calls == {"ingest_records": 1, "load_award_db": 1}
+        produced = read_tree(workspace / "out")
+        for name, expected in sorted(read_tree(FIXTURES / "golden").items()):
+            assert produced[name] == expected, f"artifact differs: {name}"
+
+    def test_index_from_raw_records_equals_index_from_artifact(self, workspace):
+        run_all(load_config(workspace / "config.yaml"))
+        ingest_dir = workspace / "out" / "ingest"
+        raw, _ = biblio.ingest_records(workspace / "articles.jsonl")
+        loaded, _ = biblio.ingest_records(ingest_dir / "articles.jsonl")
+        assert list(raw.records()) == list(loaded.records())
+        fragments = [
+            json.loads(line)["normalized_text"]
+            for line in (ingest_dir / "fragments.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert fragments
+        for text in fragments:
+            years = fragment_years(text)
+            for year_hint in (None, years[0] if years else 2005):
+                for k in (1, 10, len(raw)):
+                    assert raw.search(text.split(), year_hint, k) == loaded.search(
+                        text.split(), year_hint, k
+                    )
+
+    def test_rewritten_articles_are_reloaded(self, workspace):
+        config = load_config(workspace / "config.yaml")
+        run_all(config)
+        resolution_path = workspace / "out" / "resolve" / "resolution.jsonl"
+        resolved = {
+            json.loads(line).get("article_id")
+            for line in resolution_path.read_text(encoding="utf-8").splitlines()
+        } - {None}
+        assert resolved
+        articles_path = workspace / "out" / "ingest" / "articles.jsonl"
+        kept = [
+            line
+            for line in articles_path.read_text(encoding="utf-8").splitlines(keepends=True)
+            if json.loads(line)["article_id"] not in resolved
+        ]
+        articles_path.write_text("".join(kept), encoding="utf-8")
+        run_resolve(config)
+        rows = [json.loads(line) for line in resolution_path.read_text(encoding="utf-8").splitlines()]
+        assert rows and all(row.get("article_id") not in resolved for row in rows)
 
 
 class TestCliErrors:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 
 import pytest
@@ -108,3 +109,32 @@ def test_cached_payload_round_trips_exactly(tmp_path):
     client = make_client(tmp_path, transport)
     assert client.lookup("q") is None
     assert client._read_cache("q") == payload
+
+
+def corrupt_entry(tmp_path, query: str, text: str):
+    client = make_client(tmp_path, FakeTransport())
+    path = client._cache_path(query)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("text", ['{"ids": ["7"', '["7"]\n', ""])
+def test_offline_corrupt_entry_is_a_miss(tmp_path, caplog, text):
+    path = corrupt_entry(tmp_path, "q", text)
+    transport = FakeTransport({"q": {"ids": ["7"]}})
+    client = make_client(tmp_path, transport, offline=True)
+    with caplog.at_level(logging.WARNING):
+        assert client.lookup("q") is None
+    assert transport.calls == []
+    assert any(path.name in r.getMessage() for r in caplog.records if r.levelno == logging.WARNING)
+
+
+def test_online_corrupt_entry_is_refetched_and_rewritten(tmp_path):
+    path = corrupt_entry(tmp_path, "q", '{"ids": ["7"')
+    transport = FakeTransport({"q": {"ids": ["7"]}})
+    client = make_client(tmp_path, transport)
+    assert client.lookup("q") == "7"
+    assert len(transport.calls) == 1
+    assert json.loads(path.read_text(encoding="utf-8")) == {"ids": ["7"]}
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]  # no temporary left
