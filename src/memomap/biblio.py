@@ -199,32 +199,49 @@ class BiblioIndex:
         return [self._records[a] for a in ranked[:k]]
 
 
+def _records_by_id(rows: Iterable[tuple[str, dict]]) -> dict[str, ArticleRecord]:
+    records: dict[str, ArticleRecord] = {}
+    for where, row in rows:
+        record = _parse_record(row, where)
+        if record.article_id in records:
+            raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
+        records[record.article_id] = record
+    return records
+
+
+def _jsonl_rows(path: Path) -> Iterable[tuple[str, dict]]:
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise IngestError(f"{where}: invalid JSON: {exc}") from exc
+            yield where, row
+
+
+def read_records(path: str | Path) -> dict[str, ArticleRecord]:
+    """Parse a records JSONL file into records by id, in file order.
+
+    Schema violations and duplicate ids raise IngestError naming the line.
+    Stages that only look records up by id use this and skip the index.
+    """
+    return _records_by_id(_jsonl_rows(Path(path)))
+
+
 def ingest_records(records_source: str | Path | Iterable[dict]) -> tuple[BiblioIndex, IndexStats]:
     """Build an index from a records JSONL file (or pre-parsed rows).
 
     Schema violations and duplicate ids raise IngestError naming the line.
     """
-    index = BiblioIndex()
     if isinstance(records_source, (str, Path)):
-        path = Path(records_source)
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise IngestError(f"{where}: invalid JSON: {exc}") from exc
-                record = _parse_record(row, where)
-                if record.article_id in index:
-                    raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
-                index.add(record)
+        records = read_records(records_source)
     else:
-        for i, row in enumerate(records_source, start=1):
-            record = _parse_record(row, f"row {i}")
-            if record.article_id in index:
-                raise IngestError(f"row {i}: duplicate article_id {record.article_id!r}")
-            index.add(record)
+        records = _records_by_id((f"row {i}", row) for i, row in enumerate(records_source, start=1))
+    index = BiblioIndex()
+    for record in records.values():
+        index.add(record)
     stats = index.freeze()
     return index, stats

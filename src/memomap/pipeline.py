@@ -71,22 +71,37 @@ _loaded: dict[str, tuple[str, Any]] = {}
 _T = TypeVar("_T")
 
 
-def _load_once(kind: str, path: Path, load: Callable[[Path], _T]) -> _T:
+def _load_once(kind: str, path: Path, load: Callable[[Path], _T]) -> tuple[_T, str]:
+    """The loaded object and the sha256 of the file's bytes (for the manifest)."""
     digest = _sha256_path(path)
     cached = _loaded.get(kind)
-    if cached is not None and cached[0] == digest:
-        return cached[1]
-    value = load(path)
-    _loaded[kind] = (digest, value)
-    return value
+    if cached is None or cached[0] != digest:
+        cached = _loaded[kind] = (digest, load(path))
+    return cached[1], digest
 
 
-def _load_articles(path: Path) -> biblio.BiblioIndex:
+def _load_articles(path: Path) -> tuple[biblio.BiblioIndex, str]:
     return _load_once("articles", path, lambda p: biblio.ingest_records(p)[0])
 
 
-def _load_awards(path: Path) -> funding.AwardDatabase:
+def _load_records(path: Path) -> tuple[dict[str, biblio.ArticleRecord], str]:
+    """Records by id, without the search index: for stages that only look ids up."""
+    return _load_once("records", path, biblio.read_records)
+
+
+def _load_awards(path: Path) -> tuple[funding.AwardDatabase, str]:
     return _load_once("awards", path, funding.load_award_db)
+
+
+_K = TypeVar("_K")
+
+
+def _group(items: Iterable[_T], key: Callable[[_T], _K]) -> dict[_K, list[_T]]:
+    """Items in input order, grouped by key."""
+    groups: dict[_K, list[_T]] = {}
+    for item in items:
+        groups.setdefault(key(item), []).append(item)
+    return groups
 
 
 def _jsonl_bytes(rows: Iterable[dict]) -> bytes:
@@ -109,10 +124,14 @@ def _read_jsonl(path: Path) -> list[dict]:
 def _write_stage(
     stage: str,
     config: PipelineConfig,
-    inputs: dict[str, Path],
+    inputs: dict[str, Path | str],
     outputs: dict[str, bytes],
 ) -> dict[str, Path]:
-    """Write a stage's artifacts plus its manifest; returns written paths."""
+    """Write a stage's artifacts plus its manifest; returns written paths.
+
+    Each input is a path to hash, or the sha256 of its bytes when the stage
+    already took it while loading, so no input is read twice.
+    """
     stage_dir = config.workdir / stage
     stage_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -126,7 +145,10 @@ def _write_stage(
     manifest = {
         "stage": stage,
         "config_hash": _config_hash(config),
-        "inputs": {name: _sha256_path(path) for name, path in sorted(inputs.items())},
+        "inputs": {
+            name: source if isinstance(source, str) else _sha256_path(source)
+            for name, source in sorted(inputs.items())
+        },
         "outputs": output_hashes,
     }
     manifest_path = stage_dir / "manifest.json"
@@ -180,7 +202,9 @@ def run_ingest(config: PipelineConfig) -> dict[str, Path]:
     }
     # Rows round-trip to equal records, so later stages reading these bytes
     # may reuse the objects built from the raw inputs.
-    _loaded["articles"] = (_sha256_bytes(outputs["articles.jsonl"]), index)
+    articles_digest = _sha256_bytes(outputs["articles.jsonl"])
+    _loaded["articles"] = (articles_digest, index)
+    _loaded["records"] = (articles_digest, {r.article_id: r for r in index.records()})
     _loaded["awards"] = (_sha256_bytes(outputs["awards.jsonl"]), award_db)
     inputs = {
         "corpus": config.corpus_path,
@@ -199,7 +223,7 @@ def run_resolve(config: PipelineConfig) -> dict[str, Path]:
     articles_path = _require(ingest_dir / "articles.jsonl", STAGE_RESOLVE)
 
     fragments = [corpus.fragment_from_row(row) for row in _read_jsonl(fragments_path)]
-    index = _load_articles(articles_path)
+    index, articles_digest = _load_articles(articles_path)
 
     remote_client = None
     if config.remote.enabled:
@@ -217,7 +241,7 @@ def run_resolve(config: PipelineConfig) -> dict[str, Path]:
         "resolution.jsonl": _jsonl_bytes(resolver.result_to_row(r) for r in results),
         "coverage.csv": coverage_buffer.getvalue().encode("utf-8"),
     }
-    inputs = {"ingest/fragments.jsonl": fragments_path, "ingest/articles.jsonl": articles_path}
+    inputs = {"ingest/fragments.jsonl": fragments_path, "ingest/articles.jsonl": articles_digest}
     return _write_stage(STAGE_RESOLVE, config, inputs, outputs)
 
 
@@ -231,19 +255,19 @@ def run_link(config: PipelineConfig) -> dict[str, Path]:
     aliases_path = _require(ingest_dir / "aliases.csv", STAGE_LINK)
 
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
-    index = _load_articles(articles_path)
-    award_db = _load_awards(awards_path)
+    records, articles_digest = _load_records(articles_path)
+    award_db, awards_digest = _load_awards(awards_path)
     aliases = funding.load_aliases(aliases_path, on_unmapped=config.on_unmapped)
 
     resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
-    articles = [index.get(a) for a in resolved_ids if index.get(a) is not None]
+    articles = [records[a] for a in resolved_ids if a in records]
     links = funding.build_links(articles, award_db, aliases)
 
     outputs = {"links.jsonl": _jsonl_bytes(funding.link_to_row(l) for l in links)}
     inputs = {
         "resolve/resolution.jsonl": resolution_path,
-        "ingest/articles.jsonl": articles_path,
-        "ingest/awards.jsonl": awards_path,
+        "ingest/articles.jsonl": articles_digest,
+        "ingest/awards.jsonl": awards_digest,
         "ingest/aliases.csv": aliases_path,
     }
     return _write_stage(STAGE_LINK, config, inputs, outputs)
@@ -276,9 +300,7 @@ def _memo_entity_lists(
     links: list[funding.ArticleAwardLink],
 ) -> dict[str, tuple[list[list[str]], list[list[str]]]]:
     """Per memo: (funder lists, org lists), one inner list per cited article."""
-    links_by_article: dict[str, list[funding.ArticleAwardLink]] = {}
-    for link in links:
-        links_by_article.setdefault(link.article_id, []).append(link)
+    links_by_article = _group(links, lambda l: l.article_id)
 
     memo_articles: dict[str, set[str]] = {}
     for r in resolution:
@@ -311,7 +333,7 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
     resolution_path = _require(resolve_dir / "resolution.jsonl", STAGE_STATS)
 
     links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
-    award_db = _load_awards(awards_path)
+    award_db, awards_digest = _load_awards(awards_path)
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
 
     memo_funder_pairs = [
@@ -399,7 +421,7 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
     }
     inputs = {
         "link/links.jsonl": links_path,
-        "ingest/awards.jsonl": awards_path,
+        "ingest/awards.jsonl": awards_digest,
         "resolve/resolution.jsonl": resolution_path,
     }
     return _write_stage(STAGE_STATS, config, inputs, outputs)
@@ -452,12 +474,12 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
     links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
     resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
     coverage = _read_coverage(coverage_path)
-    index = _load_articles(articles_path)
+    records, articles_digest = _load_records(articles_path)
     funder_stats = _read_stat_results(tests_funders_path)
     org_stats = _read_stat_results(tests_orgs_path)
 
     funder_table, recipient_table = report.emit_tables(links, funder_stats, org_stats)
-    flags = report.flag_retracted(resolution, index)
+    flags = report.flag_retracted(resolution, records)
     scatter_csv, summary_csv = report.coverage_report(coverage)
 
     flags_buffer = io.StringIO()
@@ -466,9 +488,10 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
     for flag in flags:
         writer.writerow([flag.memo_id, flag.article_id, flag.note])
 
-    memo_ids = sorted({r.memo_id for r in resolution})
+    rows_by_memo = _group(resolution, lambda r: r.memo_id)
+    memo_ids = sorted(rows_by_memo)
     if memo_id is not None:
-        if memo_id not in memo_ids:
+        if memo_id not in rows_by_memo:
             raise StageDependencyError(f"stage 'report': memo {memo_id!r} not in resolution")
         memo_ids = [memo_id]
 
@@ -479,8 +502,12 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
         "coverage_scatter.csv": scatter_csv.encode("utf-8"),
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
+    links_by_article = _group(links, lambda l: l.article_id)
     for mid in memo_ids:
-        graph = report.build_flow_graph(mid, links, resolution, top_k=config.top_k)
+        rows = rows_by_memo[mid]
+        cited = sorted({r.article_id for r in rows if r.article_id is not None})
+        memo_links = [l for a in cited for l in links_by_article.get(a, ())]
+        graph = report.build_flow_graph(mid, memo_links, rows, top_k=config.top_k)
         outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
         outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
 
@@ -488,7 +515,7 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
         "link/links.jsonl": links_path,
         "resolve/resolution.jsonl": resolution_path,
         "resolve/coverage.csv": coverage_path,
-        "ingest/articles.jsonl": articles_path,
+        "ingest/articles.jsonl": articles_digest,
         "stats/tests_funders.csv": tests_funders_path,
         "stats/tests_orgs.csv": tests_orgs_path,
     }

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Mapping
 
-from .biblio import BiblioIndex
+from .biblio import ArticleRecord
 from .funding import ArticleAwardLink
 from .resolver import CoverageStats, ResolutionResult, coverage_summary
 from .stats import StatResult, share_of_total
@@ -53,15 +54,15 @@ class FlowGraph:
 
     def node_weights(self) -> dict[str, Fraction]:
         """Total flow through each node (outgoing for funders, incoming elsewhere)."""
-        incoming: dict[str, Fraction] = {}
-        outgoing: dict[str, Fraction] = {}
-        for edge in self.edges:
-            outgoing[edge.src] = outgoing.get(edge.src, Fraction(0)) + edge.weight
-            incoming[edge.dst] = incoming.get(edge.dst, Fraction(0)) + edge.weight
-        return {
-            node.id: outgoing[node.id] if node.id in outgoing else incoming.get(node.id, Fraction(0))
-            for node in self.nodes
-        }
+        denominator = math.lcm(*(e.weight.denominator for e in self.edges))
+        scaled = _flow_through(
+            (
+                (e.src, e.dst, e.weight.numerator * (denominator // e.weight.denominator))
+                for e in self.edges
+            ),
+            (node.id for node in self.nodes),
+        )
+        return {node_id: Fraction(w, denominator) for node_id, w in scaled.items()}
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,21 @@ class RetractionFlag:
     memo_id: str
     article_id: str
     note: str
+
+
+def _flow_through(
+    edges: Iterable[tuple[str, str, int]], node_ids: Iterable[str]
+) -> dict[str, int]:
+    """Integer flow through each node: its outgoing total, else its incoming total."""
+    incoming: dict[str, int] = {}
+    outgoing: dict[str, int] = {}
+    for src, dst, weight in edges:
+        outgoing[src] = outgoing.get(src, 0) + weight
+        incoming[dst] = incoming.get(dst, 0) + weight
+    return {
+        node_id: outgoing[node_id] if node_id in outgoing else incoming.get(node_id, 0)
+        for node_id in node_ids
+    }
 
 
 def build_flow_graph(
@@ -84,40 +100,40 @@ def build_flow_graph(
     ``top_k`` organizations by total weight keep their own node; the rest
     merge into "Other", and awards without organization identity route
     through "Unknown".
+
+    Rows of other memos and links of uncited articles are ignored, so a
+    caller may pass just this memo's rows and the links of the articles
+    it cites. Weights are summed as integers over the least common
+    multiple of the articles' pair counts, which is exact; only the
+    edges carry ``Fraction`` weights.
     """
-    links_by_article: dict[str, list[ArticleAwardLink]] = {}
-    for link in links:
-        links_by_article.setdefault(link.article_id, []).append(link)
+    cited = {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
 
-    cited = sorted(
-        {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
-    )
-
-    pair_weights: dict[tuple[str, str | None], Fraction] = {}
+    pairs_by_article: dict[str, set[tuple[str, str | None]]] = {}
     org_names: dict[str, str] = {}
-    for article_id in cited:
-        article_links = links_by_article.get(article_id)
-        if not article_links:
+    for l in links:
+        if l.article_id not in cited:
             continue
-        pairs = sorted(
-            {(l.funder_code, l.org_id) for l in article_links},
-            key=lambda p: (p[0], p[1] or ""),
-        )
-        share = Fraction(1, len(pairs))
-        for pair in pairs:
-            pair_weights[pair] = pair_weights.get(pair, Fraction(0)) + share
-        for l in article_links:
-            if l.org_id is not None and l.org_name:
-                current = org_names.get(l.org_id)
-                if current is None or l.org_name < current:
-                    org_names[l.org_id] = l.org_name
+        pairs_by_article.setdefault(l.article_id, set()).add((l.funder_code, l.org_id))
+        if l.org_id is not None and l.org_name:
+            current = org_names.get(l.org_id)
+            if current is None or l.org_name < current:
+                org_names[l.org_id] = l.org_name
 
-    if not pair_weights:
+    if not pairs_by_article:
         return FlowGraph(memo_id=memo_id, nodes=(), edges=())
 
-    org_totals: dict[str | None, Fraction] = {}
+    # Each article's pairs get denominator // len(pairs) of the common unit.
+    denominator = math.lcm(*{len(pairs) for pairs in pairs_by_article.values()})
+    pair_weights: dict[tuple[str, str | None], int] = {}
+    for pairs in pairs_by_article.values():
+        share = denominator // len(pairs)
+        for pair in pairs:
+            pair_weights[pair] = pair_weights.get(pair, 0) + share
+
+    org_totals: dict[str | None, int] = {}
     for (_, org_id), weight in pair_weights.items():
-        org_totals[org_id] = org_totals.get(org_id, Fraction(0)) + weight
+        org_totals[org_id] = org_totals.get(org_id, 0) + weight
 
     ranked = sorted(
         (org_id for org_id in org_totals if org_id is not None),
@@ -132,15 +148,15 @@ def build_flow_graph(
             return f"org:{org_id}"
         return OTHER_ORG_ID
 
-    funder_edges: dict[tuple[str, str], Fraction] = {}
+    funder_edges: dict[tuple[str, str], int] = {}
     for (funder, org_id), weight in pair_weights.items():
         key = (f"funder:{funder}", org_node_id(org_id))
-        funder_edges[key] = funder_edges.get(key, Fraction(0)) + weight
+        funder_edges[key] = funder_edges.get(key, 0) + weight
 
     memo_node_id = f"memo:{memo_id}"
-    org_edges: dict[tuple[str, str], Fraction] = {}
+    org_edges: dict[tuple[str, str], int] = {}
     for (_, dst), weight in funder_edges.items():
-        org_edges[(dst, memo_node_id)] = org_edges.get((dst, memo_node_id), Fraction(0)) + weight
+        org_edges[(dst, memo_node_id)] = org_edges.get((dst, memo_node_id), 0) + weight
 
     nodes: dict[str, FlowNode] = {}
     for funder in sorted({f for f, _ in pair_weights}):
@@ -157,44 +173,58 @@ def build_flow_graph(
 
     edges = dict(funder_edges)
     edges.update(org_edges)
+    weights = _flow_through(((s, d, w) for (s, d), w in edges.items()), nodes)
 
-    outgoing: dict[str, Fraction] = {}
-    incoming: dict[str, Fraction] = {}
-    for (src, dst), weight in edges.items():
-        outgoing[src] = outgoing.get(src, Fraction(0)) + weight
-        incoming[dst] = incoming.get(dst, Fraction(0)) + weight
-    weights = {
-        node_id: outgoing[node_id] if node_id in outgoing else incoming.get(node_id, Fraction(0))
-        for node_id in nodes
-    }
-
-    node_order = sorted(
-        nodes.values(), key=lambda n: (_KIND_RANK[n.kind], -weights.get(n.id, Fraction(0)), n.id)
-    )
+    node_order = sorted(nodes.values(), key=lambda n: (_KIND_RANK[n.kind], -weights[n.id], n.id))
     position = {node.id: i for i, node in enumerate(node_order)}
     edge_order = sorted(edges, key=lambda e: (position[e[0]], position[e[1]]))
 
     return FlowGraph(
         memo_id=memo_id,
         nodes=tuple(node_order),
-        edges=tuple(FlowEdge(src=s, dst=d, weight=edges[(s, d)]) for s, d in edge_order),
+        edges=tuple(
+            FlowEdge(src=s, dst=d, weight=Fraction(edges[(s, d)], denominator))
+            for s, d in edge_order
+        ),
     )
 
 
 def emit_sankey(graph: FlowGraph, format: str = "json") -> bytes:
     """Serialize a flow graph; byte-deterministic for equal graphs."""
     if format == "json":
-        payload = {
-            "memo_id": graph.memo_id,
-            "nodes": [{"id": n.id, "label": n.label, "kind": n.kind} for n in graph.nodes],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "weight": float(e.weight)} for e in graph.edges
-            ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return _sankey_json(graph).encode("utf-8")
     if format == "svg":
         return _render_svg(graph)
     raise ValueError(f"unknown sankey format {format!r}")
+
+
+def _sankey_json(graph: FlowGraph) -> str:
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``.
+
+    The payload has a fixed shape, so it is written directly: with
+    ``indent`` the json module falls back to its pure-Python encoder.
+    Strings are escaped as json does by default (ASCII only), and weights
+    use ``repr(float)``, as json does for finite floats.
+    """
+    q = encode_basestring_ascii
+    edges = [
+        f'    {{\n      "dst": {q(e.dst)},\n      "src": {q(e.src)},\n'
+        f'      "weight": {float(e.weight)!r}\n    }}'
+        for e in graph.edges
+    ]
+    nodes = [
+        f'    {{\n      "id": {q(n.id)},\n      "kind": {q(n.kind)},\n'
+        f'      "label": {q(n.label)}\n    }}'
+        for n in graph.nodes
+    ]
+    return (
+        f'{{\n  "edges": {_json_list(edges)},\n  "memo_id": {q(graph.memo_id)},\n'
+        f'  "nodes": {_json_list(nodes)}\n}}\n'
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 _SVG_SCALE = 60.0  # pixels per article unit
@@ -370,7 +400,7 @@ def emit_tables(
 
 
 def flag_retracted(
-    resolution: Iterable[ResolutionResult], index: BiblioIndex
+    resolution: Iterable[ResolutionResult], records: Mapping[str, ArticleRecord]
 ) -> list[RetractionFlag]:
     """One flag per (memo, retracted article) pair, sorted."""
     pairs = sorted(
@@ -378,7 +408,7 @@ def flag_retracted(
     )
     flags = []
     for memo_id, article_id in pairs:
-        record = index.get(article_id)
+        record = records.get(article_id)
         if record is not None and record.retracted:
             flags.append(
                 RetractionFlag(memo_id=memo_id, article_id=article_id, note=record.title)

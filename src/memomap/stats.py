@@ -286,6 +286,26 @@ def kld(proportions: Sequence[float]) -> float:
     return math.fsum(p * math.log(n * p) for p in proportions if p > 0)
 
 
+def _scaled_entity_weights(
+    article_entities: Iterable[Iterable[str]],
+) -> tuple[dict[str, int], int, int]:
+    """Entity weights as integers over a common denominator.
+
+    Returns (numerators, denominator, contributing articles): an article
+    with n distinct entities gives each ``denominator // n``, where the
+    denominator is the least common multiple of every such n, so sums are
+    exact without rational arithmetic.
+    """
+    articles = [distinct for distinct in map(set, article_entities) if distinct]
+    denominator = math.lcm(*{len(distinct) for distinct in articles})
+    weights: dict[str, int] = {}
+    for distinct in articles:
+        share = denominator // len(distinct)
+        for entity in distinct:
+            weights[entity] = weights.get(entity, 0) + share
+    return weights, denominator, len(articles)
+
+
 def entity_weights(article_entities: Iterable[Iterable[str]]) -> tuple[dict[str, Fraction], int]:
     """Fractional entity counts: each article splits weight 1 equally.
 
@@ -293,17 +313,8 @@ def entity_weights(article_entities: Iterable[Iterable[str]]) -> tuple[dict[str,
     denominator. Returns the weights and the number of contributing
     articles.
     """
-    weights: dict[str, Fraction] = {}
-    counted = 0
-    for entities in article_entities:
-        distinct = sorted(set(entities))
-        if not distinct:
-            continue
-        counted += 1
-        share = Fraction(1, len(distinct))
-        for entity in distinct:
-            weights[entity] = weights.get(entity, Fraction(0)) + share
-    return weights, counted
+    weights, denominator, counted = _scaled_entity_weights(article_entities)
+    return {e: Fraction(w, denominator) for e, w in sorted(weights.items())}, counted
 
 
 def memo_kld(article_entities: Iterable[Iterable[str]]) -> tuple[float, int] | None:
@@ -312,10 +323,13 @@ def memo_kld(article_entities: Iterable[Iterable[str]]) -> tuple[float, int] | N
     Returns (kld, number of entities), or None when no article carries
     entity data.
     """
-    weights, counted = entity_weights(article_entities)
+    weights, denominator, counted = _scaled_entity_weights(article_entities)
     if counted == 0:
         return None
-    proportions = [float(weights[e] / counted) for e in sorted(weights)]
+    # Integer true division is correctly rounded, so each proportion is the
+    # float nearest the exact weight / counted.
+    scale = denominator * counted
+    proportions = [weights[e] / scale for e in sorted(weights)]
     return kld(proportions), len(weights)
 
 

@@ -2,17 +2,34 @@
 
 These deliberately avoid the package's own code paths: the signed-rank
 oracle walks every sign pattern, the year-imputation oracle applies the
-selection rule as explicit filter passes, and the search oracle scores every
-record against the query and sorts them all.
+selection rule as explicit filter passes, the search oracle scores every
+record against the query and sorts them all, and the flow-graph and
+entity-weight oracles sum ``Fraction``s over every link and resolution row,
+as the first implementation did.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+from fractions import Fraction
 from typing import Iterable
 
 from memomap.biblio import ArticleRecord
-from memomap.funding import Award
+from memomap.funding import ArticleAwardLink, Award
+from memomap.report import (
+    KIND_FUNDER,
+    KIND_MEMO,
+    KIND_ORG,
+    KIND_OTHER,
+    KIND_UNKNOWN,
+    OTHER_ORG_ID,
+    UNKNOWN_ORG_ID,
+    FlowEdge,
+    FlowGraph,
+    FlowNode,
+)
+from memomap.resolver import ResolutionResult
 
 
 def enumeration_p(xs: list[float]) -> float:
@@ -66,3 +83,154 @@ def oracle_search(
         ranked.append((-shared, distance, record.article_id))
     ranked.sort()
     return [article_id for _, _, article_id in ranked[:k]]
+
+
+_KIND_RANK = {KIND_FUNDER: 0, KIND_ORG: 1, KIND_OTHER: 2, KIND_UNKNOWN: 3, KIND_MEMO: 4}
+
+
+def oracle_build_flow_graph(
+    memo_id: str,
+    links: Iterable[ArticleAwardLink],
+    resolution: Iterable[ResolutionResult],
+    top_k: int = 10,
+) -> FlowGraph:
+    """The flow graph by ``Fraction`` sums over every link and every row."""
+    links_by_article: dict[str, list[ArticleAwardLink]] = {}
+    for link in links:
+        links_by_article.setdefault(link.article_id, []).append(link)
+
+    cited = sorted(
+        {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
+    )
+
+    pair_weights: dict[tuple[str, str | None], Fraction] = {}
+    org_names: dict[str, str] = {}
+    for article_id in cited:
+        article_links = links_by_article.get(article_id)
+        if not article_links:
+            continue
+        pairs = sorted(
+            {(l.funder_code, l.org_id) for l in article_links},
+            key=lambda p: (p[0], p[1] or ""),
+        )
+        share = Fraction(1, len(pairs))
+        for pair in pairs:
+            pair_weights[pair] = pair_weights.get(pair, Fraction(0)) + share
+        for l in article_links:
+            if l.org_id is not None and l.org_name:
+                current = org_names.get(l.org_id)
+                if current is None or l.org_name < current:
+                    org_names[l.org_id] = l.org_name
+
+    if not pair_weights:
+        return FlowGraph(memo_id=memo_id, nodes=(), edges=())
+
+    org_totals: dict[str | None, Fraction] = {}
+    for (_, org_id), weight in pair_weights.items():
+        org_totals[org_id] = org_totals.get(org_id, Fraction(0)) + weight
+
+    ranked = sorted(
+        (org_id for org_id in org_totals if org_id is not None),
+        key=lambda o: (-org_totals[o], o),
+    )
+    named = set(ranked[:top_k])
+
+    def org_node_id(org_id: str | None) -> str:
+        if org_id is None:
+            return UNKNOWN_ORG_ID
+        if org_id in named:
+            return f"org:{org_id}"
+        return OTHER_ORG_ID
+
+    funder_edges: dict[tuple[str, str], Fraction] = {}
+    for (funder, org_id), weight in pair_weights.items():
+        key = (f"funder:{funder}", org_node_id(org_id))
+        funder_edges[key] = funder_edges.get(key, Fraction(0)) + weight
+
+    memo_node_id = f"memo:{memo_id}"
+    org_edges: dict[tuple[str, str], Fraction] = {}
+    for (_, dst), weight in funder_edges.items():
+        org_edges[(dst, memo_node_id)] = org_edges.get((dst, memo_node_id), Fraction(0)) + weight
+
+    nodes: dict[str, FlowNode] = {}
+    for funder in sorted({f for f, _ in pair_weights}):
+        nodes[f"funder:{funder}"] = FlowNode(id=f"funder:{funder}", label=funder, kind=KIND_FUNDER)
+    for org_id in sorted(named):
+        nodes[f"org:{org_id}"] = FlowNode(
+            id=f"org:{org_id}", label=org_names.get(org_id, org_id), kind=KIND_ORG
+        )
+    if any(o is not None and o not in named for o in org_totals):
+        nodes[OTHER_ORG_ID] = FlowNode(id=OTHER_ORG_ID, label="Other", kind=KIND_OTHER)
+    if None in org_totals:
+        nodes[UNKNOWN_ORG_ID] = FlowNode(id=UNKNOWN_ORG_ID, label="Unknown", kind=KIND_UNKNOWN)
+    nodes[memo_node_id] = FlowNode(id=memo_node_id, label=memo_id, kind=KIND_MEMO)
+
+    edges = dict(funder_edges)
+    edges.update(org_edges)
+    weights = oracle_node_weights(
+        FlowGraph(
+            memo_id,
+            tuple(nodes.values()),
+            tuple(FlowEdge(s, d, w) for (s, d), w in edges.items()),
+        )
+    )
+
+    node_order = sorted(
+        nodes.values(), key=lambda n: (_KIND_RANK[n.kind], -weights.get(n.id, Fraction(0)), n.id)
+    )
+    position = {node.id: i for i, node in enumerate(node_order)}
+    edge_order = sorted(edges, key=lambda e: (position[e[0]], position[e[1]]))
+
+    return FlowGraph(
+        memo_id=memo_id,
+        nodes=tuple(node_order),
+        edges=tuple(FlowEdge(src=s, dst=d, weight=edges[(s, d)]) for s, d in edge_order),
+    )
+
+
+def oracle_node_weights(graph: FlowGraph) -> dict[str, Fraction]:
+    """Outgoing ``Fraction`` total for funders, incoming total elsewhere."""
+    incoming: dict[str, Fraction] = {}
+    outgoing: dict[str, Fraction] = {}
+    for edge in graph.edges:
+        outgoing[edge.src] = outgoing.get(edge.src, Fraction(0)) + edge.weight
+        incoming[edge.dst] = incoming.get(edge.dst, Fraction(0)) + edge.weight
+    return {
+        node.id: outgoing[node.id] if node.id in outgoing else incoming.get(node.id, Fraction(0))
+        for node in graph.nodes
+    }
+
+
+def oracle_sankey_json(graph: FlowGraph) -> bytes:
+    """Sankey JSON through ``json.dumps``."""
+    payload = {
+        "memo_id": graph.memo_id,
+        "nodes": [{"id": n.id, "label": n.label, "kind": n.kind} for n in graph.nodes],
+        "edges": [{"src": e.src, "dst": e.dst, "weight": float(e.weight)} for e in graph.edges],
+    }
+    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def oracle_entity_weights(
+    article_entities: Iterable[Iterable[str]],
+) -> tuple[dict[str, Fraction], int]:
+    """Fractional entity counts by ``Fraction`` sums."""
+    weights: dict[str, Fraction] = {}
+    counted = 0
+    for entities in article_entities:
+        distinct = sorted(set(entities))
+        if not distinct:
+            continue
+        counted += 1
+        share = Fraction(1, len(distinct))
+        for entity in distinct:
+            weights[entity] = weights.get(entity, Fraction(0)) + share
+    return weights, counted
+
+
+def oracle_memo_proportions(article_entities: Iterable[Iterable[str]]) -> list[float] | None:
+    """Per-entity proportions, in entity order, as floats of exact ``Fraction``s."""
+    weights, counted = oracle_entity_weights(article_entities)
+    if counted == 0:
+        return None
+    return [float(weights[e] / counted) for e in sorted(weights)]

@@ -14,10 +14,17 @@ from memomap.cli import (
     EXIT_OK,
     main,
 )
-from memomap import biblio, funding
+from memomap import biblio, funding, pipeline, report
 from memomap.config import ConfigError, load_config
 from memomap.resolver import fragment_years
-from memomap.pipeline import StageDependencyError, run_all, run_resolve, run_stats
+from memomap.pipeline import (
+    StageDependencyError,
+    run_all,
+    run_link,
+    run_report,
+    run_resolve,
+    run_stats,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
 INPUT_FILES = ("memos.jsonl", "articles.jsonl", "awards.jsonl", "aliases.csv", "config.yaml")
@@ -148,6 +155,76 @@ class TestLoadOnce:
         run_resolve(config)
         rows = [json.loads(line) for line in resolution_path.read_text(encoding="utf-8").splitlines()]
         assert rows and all(row.get("article_id") not in resolved for row in rows)
+
+
+class TestSingleStageLoads:
+    """What a single-stage command (a fresh process) reads and builds."""
+
+    @pytest.fixture
+    def primed(self, workspace, monkeypatch):
+        config = load_config(workspace / "config.yaml")
+        run_all(config)
+        monkeypatch.setattr(pipeline, "_loaded", {})  # as in a new process
+        return config
+
+    def test_link_and_report_build_no_index(self, primed, workspace, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("link and report must not build the inverted index")
+
+        monkeypatch.setattr(biblio, "ingest_records", forbidden)
+        monkeypatch.setattr(biblio.BiblioIndex, "add", forbidden)
+        run_link(primed)
+        run_report(primed)
+        produced = read_tree(workspace / "out")
+        for name, expected in sorted(read_tree(FIXTURES / "golden").items()):
+            if name.startswith(("link/", "report/")):
+                assert produced[name] == expected, f"artifact differs: {name}"
+
+    def test_link_hashes_each_input_once(self, primed, monkeypatch):
+        counts: dict[Path, int] = {}
+        real = pipeline._sha256_path
+
+        def counted(path):
+            counts[path] = counts.get(path, 0) + 1
+            return real(path)
+
+        monkeypatch.setattr(pipeline, "_sha256_path", counted)
+        run_link(primed)
+        out = primed.workdir
+        assert counts == {
+            out / "resolve" / "resolution.jsonl": 1,
+            out / "ingest" / "articles.jsonl": 1,
+            out / "ingest" / "awards.jsonl": 1,
+            out / "ingest" / "aliases.csv": 1,
+        }
+
+    def test_report_passes_each_memo_only_its_rows_and_links(self, primed, monkeypatch):
+        calls = []
+        real = report.build_flow_graph
+
+        def spy(memo_id, links, resolution, top_k=10):
+            links, resolution = list(links), list(resolution)
+            calls.append((memo_id, links, resolution))
+            return real(memo_id, links, resolution, top_k)
+
+        monkeypatch.setattr(report, "build_flow_graph", spy)
+        run_report(primed)
+        out = primed.workdir
+        all_rows = [
+            json.loads(line)
+            for line in (out / "resolve" / "resolution.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        all_links = [
+            json.loads(line)
+            for line in (out / "link" / "links.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert [memo_id for memo_id, _, _ in calls] == sorted({row["memo_id"] for row in all_rows})
+        for memo_id, links, rows in calls:
+            assert len(rows) == sum(row["memo_id"] == memo_id for row in all_rows)
+            assert all(r.memo_id == memo_id for r in rows)
+            cited = {r.article_id for r in rows} - {None}
+            assert len(links) == sum(l["article_id"] in cited for l in all_links)
+            assert all(l.article_id in cited for l in links)
 
 
 class TestCliErrors:

@@ -6,10 +6,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_build_flow_graph, oracle_node_weights, oracle_sankey_json
+
 from memomap.funding import ArticleAwardLink
 from memomap.resolver import CoverageStats, ResolutionResult
 from memomap.report import (
     UNKNOWN_ORG_ID,
+    FlowEdge,
+    FlowGraph,
+    FlowNode,
     build_flow_graph,
     coverage_report,
     emit_sankey,
@@ -159,6 +164,174 @@ class TestFlowGraph:
             assert funder_out == org_in == memo_in == Fraction(funded)
 
 
+def random_memos(rng, n_memos, n_articles, orgs, funders):
+    """Seeded links and resolution rows over several memos.
+
+    Some articles have no links, some links have no org, and unresolved
+    rows and memos that cite nothing funded are mixed in.
+    """
+    links, resolution = [], []
+    for i in range(n_articles):
+        article = f"a{i:03d}"
+        for j in range(rng.choice([0, 0, 1, 1, 2, 3, 4, 6])):
+            org = rng.choice(orgs)
+            links.append(
+                link(
+                    article,
+                    f"C{i}_{j}",
+                    rng.choice(funders),
+                    org_id=org,
+                    org_name=org and rng.choice([f"Org {org}", f"{org} Inst", ""]),
+                )
+            )
+    articles = [f"a{i:03d}" for i in range(n_articles)]
+    for m in range(n_memos):
+        memo = f"m{m}"
+        for ordinal in range(rng.randint(0, 12)):
+            article = rng.choice(articles) if rng.random() < 0.85 else None
+            resolution.append(
+                ResolutionResult(
+                    memo_id=memo,
+                    ordinal=ordinal,
+                    article_id=article,
+                    score=1.0 if article else 0.0,
+                    method="lexical" if article else "unresolved",
+                )
+            )
+    rng.shuffle(links)
+    rng.shuffle(resolution)
+    return links, resolution
+
+
+def memo_subsets(links, resolution):
+    """Per memo: its rows and the links of the articles it cites, as the report stage passes them."""
+    by_article = {}
+    for l in links:
+        by_article.setdefault(l.article_id, []).append(l)
+    out = {}
+    for memo in sorted({r.memo_id for r in resolution}):
+        rows = [r for r in resolution if r.memo_id == memo]
+        cited = sorted({r.article_id for r in rows if r.article_id is not None})
+        out[memo] = ([l for a in cited for l in by_article.get(a, [])], rows)
+    return out
+
+
+class TestFlowGraphOracle:
+    """Integer weights over a common denominator equal the Fraction sums."""
+
+    def assert_same(self, memo, links, resolution, top_k):
+        expected = oracle_build_flow_graph(memo, links, resolution, top_k)
+        graph = build_flow_graph(memo, links, resolution, top_k)
+        assert graph == expected
+        assert graph.node_weights() == oracle_node_weights(expected)
+        for fmt in ("json", "svg"):
+            assert emit_sankey(graph, fmt) == emit_sankey(expected, fmt)
+        assert emit_sankey(graph, "json") == oracle_sankey_json(expected)
+        return graph
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_memos_match_oracle(self, seed):
+        rng = random.Random(1000 + seed)
+        orgs = [None] + [f"o{i}" for i in range(rng.randint(1, 9))]
+        funders = ["NCI", "NIA", "NHLBI", "UNMAPPED"][: rng.randint(1, 4)]
+        links, resolution = random_memos(rng, rng.randint(1, 8), rng.randint(1, 40), orgs, funders)
+        top_k = rng.choice([1, 2, 3, 10])
+        nonempty = 0
+        for memo, (memo_links, rows) in memo_subsets(links, resolution).items():
+            whole = self.assert_same(memo, links, resolution, top_k)
+            assert self.assert_same(memo, memo_links, rows, top_k) == whole
+            nonempty += bool(whole.edges)
+        assert nonempty  # every seed exercises at least one funded memo
+
+    def test_tie_at_top_k_cut(self):
+        # Five orgs with equal weight 1/2 + 1/3 + 1/6 patterns; the cut at 2
+        # falls inside the tie and keeps the smallest ids.
+        links, resolution = [], []
+        for o in ("o5", "o3", "o1", "o4", "o2"):
+            for n_pairs in (2, 3, 6):
+                article = f"{o}_{n_pairs}"
+                resolution.append(resolved("m", len(resolution), article))
+                links.append(link(article, f"C{o}{n_pairs}", "NCI", org_id=o, org_name=o))
+                for extra in range(n_pairs - 1):
+                    links.append(link(article, f"X{o}{n_pairs}{extra}", f"F{extra}"))
+        graph = self.assert_same("m", links, resolution, top_k=2)
+        assert [n.id for n in graph.nodes if n.kind == "org"] == ["org:o1", "org:o2"]
+        weights = graph.node_weights()
+        assert weights["org:o1"] == Fraction(1)
+        assert weights["org:OTHER"] == Fraction(3)
+
+    def test_memo_without_funded_articles(self):
+        links = [link("a1", "C1", "NCI", org_id="o1")]
+        resolution = [
+            resolved("m1", 0, "a2"),
+            ResolutionResult("m1", 1, None, 0.0, "unresolved"),
+            resolved("m2", 0, "a1"),
+        ]
+        graph = self.assert_same("m1", links, resolution, top_k=3)
+        assert graph == FlowGraph("m1", (), ())
+        assert graph.node_weights() == {}
+
+    def test_node_weights_of_hand_built_graph(self):
+        graph = FlowGraph(
+            "m",
+            (
+                FlowNode("funder:A", "A", "funder"),
+                FlowNode("org:x", "x", "org"),
+                FlowNode("org:lonely", "lonely", "org"),
+                FlowNode("memo:m", "m", "memo"),
+            ),
+            (
+                FlowEdge("funder:A", "org:x", Fraction(2, 3)),
+                FlowEdge("funder:A", "memo:m", Fraction(1, 4)),
+                FlowEdge("org:x", "memo:m", Fraction(5, 7)),
+            ),
+        )
+        assert graph.node_weights() == oracle_node_weights(graph)
+
+
+class TestSankeyJsonWriter:
+    """The direct writer reproduces json.dumps(sort_keys=True, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize(
+        "label",
+        [
+            "plain",
+            "Universität Zürich",
+            'say "hi"',
+            "back\\slash",
+            "tab\tnew\nline\rcr\x00nul\x1fus\x7fdel",
+            "\u2028\u00e9\u4e2d\U0001f600",
+            "",
+        ],
+    )
+    def test_labels_match_json_dumps(self, label):
+        graph = FlowGraph(
+            f"memo {label}",
+            (
+                FlowNode(f"funder:{label}", label, "funder"),
+                FlowNode("org:1", label + "!", "org"),
+                FlowNode(f"memo:{label}", label, "memo"),
+            ),
+            (
+                FlowEdge(f"funder:{label}", "org:1", Fraction(1, 3)),
+                FlowEdge("org:1", f"memo:{label}", Fraction(10**17 + 1, 7)),
+            ),
+        )
+        assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
+
+    def test_empty_graph_matches_json_dumps(self):
+        assert emit_sankey(FlowGraph("m", (), ()), "json") == oracle_sankey_json(FlowGraph("m", (), ()))
+
+    def test_weights_match_json_dumps(self):
+        rng = random.Random(5)
+        edges = tuple(
+            FlowEdge("funder:F", f"org:{i}", Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+            for i in range(200)
+        ) + (FlowEdge("funder:F", "org:big", Fraction(10**30)), FlowEdge("funder:F", "org:tiny", Fraction(1, 10**30)))
+        graph = FlowGraph("m", (FlowNode("funder:F", "F", "funder"),), edges)
+        assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
+
+
 class TestSankey:
     def make_graph(self):
         return build_flow_graph(
@@ -264,23 +437,27 @@ class TestTables:
 
 
 class TestFlags:
-    def test_no_retractions(self, small_index):
-        resolution = [resolved("m1", 0, "1001")]
-        assert flag_retracted(resolution, small_index) == []
+    @pytest.fixture
+    def small_records(self, small_index):
+        return {r.article_id: r for r in small_index.records()}
 
-    def test_one_article_two_memos(self, small_index):
+    def test_no_retractions(self, small_records):
+        resolution = [resolved("m1", 0, "1001")]
+        assert flag_retracted(resolution, small_records) == []
+
+    def test_one_article_two_memos(self, small_records):
         resolution = [resolved("m1", 0, "1003"), resolved("m2", 0, "1003")]
-        flags = flag_retracted(resolution, small_index)
+        flags = flag_retracted(resolution, small_records)
         assert [(f.memo_id, f.article_id) for f in flags] == [("m1", "1003"), ("m2", "1003")]
 
-    def test_matches_set_join_oracle(self, small_index):
+    def test_matches_set_join_oracle(self, small_records):
         rng = random.Random(44)
         resolution = [
             resolved(f"m{rng.randint(1, 4)}", i, rng.choice(["1001", "1002", "1003"]))
             for i in range(30)
         ]
         retracted_ids = {
-            r.article_id for r in (small_index.get(a) for a in ("1001", "1002", "1003")) if r.retracted
+            r.article_id for r in (small_records[a] for a in ("1001", "1002", "1003")) if r.retracted
         }
         expected = sorted(
             {
@@ -289,12 +466,12 @@ class TestFlags:
                 if r.article_id in retracted_ids
             }
         )
-        flags = flag_retracted(resolution, small_index)
+        flags = flag_retracted(resolution, small_records)
         assert [(f.memo_id, f.article_id) for f in flags] == expected
 
-    def test_duplicate_citation_single_flag(self, small_index):
+    def test_duplicate_citation_single_flag(self, small_records):
         resolution = [resolved("m1", 0, "1003"), resolved("m1", 1, "1003")]
-        assert len(flag_retracted(resolution, small_index)) == 1
+        assert len(flag_retracted(resolution, small_records)) == 1
 
 
 class TestCoverageReport:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import enumeration_p
+from oracles import enumeration_p, oracle_entity_weights, oracle_memo_proportions
 
 from memomap.stats import (
     DegenerateSampleError,
@@ -313,6 +313,23 @@ class TestMemoKld:
             ]
             weights, counted = entity_weights(articles)
             assert sum(weights.values()) == counted  # exact rational arithmetic
+
+    def test_matches_fraction_oracle(self):
+        # Integer sums over a common denominator give the same weights and
+        # bit-identical proportions as Fraction sums.
+        rng = random.Random(15)
+        entities = [f"E{i}" for i in range(12)]
+        for _ in range(300):
+            articles = [
+                [rng.choice(entities) for _ in range(rng.choice([0, 1, 1, 2, 3, 5, 7, 11]))]
+                for _ in range(rng.randint(0, 25))
+            ]
+            assert entity_weights(articles) == oracle_entity_weights(articles)
+            proportions = oracle_memo_proportions(articles)
+            if proportions is None:
+                assert memo_kld(articles) is None
+            else:
+                assert memo_kld(articles) == (kld(proportions), len(proportions))
 
 
 class TestPairedWilcoxon:
