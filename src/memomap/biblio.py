@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import heapq
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
+from .artifacts import jsonl_rows
 from .corpus import normalize_fragment
 
 
@@ -96,25 +96,6 @@ def _parse_record(row: dict, where: str) -> ArticleRecord:
         grant_tags=tuple(tags),
         retracted=bool(row.get("retracted", False)),
     )
-
-
-def record_to_row(record: ArticleRecord) -> dict:
-    row: dict = {
-        "article_id": record.article_id,
-        "title": record.title,
-        "authors": list(record.authors),
-        "journal": record.journal,
-        "pub_year": record.pub_year,
-        "grant_tags": [
-            {"award_text": t.award_text, "funder_text": t.funder_text} for t in record.grant_tags
-        ],
-        "retracted": record.retracted,
-    }
-    if record.volume is not None:
-        row["volume"] = record.volume
-    if record.pages is not None:
-        row["pages"] = record.pages
-    return row
 
 
 class BiblioIndex:
@@ -209,39 +190,34 @@ def _records_by_id(rows: Iterable[tuple[str, dict]]) -> dict[str, ArticleRecord]
     return records
 
 
-def _jsonl_rows(path: Path) -> Iterable[tuple[str, dict]]:
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise IngestError(f"{where}: invalid JSON: {exc}") from exc
-            yield where, row
-
-
-def read_records(path: str | Path) -> dict[str, ArticleRecord]:
+def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecord]:
     """Parse a records JSONL file into records by id, in file order.
 
     Schema violations and duplicate ids raise IngestError naming the line.
     Stages that only look records up by id use this and skip the index.
+    ``digest`` (a hashlib object), when given, is updated with the file's bytes.
     """
-    return _records_by_id(_jsonl_rows(Path(path)))
+    return _records_by_id(jsonl_rows(Path(path), IngestError, digest))
 
 
-def ingest_records(records_source: str | Path | Iterable[dict]) -> tuple[BiblioIndex, IndexStats]:
+def build_index(records: Iterable[ArticleRecord]) -> tuple[BiblioIndex, IndexStats]:
+    """A frozen search index over the records."""
+    index = BiblioIndex()
+    for record in records:
+        index.add(record)
+    return index, index.freeze()
+
+
+def ingest_records(
+    records_source: str | Path | Iterable[dict], digest: Any = None
+) -> tuple[BiblioIndex, IndexStats]:
     """Build an index from a records JSONL file (or pre-parsed rows).
 
     Schema violations and duplicate ids raise IngestError naming the line.
+    ``digest`` is updated with the file's bytes, as in ``read_records``.
     """
     if isinstance(records_source, (str, Path)):
-        records = read_records(records_source)
+        records = read_records(records_source, digest)
     else:
         records = _records_by_id((f"row {i}", row) for i, row in enumerate(records_source, start=1))
-    index = BiblioIndex()
-    for record in records.values():
-        index.add(record)
-    stats = index.freeze()
-    return index, stats
+    return build_index(records.values())

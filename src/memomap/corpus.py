@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import datetime
-import json
 import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+
+from .artifacts import jsonl_rows
 
 
 class CorpusError(Exception):
@@ -190,25 +191,18 @@ def load_corpus(path: str | Path) -> list[Memo]:
             title = next((ln.strip() for ln in body.splitlines() if ln.strip()), "")
             memos.append(Memo(memo_id=file.stem, title=title, body_text=body))
     elif path.is_file():
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                memo_id = row.get("memo_id")
-                if not memo_id or not isinstance(memo_id, str):
-                    raise CorpusError(f"{path}:{lineno}: missing memo_id")
-                memos.append(
-                    Memo(
-                        memo_id=memo_id,
-                        title=str(row.get("title") or ""),
-                        decision_date=_parse_date(row.get("decision_date")),
-                        body_text=str(row.get("body_text") or ""),
-                    )
+        for where, row in jsonl_rows(path, CorpusError):
+            memo_id = row.get("memo_id")
+            if not memo_id or not isinstance(memo_id, str):
+                raise CorpusError(f"{where}: missing memo_id")
+            memos.append(
+                Memo(
+                    memo_id=memo_id,
+                    title=str(row.get("title") or ""),
+                    decision_date=_parse_date(row.get("decision_date")),
+                    body_text=str(row.get("body_text") or ""),
                 )
+            )
     else:
         raise CorpusError(f"corpus path does not exist: {path}")
 
@@ -217,21 +211,3 @@ def load_corpus(path: str | Path) -> list[Memo]:
             raise CorpusError(f"duplicate memo_id {memo.memo_id!r} in corpus")
         seen.add(memo.memo_id)
     return memos
-
-
-def fragment_to_row(fragment: ReferenceFragment) -> dict:
-    return {
-        "memo_id": fragment.memo_id,
-        "ordinal": fragment.ordinal,
-        "raw_text": fragment.raw_text,
-        "normalized_text": fragment.normalized_text,
-    }
-
-
-def fragment_from_row(row: dict) -> ReferenceFragment:
-    return ReferenceFragment(
-        memo_id=row["memo_id"],
-        ordinal=int(row["ordinal"]),
-        raw_text=row["raw_text"],
-        normalized_text=row["normalized_text"],
-    )

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
+from .artifacts import csv_rows, jsonl_rows
 from .biblio import ArticleRecord
 
 logger = logging.getLogger(__name__)
@@ -89,24 +88,22 @@ def _normalize_name(raw: str) -> str:
     return _WS_RE.sub(" ", _PUNCT_RE.sub(" ", raw.casefold())).strip()
 
 
-def normalize_funder(raw: str, aliases: FunderAliasTable) -> str:
-    """Canonical funder code for a raw funder string, UNMAPPED as fallback."""
-    return aliases.lookup(raw)
+def load_aliases(
+    path: str | Path, on_unmapped: str = "warn", digest: Any = None
+) -> FunderAliasTable:
+    """Read a two-column raw_name,canonical_code CSV.
 
-
-def load_aliases(path: str | Path, on_unmapped: str = "warn") -> FunderAliasTable:
-    """Read a two-column raw_name,canonical_code CSV."""
+    ``digest`` (a hashlib object), when given, is updated with the file's bytes.
+    """
     mapping: dict[str, str] = {}
-    path = Path(path)
-    with path.open(encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or row[0].startswith("#"):
-                continue
-            if lineno == 1 and [c.strip().lower() for c in row[:2]] == ["raw_name", "canonical_code"]:
-                continue
-            if len(row) < 2 or not row[0].strip() or not row[1].strip():
-                raise FundingError(f"{path}:{lineno}: alias rows need raw_name,canonical_code")
-            mapping[row[0].strip()] = row[1].strip()
+    for index, (where, row) in enumerate(csv_rows(Path(path), FundingError, digest)):
+        if not row or row[0].startswith("#"):
+            continue
+        if index == 0 and [c.strip().lower() for c in row[:2]] == ["raw_name", "canonical_code"]:
+            continue
+        if len(row) < 2 or not row[0].strip() or not row[1].strip():
+            raise FundingError(f"{where}: alias rows need raw_name,canonical_code")
+        mapping[row[0].strip()] = row[1].strip()
     return FunderAliasTable(mapping, on_unmapped=on_unmapped)
 
 
@@ -185,35 +182,13 @@ def _parse_award(row: dict, where: str) -> Award:
     )
 
 
-def load_award_db(path: str | Path) -> AwardDatabase:
-    path = Path(path)
-    awards = []
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FundingError(f"{where}: invalid JSON: {exc}") from exc
-            awards.append(_parse_award(row, where))
-    return AwardDatabase(awards)
+def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
+    """Award records from a JSONL file.
 
-
-def award_to_row(award: Award) -> dict:
-    row: dict = {
-        "full_project_number": award.full_project_number,
-        "core_project_number": award.core_project_number,
-        "funder_code": award.funder_code,
-        "fiscal_year": award.fiscal_year,
-        "cited_article_ids": list(award.cited_article_ids),
-    }
-    if award.org_id is not None:
-        row["org_id"] = award.org_id
-    if award.org_name is not None:
-        row["org_name"] = award.org_name
-    return row
+    ``digest`` (a hashlib object), when given, is updated with the file's bytes.
+    """
+    rows = jsonl_rows(Path(path), FundingError, digest)
+    return AwardDatabase(_parse_award(row, where) for where, row in rows)
 
 
 def extract_article_awards(
@@ -348,32 +323,3 @@ def build_links(
                 link = replace(link, imputed_full_project=None, imputed_year=year)
             links.append(link)
     return links
-
-
-def link_to_row(link: ArticleAwardLink) -> dict:
-    row: dict = {
-        "article_id": link.article_id,
-        "core_project_number": link.core_project_number,
-        "funder_code": link.funder_code,
-        "source": link.source,
-        "imputed_full_project": link.imputed_full_project,
-        "imputed_year": link.imputed_year,
-    }
-    if link.org_id is not None:
-        row["org_id"] = link.org_id
-    if link.org_name is not None:
-        row["org_name"] = link.org_name
-    return row
-
-
-def link_from_row(row: dict) -> ArticleAwardLink:
-    return ArticleAwardLink(
-        article_id=row["article_id"],
-        core_project_number=row["core_project_number"],
-        funder_code=row["funder_code"],
-        source=row["source"],
-        imputed_full_project=row.get("imputed_full_project"),
-        imputed_year=row.get("imputed_year"),
-        org_id=row.get("org_id"),
-        org_name=row.get("org_name"),
-    )

@@ -1,22 +1,29 @@
-"""Stage orchestration with content-hash manifests.
+"""Stage orchestration over declared artifacts, with content-hash manifests.
 
-Each stage reads the previous stage's artifacts from the working directory,
-writes its own under ``workdir/<stage>/``, and records a manifest of config
-and input/output hashes. Outputs carry no timestamps, so re-running an
-unchanged stage reproduces every byte.
+Each stage artifact is declared once below: its path under the working
+directory, its row type, and its CSV columns or the JSONL fields left out
+when None. A stage computes from its upstream artifacts' objects. A
+single-stage command reads them through the artifact layer; ``run_all``
+hands each stage's objects and output digests to the next stage and reads
+back nothing it wrote. Every stage writes its files under
+``workdir/<stage>/``, removes the files there that it did not write, and
+records a manifest of the config hash and the sha256 of each input and
+output. Outputs carry no timestamps, so re-running an unchanged stage
+reproduces every byte.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import logging
+import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
+from .artifacts import Artifact, Loaded, StageDependencyError
 from .config import PipelineConfig
 from .remote import RemoteLookupClient
 from .stats import DegenerateSampleError, InsufficientDataError
@@ -30,9 +37,53 @@ STAGE_STATS = "stats"
 STAGE_REPORT = "report"
 STAGES = (STAGE_INGEST, STAGE_RESOLVE, STAGE_LINK, STAGE_STATS, STAGE_REPORT)
 
-
-class StageDependencyError(Exception):
-    """An upstream artifact this stage needs is missing."""
+FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
+ARTICLES = Artifact(
+    "ingest/articles.jsonl",
+    biblio.ArticleRecord,
+    omit_none=("volume", "pages"),
+    load=lambda path, digest, config: biblio.read_records(path, digest),
+)
+# The same file as a search index, which only `resolve` builds.
+ARTICLE_INDEX = replace(
+    ARTICLES,
+    load=lambda path, digest, config: biblio.build_index(
+        biblio.read_records(path, digest).values()
+    )[0],
+)
+AWARDS = Artifact(
+    "ingest/awards.jsonl",
+    funding.Award,
+    omit_none=("org_id", "org_name"),
+    load=lambda path, digest, config: funding.load_award_db(path, digest),
+)
+ALIASES = Artifact(
+    "ingest/aliases.csv",
+    load=lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
+)
+RESOLUTION = Artifact(
+    "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
+)
+COVERAGE = Artifact(
+    "resolve/coverage.csv",
+    resolver.CoverageStats,
+    ("memo_id", "fragment_count", "linked_count", "linked_pct"),
+)
+LINKS = Artifact("link/links.jsonl", funding.ArticleAwardLink, omit_none=("org_id", "org_name"))
+_SHARE_COLUMNS = ("entity", "year", "memo_pct", "pool_pct", "diff_pct")
+SHARES_FUNDERS = Artifact("stats/shares_funders.csv", stats.FunderYearShare, _SHARE_COLUMNS)
+SHARES_ORGS = Artifact("stats/shares_orgs.csv", stats.FunderYearShare, _SHARE_COLUMNS)
+_TEST_COLUMNS = ("entity", "n_obs=n", "median_diff", "ci_lo", "ci_hi", "p_value")
+TESTS_FUNDERS = Artifact("stats/tests_funders.csv", stats.StatResult, _TEST_COLUMNS)
+TESTS_ORGS = Artifact("stats/tests_orgs.csv", stats.StatResult, _TEST_COLUMNS)
+KLD = Artifact(
+    "stats/kld.csv",
+    stats.KLDRecord,
+    ("memo_id", "kld_f=kld_funders", "kld_ro=kld_orgs", "n_f=n_entities_f", "n_ro=n_entities_ro"),
+)
+FLAGS = Artifact(
+    "report/retraction_flags.csv", report.RetractionFlag, ("memo_id", "article_id", "note")
+)
 
 
 def _sha256_bytes(data: bytes) -> str:
@@ -51,48 +102,16 @@ def _sha256_path(path: Path) -> str:
     return _sha256_bytes(path.read_bytes())
 
 
+def _json_document(document: dict) -> bytes:
+    return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
 def _config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(config.to_canonical_dict(), sort_keys=True)
     return _sha256_bytes(canonical.encode("utf-8"))
 
 
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise StageDependencyError(f"stage '{stage}' requires missing artifact: {path}")
-    return path
-
-
-# Upstream artifacts already loaded in this process: kind -> (sha256 of the
-# file's bytes, loaded object). The key is the content, not the path, so an
-# edited file is never served stale, and each kind holds one entry, so a long
-# session does not accumulate indexes. This lets `all` parse each artifact once.
-_loaded: dict[str, tuple[str, Any]] = {}
-
 _T = TypeVar("_T")
-
-
-def _load_once(kind: str, path: Path, load: Callable[[Path], _T]) -> tuple[_T, str]:
-    """The loaded object and the sha256 of the file's bytes (for the manifest)."""
-    digest = _sha256_path(path)
-    cached = _loaded.get(kind)
-    if cached is None or cached[0] != digest:
-        cached = _loaded[kind] = (digest, load(path))
-    return cached[1], digest
-
-
-def _load_articles(path: Path) -> tuple[biblio.BiblioIndex, str]:
-    return _load_once("articles", path, lambda p: biblio.ingest_records(p)[0])
-
-
-def _load_records(path: Path) -> tuple[dict[str, biblio.ArticleRecord], str]:
-    """Records by id, without the search index: for stages that only look ids up."""
-    return _load_once("records", path, biblio.read_records)
-
-
-def _load_awards(path: Path) -> tuple[funding.AwardDatabase, str]:
-    return _load_once("awards", path, funding.load_award_db)
-
-
 _K = TypeVar("_K")
 
 
@@ -104,58 +123,75 @@ def _group(items: Iterable[_T], key: Callable[[_T], _K]) -> dict[_K, list[_T]]:
     return groups
 
 
-def _jsonl_bytes(rows: Iterable[dict]) -> bytes:
-    out = io.StringIO()
-    for row in rows:
-        out.write(json.dumps(row, sort_keys=True, ensure_ascii=True))
-        out.write("\n")
-    return out.getvalue().encode("utf-8")
+# What `run_all` hands from stage to stage: each artifact's objects and digest.
+# A stage given one takes its inputs from it and adds its outputs; a stage
+# run on its own reads its inputs from the working directory.
+Upstream = dict[Artifact, Loaded]
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
+def _take(
+    config: PipelineConfig, upstream: Upstream | None, *artifacts: Artifact
+) -> list[Loaded]:
+    """Each artifact as `run_all` handed it on, or else read from the workdir."""
+    if upstream is None:
+        return [artifact.read(config) for artifact in artifacts]
+    return [upstream[artifact] for artifact in artifacts]
+
+
+def _hand_on(
+    upstream: Upstream | None, digests: dict[str, str], objects: dict[Artifact, Any]
+) -> None:
+    """Give the next stages of `run_all` these objects and their files' digests."""
+    if upstream is not None:
+        upstream.update({a: Loaded(a, objs, digests[a.name]) for a, objs in objects.items()})
+
+
+def _inputs(*loaded: Loaded) -> dict[str, str]:
+    return {item.artifact.path: item.digest for item in loaded}
 
 
 def _write_stage(
     stage: str,
     config: PipelineConfig,
-    inputs: dict[str, Path | str],
-    outputs: dict[str, bytes],
-) -> dict[str, Path]:
-    """Write a stage's artifacts plus its manifest; returns written paths.
+    inputs: dict[str, str],
+    outputs: dict[Artifact | str, Any],
+) -> tuple[dict[str, Path], dict[str, str]]:
+    """Write a stage's artifacts and manifest, and remove its other files.
 
-    Each input is a path to hash, or the sha256 of its bytes when the stage
-    already took it while loading, so no input is read twice.
+    ``inputs`` maps each upstream path to the sha256 of its bytes. An
+    Artifact key of ``outputs`` holds the rows to write, a name holds bytes.
+    Returns the written paths (manifest included) and each output's sha256.
     """
     stage_dir = config.workdir / stage
-    stage_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
-    output_hashes: dict[str, str] = {}
-    for name, data in sorted(outputs.items()):
-        path = stage_dir / name
+    digests: dict[str, str] = {}
+    for key, value in outputs.items():
+        name = key.name if isinstance(key, Artifact) else key
+        path = written[name] = stage_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-        written[name] = path
-        output_hashes[name] = _sha256_bytes(data)
+        if isinstance(key, Artifact):
+            digests[name] = key.write(value, path)
+        else:
+            path.write_bytes(value)
+            digests[name] = _sha256_bytes(value)
     manifest = {
         "stage": stage,
         "config_hash": _config_hash(config),
-        "inputs": {
-            name: source if isinstance(source, str) else _sha256_path(source)
-            for name, source in sorted(inputs.items())
-        },
-        "outputs": output_hashes,
+        "inputs": dict(sorted(inputs.items())),
+        "outputs": digests,
     }
     manifest_path = stage_dir / "manifest.json"
-    manifest_path.write_bytes((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8"))
+    manifest_path.write_bytes(_json_document(manifest))
     written["manifest.json"] = manifest_path
+    # Files from an earlier run (another memo's flow diagrams) would pass
+    # for this run's outputs.
+    keep = {str(path) for path in written.values()}
+    for root, _, names in os.walk(stage_dir):
+        for name in names:
+            if os.path.join(root, name) not in keep:
+                os.remove(os.path.join(root, name))
     logger.info("stage %s: wrote %d artifacts to %s", stage, len(outputs), stage_dir)
-    return written
+    return written, digests
 
 
 def _load_aliases(config: PipelineConfig) -> funding.FunderAliasTable:
@@ -172,7 +208,7 @@ def _aliases_bytes(config: PipelineConfig) -> bytes:
     return resources.files("memomap.data").joinpath("funder_aliases.csv").read_bytes()
 
 
-def run_ingest(config: PipelineConfig) -> dict[str, Path]:
+def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Validate raw inputs and normalize them into workdir artifacts."""
     memos = corpus.load_corpus(config.corpus_path)
     fragments: list[corpus.ReferenceFragment] = []
@@ -182,117 +218,78 @@ def run_ingest(config: PipelineConfig) -> dict[str, Path]:
             logger.info("memo %s: no reference fragments found", memo.memo_id)
         fragments.extend(memo_fragments)
 
-    index, index_stats = biblio.ingest_records(config.records_path)
-    award_db = funding.load_award_db(config.award_db_path)
-    _load_aliases(config)  # validates the alias table early
+    records_digest, awards_digest = hashlib.sha256(), hashlib.sha256()
+    index, index_stats = biblio.ingest_records(config.records_path, records_digest)
+    award_db = funding.load_award_db(config.award_db_path, awards_digest)
+    aliases = _load_aliases(config)  # validates the alias table early
+    aliases_bytes = _aliases_bytes(config)
 
-    outputs = {
-        "fragments.jsonl": _jsonl_bytes(corpus.fragment_to_row(f) for f in fragments),
-        "articles.jsonl": _jsonl_bytes(biblio.record_to_row(r) for r in index.records()),
-        "awards.jsonl": _jsonl_bytes(funding.award_to_row(a) for a in award_db.all_awards()),
-        "aliases.csv": _aliases_bytes(config),
-        "index_stats.json": (
-            json.dumps(
-                {"record_count": index_stats.record_count, "token_count": index_stats.token_count},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        ).encode("utf-8"),
-    }
-    # Rows round-trip to equal records, so later stages reading these bytes
-    # may reuse the objects built from the raw inputs.
-    articles_digest = _sha256_bytes(outputs["articles.jsonl"])
-    _loaded["articles"] = (articles_digest, index)
-    _loaded["records"] = (articles_digest, {r.article_id: r for r in index.records()})
-    _loaded["awards"] = (_sha256_bytes(outputs["awards.jsonl"]), award_db)
     inputs = {
-        "corpus": config.corpus_path,
-        "records": config.records_path,
-        "award_db": config.award_db_path,
+        "corpus": _sha256_path(config.corpus_path),
+        "records": records_digest.hexdigest(),
+        "award_db": awards_digest.hexdigest(),
     }
     if config.aliases_path is not None:
-        inputs["aliases"] = config.aliases_path
-    return _write_stage(STAGE_INGEST, config, inputs, outputs)
+        inputs["aliases"] = _sha256_bytes(aliases_bytes)
+    records = {r.article_id: r for r in index.records()}
+    paths, digests = _write_stage(
+        STAGE_INGEST,
+        config,
+        inputs,
+        {
+            FRAGMENTS: fragments,
+            ARTICLES: records.values(),
+            AWARDS: award_db.all_awards(),
+            ALIASES.name: aliases_bytes,
+            "index_stats.json": _json_document(
+                {"record_count": index_stats.record_count, "token_count": index_stats.token_count}
+            ),
+        },
+    )
+    # The rows read back into equal objects, so the next stages may take these.
+    _hand_on(
+        upstream,
+        digests,
+        {
+            FRAGMENTS: fragments,
+            ARTICLES: records,
+            ARTICLE_INDEX: index,
+            AWARDS: award_db,
+            ALIASES: aliases,
+        },
+    )
+    return paths
 
 
-def run_resolve(config: PipelineConfig) -> dict[str, Path]:
+def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Resolve fragments against the article index; emit coverage."""
-    ingest_dir = config.workdir / STAGE_INGEST
-    fragments_path = _require(ingest_dir / "fragments.jsonl", STAGE_RESOLVE)
-    articles_path = _require(ingest_dir / "articles.jsonl", STAGE_RESOLVE)
-
-    fragments = [corpus.fragment_from_row(row) for row in _read_jsonl(fragments_path)]
-    index, articles_digest = _load_articles(articles_path)
-
+    fragments, index = _take(config, upstream, FRAGMENTS, ARTICLE_INDEX)
     remote_client = None
     if config.remote.enabled:
         remote_client = RemoteLookupClient(config.remote, config.cache_dir())
 
-    results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, remote_client)
-
-    coverage_buffer = io.StringIO()
-    writer = csv.writer(coverage_buffer, lineterminator="\n")
-    writer.writerow(["memo_id", "fragment_count", "linked_count", "linked_pct"])
-    for row in coverage:
-        writer.writerow([row.memo_id, row.fragment_count, row.linked_count, str(row.linked_pct)])
-
-    outputs = {
-        "resolution.jsonl": _jsonl_bytes(resolver.result_to_row(r) for r in results),
-        "coverage.csv": coverage_buffer.getvalue().encode("utf-8"),
-    }
-    inputs = {"ingest/fragments.jsonl": fragments_path, "ingest/articles.jsonl": articles_digest}
-    return _write_stage(STAGE_RESOLVE, config, inputs, outputs)
+    results, coverage = resolver.resolve_corpus(
+        fragments.objects, index.objects, config.resolver, remote_client
+    )
+    outputs = {RESOLUTION: results, COVERAGE: coverage}
+    paths, digests = _write_stage(STAGE_RESOLVE, config, _inputs(fragments, index), outputs)
+    _hand_on(upstream, digests, outputs)
+    return paths
 
 
-def run_link(config: PipelineConfig) -> dict[str, Path]:
+def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Two-direction article-award linkage for every resolved article."""
-    ingest_dir = config.workdir / STAGE_INGEST
-    resolve_dir = config.workdir / STAGE_RESOLVE
-    resolution_path = _require(resolve_dir / "resolution.jsonl", STAGE_LINK)
-    articles_path = _require(ingest_dir / "articles.jsonl", STAGE_LINK)
-    awards_path = _require(ingest_dir / "awards.jsonl", STAGE_LINK)
-    aliases_path = _require(ingest_dir / "aliases.csv", STAGE_LINK)
-
-    resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
-    records, articles_digest = _load_records(articles_path)
-    award_db, awards_digest = _load_awards(awards_path)
-    aliases = funding.load_aliases(aliases_path, on_unmapped=config.on_unmapped)
-
-    resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
-    articles = [records[a] for a in resolved_ids if a in records]
-    links = funding.build_links(articles, award_db, aliases)
-
-    outputs = {"links.jsonl": _jsonl_bytes(funding.link_to_row(l) for l in links)}
-    inputs = {
-        "resolve/resolution.jsonl": resolution_path,
-        "ingest/articles.jsonl": articles_digest,
-        "ingest/awards.jsonl": awards_digest,
-        "ingest/aliases.csv": aliases_path,
-    }
-    return _write_stage(STAGE_LINK, config, inputs, outputs)
-
-
-def _shares_csv(rows: list[stats.FunderYearShare]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["entity", "year", "memo_pct", "pool_pct", "diff_pct"])
-    for row in rows:
-        writer.writerow(
-            [row.entity, row.year, str(row.memo_pct), str(row.pool_pct), str(row.diff_pct)]
-        )
-    return buffer.getvalue().encode("utf-8")
-
-
-def _tests_csv(results: list[stats.StatResult]) -> bytes:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["entity", "n_obs", "median_diff", "ci_lo", "ci_hi", "p_value"])
-    for r in results:
-        writer.writerow(
-            [r.entity, r.n, str(r.median_diff), str(r.ci_lo), str(r.ci_hi), str(r.p_value)]
-        )
-    return buffer.getvalue().encode("utf-8")
+    resolution, articles, awards, aliases = _take(
+        config, upstream, RESOLUTION, ARTICLES, AWARDS, ALIASES
+    )
+    records = articles.objects
+    resolved_ids = sorted({r.article_id for r in resolution.objects if r.article_id is not None})
+    cited = [records[a] for a in resolved_ids if a in records]
+    links = funding.build_links(cited, awards.objects, aliases.objects)
+    inputs = _inputs(resolution, articles, awards, aliases)
+    paths, digests = _write_stage(STAGE_LINK, config, inputs, {LINKS: links})
+    _hand_on(upstream, digests, {LINKS: links})
+    return paths
 
 
 def _memo_entity_lists(
@@ -323,22 +320,13 @@ def _memo_entity_lists(
     return out
 
 
-def run_stats(config: PipelineConfig) -> dict[str, Path]:
+def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Share differences, signed-rank tests, and concentration measures."""
-    ingest_dir = config.workdir / STAGE_INGEST
-    resolve_dir = config.workdir / STAGE_RESOLVE
-    link_dir = config.workdir / STAGE_LINK
-    links_path = _require(link_dir / "links.jsonl", STAGE_STATS)
-    awards_path = _require(ingest_dir / "awards.jsonl", STAGE_STATS)
-    resolution_path = _require(resolve_dir / "resolution.jsonl", STAGE_STATS)
-
-    links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
-    award_db, awards_digest = _load_awards(awards_path)
-    resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
-
+    links, awards, resolution = _take(config, upstream, LINKS, AWARDS, RESOLUTION)
+    award_db = awards.objects
     memo_funder_pairs = [
         (l.funder_code, l.imputed_year)
-        for l in links
+        for l in links.objects
         if l.funder_code != funding.UNMAPPED and l.imputed_year is not None
     ]
     pool_funder_pairs = [(a.funder_code, a.fiscal_year) for a in award_db.all_awards()]
@@ -350,7 +338,9 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
     )
 
     memo_org_pairs = [
-        (l.org_id, l.imputed_year) for l in links if l.org_id is not None and l.imputed_year is not None
+        (l.org_id, l.imputed_year)
+        for l in links.objects
+        if l.org_id is not None and l.imputed_year is not None
     ]
     pool_org_pairs = [
         (a.org_id, a.fiscal_year) for a in award_db.all_awards() if a.org_id is not None
@@ -367,7 +357,9 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
         org_shares, org_results = [], []
 
     kld_rows = []
-    for memo_id, (funder_lists, org_lists) in _memo_entity_lists(resolution, links).items():
+    for memo_id, (funder_lists, org_lists) in _memo_entity_lists(
+        resolution.objects, links.objects
+    ).items():
         funder_kld = stats.memo_kld(funder_lists)
         org_kld = stats.memo_kld(org_lists)
         if funder_kld is None or org_kld is None:
@@ -381,14 +373,6 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
                 n_entities_f=funder_kld[1],
                 n_entities_ro=org_kld[1],
             )
-        )
-
-    kld_buffer = io.StringIO()
-    writer = csv.writer(kld_buffer, lineterminator="\n")
-    writer.writerow(["memo_id", "kld_f", "kld_ro", "n_f", "n_ro"])
-    for row in kld_rows:
-        writer.writerow(
-            [row.memo_id, str(row.kld_funders), str(row.kld_orgs), row.n_entities_f, row.n_entities_ro]
         )
 
     comparison: dict
@@ -409,100 +393,51 @@ def run_stats(config: PipelineConfig) -> dict[str, Path]:
         logger.warning("paired concentration comparison unavailable: %s", exc)
         comparison = {"n": len(kld_rows), "error": str(exc)}
 
-    outputs = {
-        "shares_funders.csv": _shares_csv(funder_shares),
-        "shares_orgs.csv": _shares_csv(org_shares),
-        "tests_funders.csv": _tests_csv(funder_results),
-        "tests_orgs.csv": _tests_csv(org_results),
-        "kld.csv": kld_buffer.getvalue().encode("utf-8"),
-        "kld_comparison.json": (json.dumps(comparison, sort_keys=True, indent=2) + "\n").encode(
-            "utf-8"
-        ),
-    }
-    inputs = {
-        "link/links.jsonl": links_path,
-        "ingest/awards.jsonl": awards_digest,
-        "resolve/resolution.jsonl": resolution_path,
-    }
-    return _write_stage(STAGE_STATS, config, inputs, outputs)
+    paths, digests = _write_stage(
+        STAGE_STATS,
+        config,
+        _inputs(links, awards, resolution),
+        {
+            SHARES_FUNDERS: funder_shares,
+            SHARES_ORGS: org_shares,
+            TESTS_FUNDERS: funder_results,
+            TESTS_ORGS: org_results,
+            KLD: kld_rows,
+            "kld_comparison.json": _json_document(comparison),
+        },
+    )
+    _hand_on(upstream, digests, {TESTS_FUNDERS: funder_results, TESTS_ORGS: org_results})
+    return paths
 
 
-def _read_stat_results(path: Path) -> list[stats.StatResult]:
-    results = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            results.append(
-                stats.StatResult(
-                    entity=row["entity"],
-                    n=int(row["n_obs"]),
-                    median_diff=float(row["median_diff"]),
-                    ci_lo=float(row["ci_lo"]),
-                    ci_hi=float(row["ci_hi"]),
-                    p_value=float(row["p_value"]),
-                )
-            )
-    return results
-
-
-def _read_coverage(path: Path) -> list[resolver.CoverageStats]:
-    coverage = []
-    with path.open(encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            coverage.append(
-                resolver.CoverageStats(
-                    memo_id=row["memo_id"],
-                    fragment_count=int(row["fragment_count"]),
-                    linked_count=int(row["linked_count"]),
-                )
-            )
-    return coverage
-
-
-def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, Path]:
+def run_report(
+    config: PipelineConfig, memo_id: str | None = None, *, upstream: Upstream | None = None
+) -> dict[str, Path]:
     """Tables, per-memo flow diagrams, retraction flags, coverage report."""
-    ingest_dir = config.workdir / STAGE_INGEST
-    resolve_dir = config.workdir / STAGE_RESOLVE
-    link_dir = config.workdir / STAGE_LINK
-    stats_dir = config.workdir / STAGE_STATS
-    links_path = _require(link_dir / "links.jsonl", STAGE_REPORT)
-    resolution_path = _require(resolve_dir / "resolution.jsonl", STAGE_REPORT)
-    coverage_path = _require(resolve_dir / "coverage.csv", STAGE_REPORT)
-    articles_path = _require(ingest_dir / "articles.jsonl", STAGE_REPORT)
-    tests_funders_path = _require(stats_dir / "tests_funders.csv", STAGE_REPORT)
-    tests_orgs_path = _require(stats_dir / "tests_orgs.csv", STAGE_REPORT)
+    links, resolution, coverage, articles, tests_funders, tests_orgs = _take(
+        config, upstream, LINKS, RESOLUTION, COVERAGE, ARTICLES, TESTS_FUNDERS, TESTS_ORGS
+    )
+    funder_table, recipient_table = report.emit_tables(
+        links.objects, tests_funders.objects, tests_orgs.objects
+    )
+    flags = report.flag_retracted(resolution.objects, articles.objects)
+    scatter_csv, summary_csv = report.coverage_report(coverage.objects)
 
-    links = [funding.link_from_row(row) for row in _read_jsonl(links_path)]
-    resolution = [resolver.result_from_row(row) for row in _read_jsonl(resolution_path)]
-    coverage = _read_coverage(coverage_path)
-    records, articles_digest = _load_records(articles_path)
-    funder_stats = _read_stat_results(tests_funders_path)
-    org_stats = _read_stat_results(tests_orgs_path)
-
-    funder_table, recipient_table = report.emit_tables(links, funder_stats, org_stats)
-    flags = report.flag_retracted(resolution, records)
-    scatter_csv, summary_csv = report.coverage_report(coverage)
-
-    flags_buffer = io.StringIO()
-    writer = csv.writer(flags_buffer, lineterminator="\n")
-    writer.writerow(["memo_id", "article_id", "note"])
-    for flag in flags:
-        writer.writerow([flag.memo_id, flag.article_id, flag.note])
-
-    rows_by_memo = _group(resolution, lambda r: r.memo_id)
+    rows_by_memo = _group(resolution.objects, lambda r: r.memo_id)
     memo_ids = sorted(rows_by_memo)
     if memo_id is not None:
         if memo_id not in rows_by_memo:
             raise StageDependencyError(f"stage 'report': memo {memo_id!r} not in resolution")
         memo_ids = [memo_id]
 
-    outputs = {
+    outputs: dict[Artifact | str, Any] = {
         "funder_table.csv": funder_table.encode("utf-8"),
         "recipient_table.csv": recipient_table.encode("utf-8"),
-        "retraction_flags.csv": flags_buffer.getvalue().encode("utf-8"),
+        FLAGS: flags,
         "coverage_scatter.csv": scatter_csv.encode("utf-8"),
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
-    links_by_article = _group(links, lambda l: l.article_id)
+    links_by_article = _group(links.objects, lambda l: l.article_id)
     for mid in memo_ids:
         rows = rows_by_memo[mid]
         cited = sorted({r.article_id for r in rows if r.article_id is not None})
@@ -511,27 +446,22 @@ def run_report(config: PipelineConfig, memo_id: str | None = None) -> dict[str, 
         outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
         outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
 
-    inputs = {
-        "link/links.jsonl": links_path,
-        "resolve/resolution.jsonl": resolution_path,
-        "resolve/coverage.csv": coverage_path,
-        "ingest/articles.jsonl": articles_digest,
-        "stats/tests_funders.csv": tests_funders_path,
-        "stats/tests_orgs.csv": tests_orgs_path,
-    }
-    return _write_stage(STAGE_REPORT, config, inputs, outputs)
+    inputs = _inputs(links, resolution, coverage, articles, tests_funders, tests_orgs)
+    return _write_stage(STAGE_REPORT, config, inputs, outputs)[0]
 
 
 def run_all(config: PipelineConfig, memo_id: str | None = None) -> dict[str, Path]:
+    """Every stage in order, each taking the objects the stages before it made."""
+    upstream: Upstream = {}
+    results = (
+        run_ingest(config, upstream=upstream),
+        run_resolve(config, upstream=upstream),
+        run_link(config, upstream=upstream),
+        run_stats(config, upstream=upstream),
+        run_report(config, memo_id, upstream=upstream),
+    )
     written: dict[str, Path] = {}
-    for name, path in run_ingest(config).items():
-        written[f"{STAGE_INGEST}/{name}"] = path
-    for name, path in run_resolve(config).items():
-        written[f"{STAGE_RESOLVE}/{name}"] = path
-    for name, path in run_link(config).items():
-        written[f"{STAGE_LINK}/{name}"] = path
-    for name, path in run_stats(config).items():
-        written[f"{STAGE_STATS}/{name}"] = path
-    for name, path in run_report(config, memo_id).items():
-        written[f"{STAGE_REPORT}/{name}"] = path
+    for stage, paths in zip(STAGES, results):
+        for name, path in paths.items():
+            written[f"{stage}/{name}"] = path
     return written

@@ -7,7 +7,6 @@ to the bit; floats appear only at emission time.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
@@ -15,6 +14,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
+from .artifacts import csv_text
 from .biblio import ArticleRecord
 from .funding import ArticleAwardLink
 from .resolver import CoverageStats, ResolutionResult, coverage_summary
@@ -316,11 +316,6 @@ def _xml_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _csv_buffer() -> tuple[io.StringIO, csv.writer]:
-    buffer = io.StringIO()
-    return buffer, csv.writer(buffer, lineterminator="\n")
-
-
 def _format(value: float | None, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
@@ -368,11 +363,10 @@ def emit_tables(
     funder_counts: dict[str, int] = {}
     for link in links:
         funder_counts[link.funder_code] = funder_counts.get(link.funder_code, 0) + 1
-    buffer_f, writer_f = _csv_buffer()
-    writer_f.writerow(header)
+    funder_rows = [header]
     for funder in sorted(funder_counts):
         count = funder_counts[funder]
-        writer_f.writerow(
+        funder_rows.append(
             [funder, funder, str(count), f"{share_of_total(count, total):.2f}"]
             + stat_cells(funder_by_entity.get(funder))
         )
@@ -387,16 +381,15 @@ def emit_tables(
             if current is None or link.org_name < current:
                 org_labels[org] = link.org_name
     org_labels.setdefault("UNKNOWN", "Unknown")
-    buffer_o, writer_o = _csv_buffer()
-    writer_o.writerow(header)
+    org_rows = [header]
     for org in sorted(org_counts):
         count = org_counts[org]
-        writer_o.writerow(
+        org_rows.append(
             [org, org_labels.get(org, org), str(count), f"{share_of_total(count, total):.2f}"]
             + stat_cells(org_by_entity.get(org) if org != "UNKNOWN" else None)
         )
 
-    return buffer_f.getvalue(), buffer_o.getvalue()
+    return csv_text(funder_rows), csv_text(org_rows)
 
 
 def flag_retracted(
@@ -419,19 +412,8 @@ def flag_retracted(
 def coverage_report(coverage: Iterable[CoverageStats]) -> tuple[str, str]:
     """Scatter CSV (memo size vs. linkage) plus a summary CSV."""
     coverage = sorted(coverage, key=lambda c: c.memo_id)
-    buffer_s, writer_s = _csv_buffer()
-    writer_s.writerow(["memo_id", "fragment_count", "linked_pct"])
-    for row in coverage:
-        writer_s.writerow([row.memo_id, str(row.fragment_count), str(row.linked_pct)])
-
+    scatter = [["memo_id", "fragment_count", "linked_pct"]]
+    scatter += ([row.memo_id, row.fragment_count, row.linked_pct] for row in coverage)
     summary = coverage_summary(coverage)
-    buffer_m, writer_m = _csv_buffer()
-    writer_m.writerow(["n", "median_linked_pct", "iqr_linked_pct"])
-    writer_m.writerow(
-        [
-            str(summary["n"]),
-            "" if summary["median_linked_pct"] is None else str(summary["median_linked_pct"]),
-            "" if summary["iqr_linked_pct"] is None else str(summary["iqr_linked_pct"]),
-        ]
-    )
-    return buffer_s.getvalue(), buffer_m.getvalue()
+    keys = ["n", "median_linked_pct", "iqr_linked_pct"]  # a None value is an empty cell
+    return csv_text(scatter), csv_text([keys, [summary[key] for key in keys]])

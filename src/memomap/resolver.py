@@ -199,22 +199,3 @@ def coverage_summary(coverage: Iterable[CoverageStats]) -> dict:
         "median_linked_pct": statistics.median(pcts),
         "iqr_linked_pct": q3 - q1,
     }
-
-
-def result_to_row(result: ResolutionResult) -> dict:
-    row: dict = {"memo_id": result.memo_id, "ordinal": result.ordinal, "method": result.method}
-    if result.article_id is not None:
-        row["article_id"] = result.article_id
-    if result.score is not None:
-        row["score"] = result.score
-    return row
-
-
-def result_from_row(row: dict) -> ResolutionResult:
-    return ResolutionResult(
-        memo_id=row["memo_id"],
-        ordinal=int(row["ordinal"]),
-        article_id=row.get("article_id"),
-        score=row.get("score"),
-        method=row["method"],
-    )

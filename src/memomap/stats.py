@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -84,19 +84,9 @@ def share_of_total(count: int, total: int) -> float:
     return 100.0 * count / total
 
 
-def _pair_entity(item) -> str:
-    return item[0]
-
-
-def _pair_year(item) -> int:
-    return item[1]
-
-
 def yearly_shares(
-    memo_awards: Iterable,
-    pool_awards: Iterable,
-    entity_key: Callable = _pair_entity,
-    year_key: Callable = _pair_year,
+    memo_awards: Iterable[tuple[str, int]],
+    pool_awards: Iterable[tuple[str, int]],
     denominator: str = "pool_entities",
 ) -> list[FunderYearShare]:
     """Per-entity-per-year award shares in the memo set vs. the pool set.
@@ -110,8 +100,8 @@ def yearly_shares(
     """
     if denominator not in ("pool_entities", "all"):
         raise StatsError(f"bad denominator mode {denominator!r}")
-    pool_pairs = [(entity_key(a), year_key(a)) for a in pool_awards]
-    memo_pairs = [(entity_key(a), year_key(a)) for a in memo_awards]
+    pool_pairs = [(entity, year) for entity, year in pool_awards]
+    memo_pairs = [(entity, year) for entity, year in memo_awards]
     if not pool_pairs:
         raise StatsError("pool award set is empty")
 

@@ -16,9 +16,11 @@ import pytest
 
 from memomap.biblio import ingest_records
 from memomap.cli import EXIT_OK, main
-from memomap.funding import Award, AwardDatabase, impute_award_year, link_from_row
+from memomap.config import load_config
+from memomap.funding import Award, AwardDatabase, impute_award_year
+from memomap.pipeline import LINKS, RESOLUTION
 from memomap.report import build_flow_graph
-from memomap.resolver import resolve_fragment, result_from_row, result_to_row
+from memomap.resolver import resolve_fragment
 from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
 
 from oracles import enumeration_p, oracle_impute
@@ -137,7 +139,7 @@ def test_criterion_4_year_imputation():
                 assert got == (None, pub_year - 1)
 
 
-def test_criterion_5_resolution_quality():
+def test_criterion_5_resolution_quality(tmp_path):
     with criterion(5, "labeled 200-fragment corpus: precision >= 0.95, recall >= 0.90"):
         records, labeled = build_labeled_corpus()
         assert len(labeled) == 200
@@ -146,7 +148,7 @@ def test_criterion_5_resolution_quality():
         runs = []
         for _ in range(2):
             results = [resolve_fragment(frag, index) for frag, _ in labeled]
-            runs.append("\n".join(str(result_to_row(r)) for r in results))
+            runs.append(RESOLUTION.write(results, tmp_path / "resolution.jsonl"))
         assert runs[0] == runs[1]
 
         true_positive = false_positive = 0
@@ -168,17 +170,9 @@ def test_criterion_6_flow_conservation(pipeline_run):
     with criterion(6, "flow graphs conserve weight and merges preserve totals"):
         workdir, code, _ = pipeline_run
         assert code == EXIT_OK
-        import json
-
-        out = workdir / "out"
-        links = [
-            link_from_row(json.loads(line))
-            for line in (out / "link" / "links.jsonl").read_text().splitlines()
-        ]
-        resolution = [
-            result_from_row(json.loads(line))
-            for line in (out / "resolve" / "resolution.jsonl").read_text().splitlines()
-        ]
+        config = load_config(workdir / "config.yaml")
+        links = LINKS.read(config).objects
+        resolution = RESOLUTION.read(config).objects
         linked_articles = {l.article_id for l in links}
         memo_ids = sorted({r.memo_id for r in resolution})
         assert memo_ids

@@ -21,7 +21,6 @@ from memomap.funding import (
     load_award_db,
     lookup_awards_citing,
     merge_drafts,
-    normalize_funder,
     parse_core_project,
 )
 
@@ -42,25 +41,25 @@ class TestParseCore:
 
 class TestAliases:
     def test_full_name_maps(self, aliases):
-        assert normalize_funder("National Cancer Institute", aliases) == "NCI"
+        assert aliases.lookup("National Cancer Institute") == "NCI"
 
     def test_retired_code_folds_into_successor(self, aliases):
         # The merge applies even when the alias file itself has no NCRR row.
-        assert normalize_funder("NCRR", aliases) == "NCATS"
-        assert normalize_funder("National Center for Research Resources", aliases) == "NCATS"
+        assert aliases.lookup("NCRR") == "NCATS"
+        assert aliases.lookup("National Center for Research Resources") == "NCATS"
 
     def test_unknown_is_unmapped(self, aliases):
-        assert normalize_funder("Acme Trust", aliases) == UNMAPPED
+        assert aliases.lookup("Acme Trust") == UNMAPPED
 
     def test_idempotent_and_total(self, aliases):
         for raw in ("NCI", "nci", "N.C.I.", "Acme Trust", ""):
-            code = normalize_funder(raw, aliases)
+            code = aliases.lookup(raw)
             assert code in aliases.vocabulary | {UNMAPPED}
             if code != UNMAPPED:
-                assert normalize_funder(code, aliases) == code
+                assert aliases.lookup(code) == code
 
     def test_punctuation_insensitive(self, aliases):
-        assert normalize_funder("national cancer institute.", aliases) == "NCI"
+        assert aliases.lookup("national cancer institute.") == "NCI"
 
     def test_bad_policy_rejected(self):
         with pytest.raises(FundingError):

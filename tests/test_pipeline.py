@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import builtins
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,12 +16,13 @@ from memomap.cli import (
     EXIT_OK,
     main,
 )
-from memomap import biblio, funding, pipeline, report
+from memomap import biblio, funding, report
 from memomap.config import ConfigError, load_config
 from memomap.resolver import fragment_years
 from memomap.pipeline import (
     StageDependencyError,
     run_all,
+    run_ingest,
     run_link,
     run_report,
     run_resolve,
@@ -41,6 +44,30 @@ def read_tree(root: Path) -> dict[str, bytes]:
     return {
         p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()
     }
+
+
+def count_reads(monkeypatch, root: Path) -> Counter:
+    """Count, by path, every opening for reading of a file under ``root``."""
+    reads: Counter = Counter()
+    real_path_open, real_open = Path.open, builtins.open
+
+    def note(file, mode: str) -> None:
+        if isinstance(file, (str, Path)) and "r" in mode and "+" not in mode:
+            path = Path(file)
+            if path.is_relative_to(root):
+                reads[path] += 1
+
+    def path_open(self, mode="r", *args, **kwargs):
+        note(self, mode)
+        return real_path_open(self, mode, *args, **kwargs)
+
+    def builtin_open(file, mode="r", *args, **kwargs):
+        note(file, mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", path_open)
+    monkeypatch.setattr(builtins, "open", builtin_open)
+    return reads
 
 
 class TestStages:
@@ -96,6 +123,44 @@ class TestStages:
         config = str(workspace / "config.yaml")
         assert main(["all", "--config", config]) == EXIT_OK
         assert main(["report", "--config", config, "--memo", "CAG-NOPE"]) == EXIT_DEPENDENCY
+
+    def test_memo_report_removes_stale_files(self, workspace):
+        config = str(workspace / "config.yaml")
+        assert main(["all", "--config", config]) == EXIT_OK
+        assert main(["report", "--config", config, "--memo", "CAG-00202R"]) == EXIT_OK
+        report_dir = workspace / "out" / "report"
+        manifest = json.loads((report_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert "sankey/CAG-00202R.json" in manifest["outputs"]
+        assert set(read_tree(report_dir)) == set(manifest["outputs"]) | {"manifest.json"}
+
+    @pytest.mark.parametrize(
+        "artifact, command, corrupt",
+        [
+            ("ingest/fragments.jsonl", "resolve", lambda data: data[:-10]),
+            (
+                "link/links.jsonl",
+                "stats",
+                lambda data: data.replace(b'"article_id": "8000001", ', b"", 1),
+            ),
+            (
+                "stats/tests_funders.csv",
+                "report",
+                lambda data: data.replace(b"\nNCI,5,", b"\nNCI,five,", 1),
+            ),
+        ],
+        ids=["truncated-fragments", "link-without-article-id", "non-integer-n-obs"],
+    )
+    def test_malformed_artifact_is_dependency_error(
+        self, workspace, caplog, artifact, command, corrupt
+    ):
+        config = str(workspace / "config.yaml")
+        assert main(["all", "--config", config]) == EXIT_OK
+        path = workspace / "out" / artifact
+        data = path.read_bytes()
+        assert corrupt(data) != data
+        path.write_bytes(corrupt(data))
+        assert main([command, "--config", config]) == EXIT_DEPENDENCY
+        assert f"{path}:" in caplog.text
 
 
 class TestLoadOnce:
@@ -161,10 +226,9 @@ class TestSingleStageLoads:
     """What a single-stage command (a fresh process) reads and builds."""
 
     @pytest.fixture
-    def primed(self, workspace, monkeypatch):
+    def primed(self, workspace):
         config = load_config(workspace / "config.yaml")
         run_all(config)
-        monkeypatch.setattr(pipeline, "_loaded", {})  # as in a new process
         return config
 
     def test_link_and_report_build_no_index(self, primed, workspace, monkeypatch):
@@ -180,23 +244,15 @@ class TestSingleStageLoads:
             if name.startswith(("link/", "report/")):
                 assert produced[name] == expected, f"artifact differs: {name}"
 
-    def test_link_hashes_each_input_once(self, primed, monkeypatch):
-        counts: dict[Path, int] = {}
-        real = pipeline._sha256_path
-
-        def counted(path):
-            counts[path] = counts.get(path, 0) + 1
-            return real(path)
-
-        monkeypatch.setattr(pipeline, "_sha256_path", counted)
-        run_link(primed)
+    def test_each_input_opened_once(self, primed, monkeypatch):
         out = primed.workdir
-        assert counts == {
-            out / "resolve" / "resolution.jsonl": 1,
-            out / "ingest" / "articles.jsonl": 1,
-            out / "ingest" / "awards.jsonl": 1,
-            out / "ingest" / "aliases.csv": 1,
-        }
+        reads = count_reads(monkeypatch, out)
+        for stage, run in (("link", run_link), ("stats", run_stats), ("report", run_report)):
+            reads.clear()
+            run(primed)
+            opened = dict(reads)
+            manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
+            assert opened == {out / name: 1 for name in manifest["inputs"]}, stage
 
     def test_report_passes_each_memo_only_its_rows_and_links(self, primed, monkeypatch):
         calls = []
@@ -227,6 +283,20 @@ class TestSingleStageLoads:
             assert all(l.article_id in cited for l in links)
 
 
+class TestHandOff:
+    def test_all_reads_nothing_and_matches_single_stages(self, workspace, monkeypatch):
+        config = load_config(workspace / "config.yaml")
+        reads = count_reads(monkeypatch, config.workdir)
+        run_all(config)
+        assert not reads
+        monkeypatch.undo()
+        handed_on = read_tree(config.workdir)
+        shutil.rmtree(config.workdir)
+        for run in (run_ingest, run_resolve, run_link, run_stats, run_report):
+            run(config)
+        assert read_tree(config.workdir) == handed_on
+
+
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
         assert main(["ingest", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG
@@ -244,6 +314,12 @@ class TestCliErrors:
 
     def test_corrupt_records_is_input_error(self, workspace):
         (workspace / "articles.jsonl").write_text('{"article_id": "x"}\n', encoding="utf-8")
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize("name", ["memos.jsonl", "articles.jsonl", "awards.jsonl"])
+    def test_non_object_row_is_input_error(self, workspace, name):
+        with (workspace / name).open("a", encoding="utf-8") as fh:
+            fh.write("7\n")
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
 
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import logging
 import random
 
@@ -8,6 +7,7 @@ import pytest
 
 from memomap.biblio import ingest_records
 from memomap.corpus import ReferenceFragment, normalize_fragment
+from memomap.pipeline import RESOLUTION
 from memomap.remote import RemoteUnavailableError
 from memomap.resolver import (
     METHOD_LEXICAL,
@@ -17,7 +17,6 @@ from memomap.resolver import (
     coverage_summary,
     resolve_corpus,
     resolve_fragment,
-    result_to_row,
     score_candidate,
 )
 
@@ -195,12 +194,12 @@ class TestResolveCorpus:
         _, coverage = resolve_corpus(self.make_fragments(small_index), small_index)
         assert {c.memo_id for c in coverage} == {"m1", "m2"}
 
-    def test_deterministic_bytes(self, small_index):
+    def test_deterministic_bytes(self, small_index, tmp_path):
         frags = self.make_fragments(small_index)
         runs = []
         for _ in range(2):
             results, _ = resolve_corpus(frags, small_index)
-            runs.append("\n".join(json.dumps(result_to_row(r), sort_keys=True) for r in results))
+            runs.append(RESOLUTION.write(results, tmp_path / "resolution.jsonl"))
         assert runs[0] == runs[1]
 
     def test_threshold_monotonicity(self, small_index):

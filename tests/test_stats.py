@@ -94,20 +94,6 @@ class TestYearlyShares:
         with pytest.raises(StatsError, match="pool"):
             yearly_shares([("A", 1999)], [])
 
-    def test_key_functions(self):
-        class Row:
-            def __init__(self, funder, year):
-                self.funder = funder
-                self.year = year
-
-        rows = yearly_shares(
-            [Row("A", 2000)],
-            [Row("A", 2000), Row("B", 2000)],
-            entity_key=lambda r: r.funder,
-            year_key=lambda r: r.year,
-        )
-        assert {r.entity for r in rows} == {"A", "B"}
-
     def test_diffs_sum_to_zero_per_year(self):
         rng = random.Random(11)
         for _ in range(50):
