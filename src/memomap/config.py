@@ -4,10 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import yaml
 
-from .corpus import DEFAULT_HEADINGS, DEFAULT_MIN_FRAGMENT_CHARS, DEFAULT_TERMINATORS, SegmenterConfig
+from .corpus import DEFAULT_HEADINGS, DEFAULT_MIN_FRAGMENT_CHARS, DEFAULT_TERMINATORS
+from .corpus import CorpusError, SegmenterConfig
 from .remote import RemoteConfig
 from .resolver import ResolverConfig
 
@@ -111,21 +113,24 @@ def load_config(path: str | Path) -> PipelineConfig:
     def resolve(key: str) -> Path:
         return base / str(paths[key])
 
-    corpus_cfg = _section(data, "corpus")
-    resolver_cfg = _section(data, "resolver")
-    remote_cfg = _section(data, "remote")
-    funding_cfg = _section(data, "funding")
-    stats_cfg = _section(data, "stats")
-    report_cfg = _section(data, "report")
+    def value(key: str, default: Any, convert: Callable[[Any], Any]) -> Any:
+        """``section.name`` from the file, else the default, converted."""
+        section, name = key.split(".")
+        raw = _section(data, section).get(name, default)
+        try:
+            return convert(raw)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: {key}: bad value {raw!r}: {exc}") from exc
 
     try:
         segmenter = SegmenterConfig(
-            headings=tuple(corpus_cfg.get("headings", DEFAULT_HEADINGS)),
-            terminators=tuple(corpus_cfg.get("terminators", DEFAULT_TERMINATORS)),
-            min_fragment_chars=int(corpus_cfg.get("min_fragment_chars", DEFAULT_MIN_FRAGMENT_CHARS)),
+            headings=value("corpus.headings", DEFAULT_HEADINGS, tuple),
+            terminators=value("corpus.terminators", DEFAULT_TERMINATORS, tuple),
+            min_fragment_chars=value("corpus.min_fragment_chars", DEFAULT_MIN_FRAGMENT_CHARS, int),
         )
-    except Exception as exc:
+    except CorpusError as exc:
         raise ConfigError(f"{path}: bad corpus section: {exc}") from exc
+    cache_dir = _section(data, "remote").get("cache_dir")
 
     config = PipelineConfig(
         corpus_path=resolve("corpus"),
@@ -135,25 +140,25 @@ def load_config(path: str | Path) -> PipelineConfig:
         aliases_path=base / str(paths["aliases"]) if paths.get("aliases") else None,
         segmenter=segmenter,
         resolver=ResolverConfig(
-            threshold=float(resolver_cfg.get("threshold", 0.55)),
-            margin=float(resolver_cfg.get("margin", 0.05)),
-            k=int(resolver_cfg.get("k", 10)),
+            threshold=value("resolver.threshold", 0.55, float),
+            margin=value("resolver.margin", 0.05, float),
+            k=value("resolver.k", 10, int),
         ),
         remote=RemoteConfig(
-            enabled=bool(remote_cfg.get("enabled", False)),
-            base_url=str(remote_cfg.get("base_url", "")),
-            rps=float(remote_cfg.get("rps", 3.0)),
-            max_retries=int(remote_cfg.get("max_retries", 3)),
-            offline=bool(remote_cfg.get("offline", False)),
+            enabled=value("remote.enabled", False, bool),
+            base_url=value("remote.base_url", "", str),
+            rps=value("remote.rps", 3.0, float),
+            max_retries=value("remote.max_retries", 3, int),
+            offline=value("remote.offline", False, bool),
         ),
-        remote_cache_dir=base / str(remote_cfg["cache_dir"]) if remote_cfg.get("cache_dir") else None,
-        on_unmapped=str(funding_cfg.get("on_unmapped", "warn")),
+        remote_cache_dir=base / str(cache_dir) if cache_dir else None,
+        on_unmapped=value("funding.on_unmapped", "warn", str),
         stats=StatsOptions(
-            denominator=str(stats_cfg.get("denominator", "pool_entities")),
-            ci_level=float(stats_cfg.get("ci_level", 0.95)),
-            min_obs=int(stats_cfg.get("min_obs", 5)),
+            denominator=value("stats.denominator", "pool_entities", str),
+            ci_level=value("stats.ci_level", 0.95, float),
+            min_obs=value("stats.min_obs", 5, int),
         ),
-        top_k=int(report_cfg.get("top_k", 10)),
+        top_k=value("report.top_k", 10, int),
     )
     validate_config(config)
     return config

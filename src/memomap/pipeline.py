@@ -37,29 +37,42 @@ STAGE_STATS = "stats"
 STAGE_REPORT = "report"
 STAGES = (STAGE_INGEST, STAGE_RESOLVE, STAGE_LINK, STAGE_STATS, STAGE_REPORT)
 
+
+def _parsed(parse: Callable[[Path, Any, PipelineConfig], Any]) -> Callable[..., Any]:
+    """An artifact loader from a raw-input parser, whose errors are dependency errors here."""
+
+    def load(path: Path, digest: Any, config: PipelineConfig) -> Any:
+        try:
+            return parse(path, digest, config)
+        except (biblio.IngestError, funding.FundingError) as exc:
+            raise StageDependencyError(str(exc)) from exc
+
+    return load
+
+
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
 ARTICLES = Artifact(
     "ingest/articles.jsonl",
     biblio.ArticleRecord,
     omit_none=("volume", "pages"),
-    load=lambda path, digest, config: biblio.read_records(path, digest),
+    load=_parsed(lambda path, digest, config: biblio.read_records(path, digest)),
 )
 # The same file as a search index, which only `resolve` builds.
 ARTICLE_INDEX = replace(
     ARTICLES,
     load=lambda path, digest, config: biblio.build_index(
-        biblio.read_records(path, digest).values()
+        ARTICLES.load(path, digest, config).values()
     )[0],
 )
 AWARDS = Artifact(
     "ingest/awards.jsonl",
     funding.Award,
     omit_none=("org_id", "org_name"),
-    load=lambda path, digest, config: funding.load_award_db(path, digest),
+    load=_parsed(lambda path, digest, config: funding.load_award_db(path, digest)),
 )
 ALIASES = Artifact(
     "ingest/aliases.csv",
-    load=lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
+    load=_parsed(lambda path, digest, cfg: funding.load_aliases(path, cfg.on_unmapped, digest)),
 )
 RESOLUTION = Artifact(
     "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
@@ -323,13 +336,13 @@ def _memo_entity_lists(
 def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Share differences, signed-rank tests, and concentration measures."""
     links, awards, resolution = _take(config, upstream, LINKS, AWARDS, RESOLUTION)
-    award_db = awards.objects
+    pool_awards = awards.objects.all_awards()
     memo_funder_pairs = [
         (l.funder_code, l.imputed_year)
         for l in links.objects
         if l.funder_code != funding.UNMAPPED and l.imputed_year is not None
     ]
-    pool_funder_pairs = [(a.funder_code, a.fiscal_year) for a in award_db.all_awards()]
+    pool_funder_pairs = [(a.funder_code, a.fiscal_year) for a in pool_awards]
     funder_shares = stats.yearly_shares(
         memo_funder_pairs, pool_funder_pairs, denominator=config.stats.denominator
     )
@@ -342,9 +355,7 @@ def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> di
         for l in links.objects
         if l.org_id is not None and l.imputed_year is not None
     ]
-    pool_org_pairs = [
-        (a.org_id, a.fiscal_year) for a in award_db.all_awards() if a.org_id is not None
-    ]
+    pool_org_pairs = [(a.org_id, a.fiscal_year) for a in pool_awards if a.org_id is not None]
     if pool_org_pairs:
         org_shares = stats.yearly_shares(
             memo_org_pairs, pool_org_pairs, denominator=config.stats.denominator

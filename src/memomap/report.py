@@ -1,16 +1,15 @@
 """Funder-to-organization-to-memo flow graphs, tables, and coverage reports.
 
-Flow weights are exact rationals (each funded article contributes total
-weight 1, split equally over its stakeholder pairs), so conservation holds
-to the bit; floats appear only at emission time.
+Flow weights are exact: each funded article contributes total weight 1,
+split equally over its stakeholder pairs, so every weight of a memo's graph
+is an integer numerator over one denominator and conservation holds to the
+bit. Floats appear only at emission time, as correctly rounded quotients.
 """
 
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
@@ -18,7 +17,7 @@ from .artifacts import csv_text
 from .biblio import ArticleRecord
 from .funding import ArticleAwardLink
 from .resolver import CoverageStats, ResolutionResult, coverage_summary
-from .stats import StatResult, share_of_total
+from .stats import StatResult, share_of_total, split_weights
 
 KIND_FUNDER = "funder"
 KIND_ORG = "org"
@@ -43,26 +42,23 @@ class FlowNode:
 class FlowEdge:
     src: str
     dst: str
-    weight: Fraction
+    weight: int  # numerator over the graph's denominator
 
 
 @dataclass(frozen=True)
 class FlowGraph:
+    """A memo's flow graph; each weight is exactly ``weight / denominator``."""
+
     memo_id: str
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
+    denominator: int = 1
 
-    def node_weights(self) -> dict[str, Fraction]:
-        """Total flow through each node (outgoing for funders, incoming elsewhere)."""
-        denominator = math.lcm(*(e.weight.denominator for e in self.edges))
-        scaled = _flow_through(
-            (
-                (e.src, e.dst, e.weight.numerator * (denominator // e.weight.denominator))
-                for e in self.edges
-            ),
-            (node.id for node in self.nodes),
+    def node_weights(self) -> dict[str, int]:
+        """Flow through each node over ``denominator``: outgoing for funders, else incoming."""
+        return _flow_through(
+            ((e.src, e.dst, e.weight) for e in self.edges), (node.id for node in self.nodes)
         )
-        return {node_id: Fraction(w, denominator) for node_id, w in scaled.items()}
 
 
 @dataclass(frozen=True)
@@ -103,33 +99,26 @@ def build_flow_graph(
 
     Rows of other memos and links of uncited articles are ignored, so a
     caller may pass just this memo's rows and the links of the articles
-    it cites. Weights are summed as integers over the least common
-    multiple of the articles' pair counts, which is exact; only the
-    edges carry ``Fraction`` weights.
+    it cites. Edge weights are integer numerators over the graph's
+    ``denominator``, the least common multiple of the articles' pair
+    counts (``stats.split_weights``), so every sum is exact.
     """
     cited = {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
 
-    pairs_by_article: dict[str, set[tuple[str, str | None]]] = {}
+    pairs_by_article: dict[str, list[tuple[str, str | None]]] = {}
     org_names: dict[str, str] = {}
     for l in links:
         if l.article_id not in cited:
             continue
-        pairs_by_article.setdefault(l.article_id, set()).add((l.funder_code, l.org_id))
+        pairs_by_article.setdefault(l.article_id, []).append((l.funder_code, l.org_id))
         if l.org_id is not None and l.org_name:
             current = org_names.get(l.org_id)
             if current is None or l.org_name < current:
                 org_names[l.org_id] = l.org_name
 
-    if not pairs_by_article:
+    pair_weights, denominator, _ = split_weights(pairs_by_article.values())
+    if not pair_weights:
         return FlowGraph(memo_id=memo_id, nodes=(), edges=())
-
-    # Each article's pairs get denominator // len(pairs) of the common unit.
-    denominator = math.lcm(*{len(pairs) for pairs in pairs_by_article.values()})
-    pair_weights: dict[tuple[str, str | None], int] = {}
-    for pairs in pairs_by_article.values():
-        share = denominator // len(pairs)
-        for pair in pairs:
-            pair_weights[pair] = pair_weights.get(pair, 0) + share
 
     org_totals: dict[str | None, int] = {}
     for (_, org_id), weight in pair_weights.items():
@@ -182,10 +171,8 @@ def build_flow_graph(
     return FlowGraph(
         memo_id=memo_id,
         nodes=tuple(node_order),
-        edges=tuple(
-            FlowEdge(src=s, dst=d, weight=Fraction(edges[(s, d)], denominator))
-            for s, d in edge_order
-        ),
+        edges=tuple(FlowEdge(src=s, dst=d, weight=edges[(s, d)]) for s, d in edge_order),
+        denominator=denominator,
     )
 
 
@@ -204,12 +191,14 @@ def _sankey_json(graph: FlowGraph) -> str:
     The payload has a fixed shape, so it is written directly: with
     ``indent`` the json module falls back to its pure-Python encoder.
     Strings are escaped as json does by default (ASCII only), and weights
-    use ``repr(float)``, as json does for finite floats.
+    use ``repr(float)``, as json does for finite floats. Integer true
+    division is correctly rounded, so each weight is the float nearest
+    the exact ``weight / denominator``.
     """
     q = encode_basestring_ascii
     edges = [
         f'    {{\n      "dst": {q(e.dst)},\n      "src": {q(e.src)},\n'
-        f'      "weight": {float(e.weight)!r}\n    }}'
+        f'      "weight": {e.weight / graph.denominator!r}\n    }}'
         for e in graph.edges
     ]
     nodes = [
@@ -248,7 +237,7 @@ def _render_svg(graph: FlowGraph) -> bytes:
     for col, nodes in columns.items():
         y = _SVG_PAD
         for node in nodes:
-            h = float(weights.get(node.id, 0)) * _SVG_SCALE
+            h = weights[node.id] / graph.denominator * _SVG_SCALE
             geometry[node.id] = (xs[col], y, h)
             y += h + _SVG_GAP
         height = max(height, y - _SVG_GAP + _SVG_PAD if nodes else 2 * _SVG_PAD)
@@ -267,7 +256,7 @@ def _render_svg(graph: FlowGraph) -> bytes:
     for edge in graph.edges:
         sx, sy, _ = geometry[edge.src]
         dx, dy, _ = geometry[edge.dst]
-        thickness = float(edge.weight) * _SVG_SCALE
+        thickness = edge.weight / graph.denominator * _SVG_SCALE
         y0 = sy + used_out.get(edge.src, 0.0) + thickness / 2.0
         y1 = dy + used_in.get(edge.dst, 0.0) + thickness / 2.0
         used_out[edge.src] = used_out.get(edge.src, 0.0) + thickness

@@ -13,14 +13,16 @@ import logging
 import math
 import statistics
 from collections import Counter
+from collections.abc import Hashable
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 logger = logging.getLogger(__name__)
 
 EXACT_MAX_N = 20
+
+_H = TypeVar("_H", bound=Hashable)
 
 
 class StatsError(Exception):
@@ -276,35 +278,23 @@ def kld(proportions: Sequence[float]) -> float:
     return math.fsum(p * math.log(n * p) for p in proportions if p > 0)
 
 
-def _scaled_entity_weights(
-    article_entities: Iterable[Iterable[str]],
-) -> tuple[dict[str, int], int, int]:
-    """Entity weights as integers over a common denominator.
+def split_weights(groups: Iterable[Iterable[_H]]) -> tuple[dict[_H, int], int, int]:
+    """Each group's weight 1 split equally over its distinct items, exactly.
 
-    Returns (numerators, denominator, contributing articles): an article
-    with n distinct entities gives each ``denominator // n``, where the
-    denominator is the least common multiple of every such n, so sums are
-    exact without rational arithmetic.
+    Returns (numerators, denominator, counted groups). A group of n
+    distinct items gives each ``denominator // n``, where the denominator
+    is the least common multiple of every such n, so an item's weight is
+    exactly its numerator / denominator. Empty groups are skipped and not
+    counted; with none left the denominator is 1.
     """
-    articles = [distinct for distinct in map(set, article_entities) if distinct]
-    denominator = math.lcm(*{len(distinct) for distinct in articles})
-    weights: dict[str, int] = {}
-    for distinct in articles:
+    distinct_groups = [distinct for distinct in map(set, groups) if distinct]
+    denominator = math.lcm(*{len(distinct) for distinct in distinct_groups})
+    numerators: dict[_H, int] = {}
+    for distinct in distinct_groups:
         share = denominator // len(distinct)
-        for entity in distinct:
-            weights[entity] = weights.get(entity, 0) + share
-    return weights, denominator, len(articles)
-
-
-def entity_weights(article_entities: Iterable[Iterable[str]]) -> tuple[dict[str, Fraction], int]:
-    """Fractional entity counts: each article splits weight 1 equally.
-
-    Articles without entity data are skipped and do not count toward the
-    denominator. Returns the weights and the number of contributing
-    articles.
-    """
-    weights, denominator, counted = _scaled_entity_weights(article_entities)
-    return {e: Fraction(w, denominator) for e, w in sorted(weights.items())}, counted
+        for item in distinct:
+            numerators[item] = numerators.get(item, 0) + share
+    return numerators, denominator, len(distinct_groups)
 
 
 def memo_kld(article_entities: Iterable[Iterable[str]]) -> tuple[float, int] | None:
@@ -313,7 +303,7 @@ def memo_kld(article_entities: Iterable[Iterable[str]]) -> tuple[float, int] | N
     Returns (kld, number of entities), or None when no article carries
     entity data.
     """
-    weights, denominator, counted = _scaled_entity_weights(article_entities)
+    weights, denominator, counted = split_weights(article_entities)
     if counted == 0:
         return None
     # Integer true division is correctly rounded, so each proportion is the

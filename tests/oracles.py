@@ -5,13 +5,15 @@ oracle walks every sign pattern, the year-imputation oracle applies the
 selection rule as explicit filter passes, the search oracle scores every
 record against the query and sorts them all, and the flow-graph and
 entity-weight oracles sum ``Fraction``s over every link and resolution row,
-as the first implementation did.
+as the first implementation did, and read a graph's integer weights as the
+``Fraction``s they stand for.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -167,46 +169,63 @@ def oracle_build_flow_graph(
 
     edges = dict(funder_edges)
     edges.update(org_edges)
-    weights = oracle_node_weights(
-        FlowGraph(
-            memo_id,
-            tuple(nodes.values()),
-            tuple(FlowEdge(s, d, w) for (s, d), w in edges.items()),
-        )
-    )
+    weights = _fraction_flow_through([(s, d, w) for (s, d), w in edges.items()], nodes)
 
     node_order = sorted(
         nodes.values(), key=lambda n: (_KIND_RANK[n.kind], -weights.get(n.id, Fraction(0)), n.id)
     )
     position = {node.id: i for i, node in enumerate(node_order)}
     edge_order = sorted(edges, key=lambda e: (position[e[0]], position[e[1]]))
+    return flow_graph(memo_id, node_order, [(s, d, edges[(s, d)]) for s, d in edge_order])
 
+
+def flow_graph(
+    memo_id: str, nodes: Iterable[FlowNode], edges: Iterable[tuple[str, str, Fraction]]
+) -> FlowGraph:
+    """A graph with these exact edge weights, over the lcm of their denominators."""
+    edges = list(edges)
+    denominator = math.lcm(*(w.denominator for _, _, w in edges))
     return FlowGraph(
-        memo_id=memo_id,
-        nodes=tuple(node_order),
-        edges=tuple(FlowEdge(src=s, dst=d, weight=edges[(s, d)]) for s, d in edge_order),
+        memo_id,
+        tuple(nodes),
+        tuple(FlowEdge(s, d, int(w * denominator)) for s, d, w in edges),
+        denominator,
     )
+
+
+def exact_edges(graph: FlowGraph) -> list[tuple[str, str, Fraction]]:
+    """Each edge with the ``Fraction`` its integer weight stands for."""
+    return [(e.src, e.dst, Fraction(e.weight, graph.denominator)) for e in graph.edges]
+
+
+def _fraction_flow_through(
+    edges: list[tuple[str, str, Fraction]], node_ids: Iterable[str]
+) -> dict[str, Fraction]:
+    incoming: dict[str, Fraction] = {}
+    outgoing: dict[str, Fraction] = {}
+    for src, dst, weight in edges:
+        outgoing[src] = outgoing.get(src, Fraction(0)) + weight
+        incoming[dst] = incoming.get(dst, Fraction(0)) + weight
+    return {
+        node_id: outgoing[node_id] if node_id in outgoing else incoming.get(node_id, Fraction(0))
+        for node_id in node_ids
+    }
 
 
 def oracle_node_weights(graph: FlowGraph) -> dict[str, Fraction]:
     """Outgoing ``Fraction`` total for funders, incoming total elsewhere."""
-    incoming: dict[str, Fraction] = {}
-    outgoing: dict[str, Fraction] = {}
-    for edge in graph.edges:
-        outgoing[edge.src] = outgoing.get(edge.src, Fraction(0)) + edge.weight
-        incoming[edge.dst] = incoming.get(edge.dst, Fraction(0)) + edge.weight
-    return {
-        node.id: outgoing[node.id] if node.id in outgoing else incoming.get(node.id, Fraction(0))
-        for node in graph.nodes
-    }
+    return _fraction_flow_through(exact_edges(graph), (node.id for node in graph.nodes))
 
 
 def oracle_sankey_json(graph: FlowGraph) -> bytes:
-    """Sankey JSON through ``json.dumps``."""
+    """Sankey JSON through ``json.dumps``, each weight ``float`` of its ``Fraction``."""
     payload = {
         "memo_id": graph.memo_id,
         "nodes": [{"id": n.id, "label": n.label, "kind": n.kind} for n in graph.nodes],
-        "edges": [{"src": e.src, "dst": e.dst, "weight": float(e.weight)} for e in graph.edges],
+        "edges": [
+            {"src": src, "dst": dst, "weight": float(weight)}
+            for src, dst, weight in exact_edges(graph)
+        ],
     }
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
 

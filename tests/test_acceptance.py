@@ -185,13 +185,10 @@ def test_criterion_6_flow_conservation(pipeline_run):
             totals = set()
             for top_k in (1, 2, 3, 10):
                 graph = build_flow_graph(memo_id, links, resolution, top_k=top_k)
-                funder_out = sum(
-                    (e.weight for e in graph.edges if e.src.startswith("funder:")), Fraction(0)
-                )
+                edges = [(e.src, e.dst, Fraction(e.weight, graph.denominator)) for e in graph.edges]
+                funder_out = sum((w for s, _, w in edges if s.startswith("funder:")), Fraction(0))
                 org_in = funder_out
-                memo_in = sum(
-                    (e.weight for e in graph.edges if e.dst.startswith("memo:")), Fraction(0)
-                )
+                memo_in = sum((w for _, d, w in edges if d.startswith("memo:")), Fraction(0))
                 assert funder_out == org_in == memo_in == Fraction(len(funded))
                 assert abs(float(funder_out) - len(funded)) <= 1e-9
                 totals.add((funder_out, memo_in))

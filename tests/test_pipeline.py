@@ -70,6 +70,11 @@ def count_reads(monkeypatch, root: Path) -> Counter:
     return reads
 
 
+def truncate_first_line(data: bytes) -> bytes:
+    end = data.index(b"\n")
+    return data[: end // 2] + data[end:]
+
+
 class TestStages:
     def test_all_produces_expected_artifacts(self, workspace):
         assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_OK
@@ -147,8 +152,18 @@ class TestStages:
                 "report",
                 lambda data: data.replace(b"\nNCI,5,", b"\nNCI,five,", 1),
             ),
+            ("ingest/articles.jsonl", "link", truncate_first_line),
+            ("ingest/awards.jsonl", "stats", truncate_first_line),
+            ("ingest/aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
         ],
-        ids=["truncated-fragments", "link-without-article-id", "non-integer-n-obs"],
+        ids=[
+            "truncated-fragments",
+            "link-without-article-id",
+            "non-integer-n-obs",
+            "truncated-articles",
+            "truncated-awards",
+            "alias-without-code",
+        ],
     )
     def test_malformed_artifact_is_dependency_error(
         self, workspace, caplog, artifact, command, corrupt
@@ -307,6 +322,17 @@ class TestCliErrors:
         data["stats"]["min_obs"] = 0
         path.write_text(yaml.safe_dump(data))
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("report", "top_k", "three"), ("resolver", "threshold", [1])]
+    )
+    def test_config_value_of_wrong_type(self, workspace, caplog, section, key, value):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data[section][key] = value
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}.{key}" in caplog.text
 
     def test_missing_input_path(self, workspace):
         (workspace / "articles.jsonl").unlink()

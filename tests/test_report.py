@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_build_flow_graph, oracle_node_weights, oracle_sankey_json
+from oracles import (
+    exact_edges,
+    flow_graph,
+    oracle_build_flow_graph,
+    oracle_node_weights,
+    oracle_sankey_json,
+)
 
 from memomap.funding import ArticleAwardLink
 from memomap.resolver import CoverageStats, ResolutionResult
 from memomap.report import (
     UNKNOWN_ORG_ID,
-    FlowEdge,
     FlowGraph,
     FlowNode,
     build_flow_graph,
@@ -44,14 +50,24 @@ def resolved(memo_id, ordinal, article_id):
 
 
 def graph_sums(graph):
-    funder_out = sum(
-        (e.weight for e in graph.edges if e.src.startswith("funder:")), Fraction(0)
-    )
+    edges = exact_edges(graph)
+    funder_out = sum((w for src, _, w in edges if src.startswith("funder:")), Fraction(0))
     org_in = funder_out
-    memo_in = sum(
-        (e.weight for e in graph.edges if e.dst.startswith("memo:")), Fraction(0)
-    )
+    memo_in = sum((w for _, dst, w in edges if dst.startswith("memo:")), Fraction(0))
     return funder_out, org_in, memo_in
+
+
+def edge_weights(graph):
+    return {(src, dst): weight for src, dst, weight in exact_edges(graph)}
+
+
+def node_weights(graph):
+    return {node: Fraction(w, graph.denominator) for node, w in graph.node_weights().items()}
+
+
+def exact(graph):
+    """A graph's memo, nodes and edges, each weight the ``Fraction`` it stands for."""
+    return graph.memo_id, graph.nodes, exact_edges(graph)
 
 
 class TestFlowGraph:
@@ -61,7 +77,7 @@ class TestFlowGraph:
             [link("a1", "C1", "NCI", org_id="111", org_name="Duke University")],
             [resolved("m1", 0, "a1")],
         )
-        edges = {(e.src, e.dst): e.weight for e in graph.edges}
+        edges = edge_weights(graph)
         assert edges == {
             ("funder:NCI", "org:111"): Fraction(1),
             ("org:111", "memo:m1"): Fraction(1),
@@ -76,7 +92,7 @@ class TestFlowGraph:
             ],
             [resolved("m1", 0, "a1")],
         )
-        edges = {(e.src, e.dst): e.weight for e in graph.edges}
+        edges = edge_weights(graph)
         assert edges[("funder:NCI", "org:111")] == Fraction(1, 2)
         assert edges[("funder:NCI", "org:222")] == Fraction(1, 2)
 
@@ -86,7 +102,7 @@ class TestFlowGraph:
             [link("a1", "C1", "NHLBI")],
             [resolved("m1", 0, "a1")],
         )
-        edges = {(e.src, e.dst): e.weight for e in graph.edges}
+        edges = edge_weights(graph)
         assert edges[("funder:NHLBI", UNKNOWN_ORG_ID)] == Fraction(1)
         assert edges[(UNKNOWN_ORG_ID, "memo:m1")] == Fraction(1)
 
@@ -104,7 +120,7 @@ class TestFlowGraph:
         named = [n for n in graph.nodes if n.kind == "org"]
         assert len(named) == 10
         other = next(n for n in graph.nodes if n.kind == "other_org")
-        weights = graph.node_weights()
+        weights = node_weights(graph)
         # Bottom two orgs fund 1 and 2 articles; the merge is exact.
         assert weights[other.id] == Fraction(3)
         total_articles = len(resolution)
@@ -136,7 +152,7 @@ class TestFlowGraph:
             ],
             [resolved("m1", 0, "a1")],
         )
-        edges = {(e.src, e.dst): e.weight for e in graph.edges}
+        edges = edge_weights(graph)
         assert edges[("funder:NCI", "org:111")] == Fraction(1)
 
     def test_conservation_on_random_fixtures(self):
@@ -222,8 +238,8 @@ class TestFlowGraphOracle:
     def assert_same(self, memo, links, resolution, top_k):
         expected = oracle_build_flow_graph(memo, links, resolution, top_k)
         graph = build_flow_graph(memo, links, resolution, top_k)
-        assert graph == expected
-        assert graph.node_weights() == oracle_node_weights(expected)
+        assert exact(graph) == exact(expected)
+        assert node_weights(graph) == oracle_node_weights(expected)
         for fmt in ("json", "svg"):
             assert emit_sankey(graph, fmt) == emit_sankey(expected, fmt)
         assert emit_sankey(graph, "json") == oracle_sankey_json(expected)
@@ -256,7 +272,7 @@ class TestFlowGraphOracle:
                     links.append(link(article, f"X{o}{n_pairs}{extra}", f"F{extra}"))
         graph = self.assert_same("m", links, resolution, top_k=2)
         assert [n.id for n in graph.nodes if n.kind == "org"] == ["org:o1", "org:o2"]
-        weights = graph.node_weights()
+        weights = node_weights(graph)
         assert weights["org:o1"] == Fraction(1)
         assert weights["org:OTHER"] == Fraction(3)
 
@@ -272,7 +288,7 @@ class TestFlowGraphOracle:
         assert graph.node_weights() == {}
 
     def test_node_weights_of_hand_built_graph(self):
-        graph = FlowGraph(
+        graph = flow_graph(
             "m",
             (
                 FlowNode("funder:A", "A", "funder"),
@@ -281,12 +297,12 @@ class TestFlowGraphOracle:
                 FlowNode("memo:m", "m", "memo"),
             ),
             (
-                FlowEdge("funder:A", "org:x", Fraction(2, 3)),
-                FlowEdge("funder:A", "memo:m", Fraction(1, 4)),
-                FlowEdge("org:x", "memo:m", Fraction(5, 7)),
+                ("funder:A", "org:x", Fraction(2, 3)),
+                ("funder:A", "memo:m", Fraction(1, 4)),
+                ("org:x", "memo:m", Fraction(5, 7)),
             ),
         )
-        assert graph.node_weights() == oracle_node_weights(graph)
+        assert node_weights(graph) == oracle_node_weights(graph)
 
 
 class TestSankeyJsonWriter:
@@ -305,7 +321,7 @@ class TestSankeyJsonWriter:
         ],
     )
     def test_labels_match_json_dumps(self, label):
-        graph = FlowGraph(
+        graph = flow_graph(
             f"memo {label}",
             (
                 FlowNode(f"funder:{label}", label, "funder"),
@@ -313,8 +329,8 @@ class TestSankeyJsonWriter:
                 FlowNode(f"memo:{label}", label, "memo"),
             ),
             (
-                FlowEdge(f"funder:{label}", "org:1", Fraction(1, 3)),
-                FlowEdge("org:1", f"memo:{label}", Fraction(10**17 + 1, 7)),
+                (f"funder:{label}", "org:1", Fraction(1, 3)),
+                ("org:1", f"memo:{label}", Fraction(10**17 + 1, 7)),
             ),
         )
         assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
@@ -324,12 +340,67 @@ class TestSankeyJsonWriter:
 
     def test_weights_match_json_dumps(self):
         rng = random.Random(5)
-        edges = tuple(
-            FlowEdge("funder:F", f"org:{i}", Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+        edges = [
+            ("funder:F", f"org:{i}", Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
             for i in range(200)
-        ) + (FlowEdge("funder:F", "org:big", Fraction(10**30)), FlowEdge("funder:F", "org:tiny", Fraction(1, 10**30)))
-        graph = FlowGraph("m", (FlowNode("funder:F", "F", "funder"),), edges)
+        ]
+        edges += [("funder:F", "org:big", Fraction(10**30)), ("funder:F", "org:tiny", Fraction(1, 10**30))]
+        graph = flow_graph("m", (FlowNode("funder:F", "F", "funder"),), edges)
         assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
+
+
+def stakeholder_memos(seed):
+    """Seeded memos whose articles split weight 1 over 3, 5, 7 or 11 (funder, org) pairs."""
+    rng = random.Random(seed)
+    pairs = [(f"F{f}", org) for f in range(6) for org in [None] + [f"o{i}" for i in range(8)]]
+    links = []
+    for i in range(30):
+        for j, (funder, org) in enumerate(rng.sample(pairs, rng.choice([3, 5, 7, 11]))):
+            name = org and f"Org {org}"
+            links.append(link(f"a{i}", f"C{i}_{j}", funder, org_id=org, org_name=name))
+    articles = sorted({l.article_id for l in links})
+    resolution = [
+        resolved(f"m{m}", ordinal, article)
+        for m in range(6)
+        for ordinal, article in enumerate(rng.sample(articles, rng.randint(2, 9)))
+    ]
+    return links, resolution, rng.choice([2, 3, 10])
+
+
+class TestSankeyPin:
+    """Emitted bytes for weights with denominators 3, 5, 7, 11 and their lcms.
+
+    The golden run's weights are all multiples of 1/2, so it cannot show a
+    change in how a non-dyadic weight is rounded to a float.
+    """
+
+    DIGESTS = {
+        0: (
+            "8623a8aa81108b73c0232712f5bed6414bb8447f894532f4cdac56f78df001ee",
+            "687328274a80737d8d2ef20628a5ee39bdb497b65128044fed85b25825360d60",
+        ),
+        1: (
+            "6627a9205ec7da96d67a78d9b23392af9f349534962c45f5c66d559293d4cba2",
+            "155277959bc47e4d65716c2fd619f2266dde5c784a8dbfcef317946f3166939d",
+        ),
+        2: (
+            "4876e5eb653273abda2be1810b1ab17da6a9a7dd53ea7877a94d8468ab39b8b1",
+            "e4b880a7e9b3dbefc637955fc0daba8ad83543abb653f1c8c16afe29974f99e0",
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_dyadic_weights_pinned(self, seed):
+        links, resolution, top_k = stakeholder_memos(seed)
+        graphs = [
+            build_flow_graph(memo, links, resolution, top_k)
+            for memo in sorted({r.memo_id for r in resolution})
+        ]
+        digests = tuple(
+            hashlib.sha256(b"".join(emit_sankey(g, fmt) for g in graphs)).hexdigest()
+            for fmt in ("json", "svg")
+        )
+        assert digests == self.DIGESTS[seed]
 
 
 class TestSankey:

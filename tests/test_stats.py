@@ -14,12 +14,12 @@ from memomap.stats import (
     InsufficientDataError,
     StatsError,
     compute_entity_stats,
-    entity_weights,
     hodges_lehmann_ci,
     kld,
     memo_kld,
     paired_wilcoxon,
     share_of_total,
+    split_weights,
     wilcoxon_signed_rank,
     yearly_shares,
 )
@@ -268,9 +268,9 @@ class TestMemoKld:
         assert n == 1
 
     def test_four_way_split(self):
-        weights, counted = entity_weights([["A", "B", "C", "D"]])
+        weights, denominator, counted = split_weights([["A", "B", "C", "D"]])
         assert counted == 1
-        assert all(w == Fraction(1, 4) for w in weights.values())
+        assert all(Fraction(w, denominator) == Fraction(1, 4) for w in weights.values())
 
     def test_fractional_count_example(self):
         # Oracle by hand: weights A = 2.5, B = 1.5 over 4 articles, so
@@ -297,8 +297,8 @@ class TestMemoKld:
                 [rng.choice("ABCDE") for _ in range(rng.randint(1, 4))]
                 for _ in range(rng.randint(1, 10))
             ]
-            weights, counted = entity_weights(articles)
-            assert sum(weights.values()) == counted  # exact rational arithmetic
+            weights, denominator, counted = split_weights(articles)
+            assert sum(weights.values()) == counted * denominator  # exact arithmetic
 
     def test_matches_fraction_oracle(self):
         # Integer sums over a common denominator give the same weights and
@@ -310,7 +310,9 @@ class TestMemoKld:
                 [rng.choice(entities) for _ in range(rng.choice([0, 1, 1, 2, 3, 5, 7, 11]))]
                 for _ in range(rng.randint(0, 25))
             ]
-            assert entity_weights(articles) == oracle_entity_weights(articles)
+            weights, denominator, counted = split_weights(articles)
+            exact = {e: Fraction(w, denominator) for e, w in weights.items()}
+            assert (exact, counted) == oracle_entity_weights(articles)
             proportions = oracle_memo_proportions(articles)
             if proportions is None:
                 assert memo_kld(articles) is None
