@@ -6,19 +6,12 @@ import argparse
 import logging
 import sys
 
+from . import pipeline
+from .artifacts import StageDependencyError
 from .biblio import IngestError
 from .config import ConfigError, load_config
 from .corpus import CorpusError
 from .funding import FundingError
-from .pipeline import (
-    StageDependencyError,
-    run_all,
-    run_ingest,
-    run_link,
-    run_report,
-    run_resolve,
-    run_stats,
-)
 from .remote import RemoteUnavailableError
 from .stats import StatsError
 
@@ -63,18 +56,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         config = load_config(args.config)
-        if args.command == "ingest":
-            run_ingest(config)
-        elif args.command == "resolve":
-            run_resolve(config)
-        elif args.command == "link":
-            run_link(config)
-        elif args.command == "stats":
-            run_stats(config)
-        elif args.command == "report":
-            run_report(config, memo_id=args.memo)
-        elif args.command == "all":
-            run_all(config, memo_id=args.memo)
+        # Looked up on each call, so a wrapper bound in its place is what runs.
+        run = getattr(pipeline, f"run_{args.command}")
+        run(config, **({"memo_id": args.memo} if "memo" in args else {}))
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG

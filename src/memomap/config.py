@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
 import yaml
 
@@ -44,40 +44,24 @@ class PipelineConfig:
         return self.remote_cache_dir or self.workdir / "remote_cache"
 
     def to_canonical_dict(self) -> dict:
-        """Stable nested dict of every setting, for manifest hashing."""
+        """Every setting but the paths, nested as declared, for manifest hashing.
+
+        Fields declared as paths are left out: the manifest records the
+        contents of the inputs, and the hash must not depend on how a path
+        is spelled.
+        """
+        hints = get_type_hints(PipelineConfig)
         return {
-            "paths": {
-                "corpus": str(self.corpus_path),
-                "records": str(self.records_path),
-                "award_db": str(self.award_db_path),
-                "aliases": None if self.aliases_path is None else str(self.aliases_path),
-                "workdir": str(self.workdir),
-            },
-            "corpus": {
-                "headings": list(self.segmenter.headings),
-                "terminators": list(self.segmenter.terminators),
-                "min_fragment_chars": self.segmenter.min_fragment_chars,
-            },
-            "resolver": {
-                "threshold": self.resolver.threshold,
-                "margin": self.resolver.margin,
-                "k": self.resolver.k,
-            },
-            "remote": {
-                "enabled": self.remote.enabled,
-                "base_url": self.remote.base_url,
-                "rps": self.remote.rps,
-                "max_retries": self.remote.max_retries,
-                "offline": self.remote.offline,
-            },
-            "funding": {"on_unmapped": self.on_unmapped},
-            "stats": {
-                "denominator": self.stats.denominator,
-                "ci_level": self.stats.ci_level,
-                "min_obs": self.stats.min_obs,
-            },
-            "report": {"top_k": self.top_k},
+            name: value
+            for name, value in asdict(self).items()
+            if Path not in (hints[name], *get_args(hints[name]))
         }
+
+
+def _boolean(raw: Any) -> bool:
+    if not isinstance(raw, bool):
+        raise TypeError("expected true or false")
+    return raw
 
 
 def _section(data: dict, name: str) -> dict:
@@ -145,11 +129,11 @@ def load_config(path: str | Path) -> PipelineConfig:
             k=value("resolver.k", 10, int),
         ),
         remote=RemoteConfig(
-            enabled=value("remote.enabled", False, bool),
+            enabled=value("remote.enabled", False, _boolean),
             base_url=value("remote.base_url", "", str),
             rps=value("remote.rps", 3.0, float),
             max_retries=value("remote.max_retries", 3, int),
-            offline=value("remote.offline", False, bool),
+            offline=value("remote.offline", False, _boolean),
         ),
         remote_cache_dir=base / str(cache_dir) if cache_dir else None,
         on_unmapped=value("funding.on_unmapped", "warn", str),

@@ -107,11 +107,11 @@ def load_aliases(
     return FunderAliasTable(mapping, on_unmapped=on_unmapped)
 
 
-def load_default_aliases(on_unmapped: str = "warn") -> FunderAliasTable:
+def load_default_aliases(on_unmapped: str = "warn", digest: Any = None) -> FunderAliasTable:
     """Alias table bundled with the package (editable seed list)."""
     ref = resources.files("memomap.data").joinpath("funder_aliases.csv")
     with resources.as_file(ref) as path:
-        return load_aliases(path, on_unmapped=on_unmapped)
+        return load_aliases(path, on_unmapped, digest)
 
 
 def parse_core_project(award_text: str) -> str:
@@ -185,10 +185,18 @@ def _parse_award(row: dict, where: str) -> Award:
 def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
     """Award records from a JSONL file.
 
-    ``digest`` (a hashlib object), when given, is updated with the file's bytes.
+    Schema violations and duplicate full numbers raise FundingError naming
+    the line. ``digest`` (a hashlib object), when given, is updated with the
+    file's bytes.
     """
-    rows = jsonl_rows(Path(path), FundingError, digest)
-    return AwardDatabase(_parse_award(row, where) for where, row in rows)
+    awards: dict[str, Award] = {}
+    for where, row in jsonl_rows(Path(path), FundingError, digest):
+        award = _parse_award(row, where)
+        full = award.full_project_number
+        if full in awards:
+            raise FundingError(f"{where}: duplicate full_project_number {full!r}")
+        awards[full] = award
+    return AwardDatabase(awards.values())
 
 
 def extract_article_awards(

@@ -2,14 +2,19 @@
 
 Each stage artifact is declared once below: its path under the working
 directory, its row type, and its CSV columns or the JSONL fields left out
-when None. A stage computes from its upstream artifacts' objects. A
-single-stage command reads them through the artifact layer; ``run_all``
-hands each stage's objects and output digests to the next stage and reads
-back nothing it wrote. Every stage writes its files under
-``workdir/<stage>/``, removes the files there that it did not write, and
+when None. Every stage after ``ingest`` is a ``run_*`` function that names
+the artifacts it reads and a compute function, which maps their objects to
+the files the stage writes and the objects it hands on, and reads and writes
+no stage file itself. One runner, ``_run``, does the rest: a single-stage
+command reads the inputs through the artifact layer, while ``run_all`` hands
+each stage's objects and output digests to the next stage and reads back
+nothing it wrote. ``ingest`` reads the raw inputs the config names, then
+finishes like every other stage in ``_write_stage``: it writes the files
+under ``workdir/<stage>/``, removes the files there that it did not write,
 records a manifest of the config hash and the sha256 of each input and
-output. Outputs carry no timestamps, so re-running an unchanged stage
-reproduces every byte.
+output, and hands the objects on. The config hash leaves out every path and
+outputs carry no timestamps, so re-running an unchanged stage reproduces
+every byte, however the config file's path is spelled.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import logging
 import os
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
@@ -29,14 +35,6 @@ from .remote import RemoteLookupClient
 from .stats import DegenerateSampleError, InsufficientDataError
 
 logger = logging.getLogger(__name__)
-
-STAGE_INGEST = "ingest"
-STAGE_RESOLVE = "resolve"
-STAGE_LINK = "link"
-STAGE_STATS = "stats"
-STAGE_REPORT = "report"
-STAGES = (STAGE_INGEST, STAGE_RESOLVE, STAGE_LINK, STAGE_STATS, STAGE_REPORT)
-
 
 def _parsed(parse: Callable[[Path, Any, PipelineConfig], Any]) -> Callable[..., Any]:
     """An artifact loader from a raw-input parser, whose errors are dependency errors here."""
@@ -140,40 +138,26 @@ def _group(items: Iterable[_T], key: Callable[[_T], _K]) -> dict[_K, list[_T]]:
 # A stage given one takes its inputs from it and adds its outputs; a stage
 # run on its own reads its inputs from the working directory.
 Upstream = dict[Artifact, Loaded]
-
-
-def _take(
-    config: PipelineConfig, upstream: Upstream | None, *artifacts: Artifact
-) -> list[Loaded]:
-    """Each artifact as `run_all` handed it on, or else read from the workdir."""
-    if upstream is None:
-        return [artifact.read(config) for artifact in artifacts]
-    return [upstream[artifact] for artifact in artifacts]
-
-
-def _hand_on(
-    upstream: Upstream | None, digests: dict[str, str], objects: dict[Artifact, Any]
-) -> None:
-    """Give the next stages of `run_all` these objects and their files' digests."""
-    if upstream is not None:
-        upstream.update({a: Loaded(a, objs, digests[a.name]) for a, objs in objects.items()})
-
-
-def _inputs(*loaded: Loaded) -> dict[str, str]:
-    return {item.artifact.path: item.digest for item in loaded}
+# A stage's files: an Artifact key holds the rows to write, a name holds bytes.
+Outputs = dict[Artifact | str, Any]
+# What a stage computes: its files, and the objects it hands on to `run_all`.
+Computed = tuple[Outputs, dict[Artifact, Any]]
 
 
 def _write_stage(
     stage: str,
     config: PipelineConfig,
     inputs: dict[str, str],
-    outputs: dict[Artifact | str, Any],
-) -> tuple[dict[str, Path], dict[str, str]]:
-    """Write a stage's artifacts and manifest, and remove its other files.
+    outputs: Outputs,
+    hand_on: dict[Artifact, Any],
+    upstream: Upstream | None,
+) -> dict[str, Path]:
+    """Write a stage's artifacts and manifest, remove its other files, hand on.
 
-    ``inputs`` maps each upstream path to the sha256 of its bytes. An
-    Artifact key of ``outputs`` holds the rows to write, a name holds bytes.
-    Returns the written paths (manifest included) and each output's sha256.
+    ``inputs`` maps each upstream path to the sha256 of its bytes.
+    ``hand_on`` holds the objects that the later stages of ``run_all`` take
+    from ``upstream`` instead of reading the files back; they equal what the
+    files read back into. Returns the written paths, manifest included.
     """
     stage_dir = config.workdir / stage
     written: dict[str, Path] = {}
@@ -204,21 +188,40 @@ def _write_stage(
             if os.path.join(root, name) not in keep:
                 os.remove(os.path.join(root, name))
     logger.info("stage %s: wrote %d artifacts to %s", stage, len(outputs), stage_dir)
-    return written, digests
+    if upstream is not None:
+        upstream.update({a: Loaded(a, objs, digests[a.name]) for a, objs in hand_on.items()})
+    return written
 
 
-def _load_aliases(config: PipelineConfig) -> funding.FunderAliasTable:
+def _run(
+    stage: str,
+    inputs: tuple[Artifact, ...],
+    compute: Callable[..., Computed],
+    config: PipelineConfig,
+    upstream: Upstream | None,
+    *extra: Any,
+) -> dict[str, Path]:
+    """Run a stage: take or read its inputs, compute, write and hand on.
+
+    ``compute(config, *objects, *extra)`` gets the objects of ``inputs`` in
+    the order declared. It neither reads nor writes a stage file; this
+    runner does both for it.
+    """
+    loaded = [upstream[a] if upstream is not None else a.read(config) for a in inputs]
+    outputs, hand_on = compute(config, *(item.objects for item in loaded), *extra)
+    digests = {item.artifact.path: item.digest for item in loaded}
+    return _write_stage(stage, config, digests, outputs, hand_on, upstream)
+
+
+def _read_aliases(config: PipelineConfig) -> tuple[funding.FunderAliasTable, bytes]:
+    """The alias table and its file's bytes, parsed and kept from one read."""
+    lines: list[bytes] = []
+    keep = SimpleNamespace(update=lines.append)  # fed each line as it is read
     if config.aliases_path is None:
-        return funding.load_default_aliases(on_unmapped=config.on_unmapped)
-    return funding.load_aliases(config.aliases_path, on_unmapped=config.on_unmapped)
-
-
-def _aliases_bytes(config: PipelineConfig) -> bytes:
-    if config.aliases_path is not None:
-        return config.aliases_path.read_bytes()
-    from importlib import resources
-
-    return resources.files("memomap.data").joinpath("funder_aliases.csv").read_bytes()
+        table = funding.load_default_aliases(config.on_unmapped, keep)
+    else:
+        table = funding.load_aliases(config.aliases_path, config.on_unmapped, keep)
+    return table, b"".join(lines)
 
 
 def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
@@ -234,8 +237,7 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
     records_digest, awards_digest = hashlib.sha256(), hashlib.sha256()
     index, index_stats = biblio.ingest_records(config.records_path, records_digest)
     award_db = funding.load_award_db(config.award_db_path, awards_digest)
-    aliases = _load_aliases(config)  # validates the alias table early
-    aliases_bytes = _aliases_bytes(config)
+    aliases, aliases_bytes = _read_aliases(config)
 
     inputs = {
         "corpus": _sha256_path(config.corpus_path),
@@ -245,64 +247,49 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
     if config.aliases_path is not None:
         inputs["aliases"] = _sha256_bytes(aliases_bytes)
     records = {r.article_id: r for r in index.records()}
-    paths, digests = _write_stage(
-        STAGE_INGEST,
-        config,
-        inputs,
-        {
-            FRAGMENTS: fragments,
-            ARTICLES: records.values(),
-            AWARDS: award_db.all_awards(),
-            ALIASES.name: aliases_bytes,
-            "index_stats.json": _json_document(
-                {"record_count": index_stats.record_count, "token_count": index_stats.token_count}
-            ),
-        },
-    )
-    # The rows read back into equal objects, so the next stages may take these.
-    _hand_on(
-        upstream,
-        digests,
-        {
-            FRAGMENTS: fragments,
-            ARTICLES: records,
-            ARTICLE_INDEX: index,
-            AWARDS: award_db,
-            ALIASES: aliases,
-        },
-    )
-    return paths
+    outputs: Outputs = {
+        FRAGMENTS: fragments,
+        ARTICLES: records.values(),
+        AWARDS: award_db.all_awards(),
+        ALIASES.name: aliases_bytes,
+        "index_stats.json": _json_document(
+            {"record_count": index_stats.record_count, "token_count": index_stats.token_count}
+        ),
+    }
+    hand_on = {
+        FRAGMENTS: fragments,
+        ARTICLES: records,
+        ARTICLE_INDEX: index,
+        AWARDS: award_db,
+        ALIASES: aliases,
+    }
+    return _write_stage("ingest", config, inputs, outputs, hand_on, upstream)
+
+
+def _resolve(config: PipelineConfig, fragments, index) -> Computed:
+    remote_client = None
+    if config.remote.enabled:
+        remote_client = RemoteLookupClient(config.remote, config.cache_dir())
+    results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, remote_client)
+    outputs = {RESOLUTION: results, COVERAGE: coverage}
+    return outputs, outputs
 
 
 def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Resolve fragments against the article index; emit coverage."""
-    fragments, index = _take(config, upstream, FRAGMENTS, ARTICLE_INDEX)
-    remote_client = None
-    if config.remote.enabled:
-        remote_client = RemoteLookupClient(config.remote, config.cache_dir())
+    return _run("resolve", (FRAGMENTS, ARTICLE_INDEX), _resolve, config, upstream)
 
-    results, coverage = resolver.resolve_corpus(
-        fragments.objects, index.objects, config.resolver, remote_client
-    )
-    outputs = {RESOLUTION: results, COVERAGE: coverage}
-    paths, digests = _write_stage(STAGE_RESOLVE, config, _inputs(fragments, index), outputs)
-    _hand_on(upstream, digests, outputs)
-    return paths
+
+def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Computed:
+    resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
+    cited = [records[a] for a in resolved_ids if a in records]
+    outputs = {LINKS: funding.build_links(cited, awards, aliases)}
+    return outputs, outputs
 
 
 def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Two-direction article-award linkage for every resolved article."""
-    resolution, articles, awards, aliases = _take(
-        config, upstream, RESOLUTION, ARTICLES, AWARDS, ALIASES
-    )
-    records = articles.objects
-    resolved_ids = sorted({r.article_id for r in resolution.objects if r.article_id is not None})
-    cited = [records[a] for a in resolved_ids if a in records]
-    links = funding.build_links(cited, awards.objects, aliases.objects)
-    inputs = _inputs(resolution, articles, awards, aliases)
-    paths, digests = _write_stage(STAGE_LINK, config, inputs, {LINKS: links})
-    _hand_on(upstream, digests, {LINKS: links})
-    return paths
+    return _run("link", (RESOLUTION, ARTICLES, AWARDS, ALIASES), _link, config, upstream)
 
 
 def _memo_entity_lists(
@@ -333,44 +320,31 @@ def _memo_entity_lists(
     return out
 
 
-def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Share differences, signed-rank tests, and concentration measures."""
-    links, awards, resolution = _take(config, upstream, LINKS, AWARDS, RESOLUTION)
-    pool_awards = awards.objects.all_awards()
-    memo_funder_pairs = [
-        (l.funder_code, l.imputed_year)
-        for l in links.objects
-        if l.funder_code != funding.UNMAPPED and l.imputed_year is not None
-    ]
-    pool_funder_pairs = [(a.funder_code, a.fiscal_year) for a in pool_awards]
-    funder_shares = stats.yearly_shares(
-        memo_funder_pairs, pool_funder_pairs, denominator=config.stats.denominator
-    )
-    funder_results = stats.compute_entity_stats(
-        funder_shares, min_obs=config.stats.min_obs, level=config.stats.ci_level
-    )
+def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
+    options = config.stats
 
-    memo_org_pairs = [
-        (l.org_id, l.imputed_year)
-        for l in links.objects
-        if l.org_id is not None and l.imputed_year is not None
-    ]
+    def shares_and_tests(memo_pairs: list, pool_pairs: list) -> tuple[list, list]:
+        shares = stats.yearly_shares(memo_pairs, pool_pairs, denominator=options.denominator)
+        tests = stats.compute_entity_stats(shares, min_obs=options.min_obs, level=options.ci_level)
+        return shares, tests
+
+    pool_awards = awards.all_awards()
+    dated = [l for l in links if l.imputed_year is not None]
+    funder_shares, funder_results = shares_and_tests(
+        [(l.funder_code, l.imputed_year) for l in dated if l.funder_code != funding.UNMAPPED],
+        [(a.funder_code, a.fiscal_year) for a in pool_awards],
+    )
     pool_org_pairs = [(a.org_id, a.fiscal_year) for a in pool_awards if a.org_id is not None]
     if pool_org_pairs:
-        org_shares = stats.yearly_shares(
-            memo_org_pairs, pool_org_pairs, denominator=config.stats.denominator
-        )
-        org_results = stats.compute_entity_stats(
-            org_shares, min_obs=config.stats.min_obs, level=config.stats.ci_level
+        org_shares, org_results = shares_and_tests(
+            [(l.org_id, l.imputed_year) for l in dated if l.org_id is not None], pool_org_pairs
         )
     else:
         logger.warning("award database carries no org identities; org shares skipped")
         org_shares, org_results = [], []
 
     kld_rows = []
-    for memo_id, (funder_lists, org_lists) in _memo_entity_lists(
-        resolution.objects, links.objects
-    ).items():
+    for memo_id, (funder_lists, org_lists) in _memo_entity_lists(resolution, links).items():
         funder_kld = stats.memo_kld(funder_lists)
         org_kld = stats.memo_kld(org_lists)
         if funder_kld is None or org_kld is None:
@@ -391,7 +365,7 @@ def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> di
         paired = stats.paired_wilcoxon(
             [r.kld_funders for r in kld_rows],
             [r.kld_orgs for r in kld_rows],
-            level=config.stats.ci_level,
+            level=options.ci_level,
         )
         comparison = {
             "n": paired.n,
@@ -404,51 +378,44 @@ def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> di
         logger.warning("paired concentration comparison unavailable: %s", exc)
         comparison = {"n": len(kld_rows), "error": str(exc)}
 
-    paths, digests = _write_stage(
-        STAGE_STATS,
-        config,
-        _inputs(links, awards, resolution),
-        {
-            SHARES_FUNDERS: funder_shares,
-            SHARES_ORGS: org_shares,
-            TESTS_FUNDERS: funder_results,
-            TESTS_ORGS: org_results,
-            KLD: kld_rows,
-            "kld_comparison.json": _json_document(comparison),
-        },
-    )
-    _hand_on(upstream, digests, {TESTS_FUNDERS: funder_results, TESTS_ORGS: org_results})
-    return paths
+    outputs: Outputs = {
+        SHARES_FUNDERS: funder_shares,
+        SHARES_ORGS: org_shares,
+        TESTS_FUNDERS: funder_results,
+        TESTS_ORGS: org_results,
+        KLD: kld_rows,
+        "kld_comparison.json": _json_document(comparison),
+    }
+    return outputs, {TESTS_FUNDERS: funder_results, TESTS_ORGS: org_results}
 
 
-def run_report(
-    config: PipelineConfig, memo_id: str | None = None, *, upstream: Upstream | None = None
-) -> dict[str, Path]:
-    """Tables, per-memo flow diagrams, retraction flags, coverage report."""
-    links, resolution, coverage, articles, tests_funders, tests_orgs = _take(
-        config, upstream, LINKS, RESOLUTION, COVERAGE, ARTICLES, TESTS_FUNDERS, TESTS_ORGS
-    )
-    funder_table, recipient_table = report.emit_tables(
-        links.objects, tests_funders.objects, tests_orgs.objects
-    )
-    flags = report.flag_retracted(resolution.objects, articles.objects)
-    scatter_csv, summary_csv = report.coverage_report(coverage.objects)
+def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
+    """Share differences, signed-rank tests, and concentration measures."""
+    return _run("stats", (LINKS, AWARDS, RESOLUTION), _stats, config, upstream)
 
-    rows_by_memo = _group(resolution.objects, lambda r: r.memo_id)
+
+def _report(
+    config: PipelineConfig, links, resolution, coverage, records, tests_funders, tests_orgs, memo_id
+) -> Computed:
+    funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
+    flags = report.flag_retracted(resolution, records)
+    scatter_csv, summary_csv = report.coverage_report(coverage)
+
+    rows_by_memo = _group(resolution, lambda r: r.memo_id)
     memo_ids = sorted(rows_by_memo)
     if memo_id is not None:
         if memo_id not in rows_by_memo:
             raise StageDependencyError(f"stage 'report': memo {memo_id!r} not in resolution")
         memo_ids = [memo_id]
 
-    outputs: dict[Artifact | str, Any] = {
+    outputs: Outputs = {
         "funder_table.csv": funder_table.encode("utf-8"),
         "recipient_table.csv": recipient_table.encode("utf-8"),
         FLAGS: flags,
         "coverage_scatter.csv": scatter_csv.encode("utf-8"),
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
-    links_by_article = _group(links.objects, lambda l: l.article_id)
+    links_by_article = _group(links, lambda l: l.article_id)
     for mid in memo_ids:
         rows = rows_by_memo[mid]
         cited = sorted({r.article_id for r in rows if r.article_id is not None})
@@ -457,22 +424,22 @@ def run_report(
         outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
         outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
 
-    inputs = _inputs(links, resolution, coverage, articles, tests_funders, tests_orgs)
-    return _write_stage(STAGE_REPORT, config, inputs, outputs)[0]
+    return outputs, {}
 
 
-def run_all(config: PipelineConfig, memo_id: str | None = None) -> dict[str, Path]:
+def run_report(
+    config: PipelineConfig, memo_id: str | None = None, *, upstream: Upstream | None = None
+) -> dict[str, Path]:
+    """Tables, per-memo flow diagrams, retraction flags, coverage report."""
+    inputs = (LINKS, RESOLUTION, COVERAGE, ARTICLES, TESTS_FUNDERS, TESTS_ORGS)
+    return _run("report", inputs, _report, config, upstream, memo_id)
+
+
+def run_all(config: PipelineConfig, memo_id: str | None = None) -> None:
     """Every stage in order, each taking the objects the stages before it made."""
     upstream: Upstream = {}
-    results = (
-        run_ingest(config, upstream=upstream),
-        run_resolve(config, upstream=upstream),
-        run_link(config, upstream=upstream),
-        run_stats(config, upstream=upstream),
-        run_report(config, memo_id, upstream=upstream),
-    )
-    written: dict[str, Path] = {}
-    for stage, paths in zip(STAGES, results):
-        for name, path in paths.items():
-            written[f"{stage}/{name}"] = path
-    return written
+    run_ingest(config, upstream=upstream)
+    run_resolve(config, upstream=upstream)
+    run_link(config, upstream=upstream)
+    run_stats(config, upstream=upstream)
+    run_report(config, memo_id, upstream=upstream)

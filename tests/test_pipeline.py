@@ -100,6 +100,14 @@ class TestStages:
         second = read_tree(workspace / "out")
         assert first == second  # manifests included: no timestamps anywhere
 
+    def test_config_path_spelling_does_not_change_bytes(self, workspace, monkeypatch):
+        monkeypatch.chdir(workspace)
+        assert main(["all", "--config", "config.yaml"]) == EXIT_OK
+        relative = read_tree(workspace / "out")
+        shutil.rmtree(workspace / "out")
+        assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_OK
+        assert read_tree(workspace / "out") == relative  # manifests included
+
     def test_stage_isolation(self, workspace):
         config = load_config(workspace / "config.yaml")
         run_all(config)
@@ -298,6 +306,14 @@ class TestSingleStageLoads:
             assert all(l.article_id in cited for l in links)
 
 
+class TestIngestLoads:
+    def test_alias_table_opened_once(self, workspace, monkeypatch):
+        config = load_config(workspace / "config.yaml")
+        reads = count_reads(monkeypatch, workspace)
+        run_ingest(config)
+        assert reads[workspace / "aliases.csv"] == 1
+
+
 class TestHandOff:
     def test_all_reads_nothing_and_matches_single_stages(self, workspace, monkeypatch):
         config = load_config(workspace / "config.yaml")
@@ -324,7 +340,8 @@ class TestCliErrors:
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "section, key, value", [("report", "top_k", "three"), ("resolver", "threshold", [1])]
+        "section, key, value",
+        [("report", "top_k", "three"), ("resolver", "threshold", [1]), ("remote", "enabled", "false")],
     )
     def test_config_value_of_wrong_type(self, workspace, caplog, section, key, value):
         path = workspace / "config.yaml"
@@ -341,6 +358,14 @@ class TestCliErrors:
     def test_corrupt_records_is_input_error(self, workspace):
         (workspace / "articles.jsonl").write_text('{"article_id": "x"}\n', encoding="utf-8")
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+
+    def test_duplicate_award_row_names_line(self, workspace, caplog):
+        awards = workspace / "awards.jsonl"
+        first = awards.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        with awards.open("a", encoding="utf-8") as fh:
+            fh.write(first)
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert "awards.jsonl:" in caplog.text
 
     @pytest.mark.parametrize("name", ["memos.jsonl", "articles.jsonl", "awards.jsonl"])
     def test_non_object_row_is_input_error(self, workspace, name):
@@ -376,6 +401,15 @@ class TestConfig:
         data["remote"] = {"enabled": True}
         path.write_text(yaml.safe_dump(data))
         with pytest.raises(ConfigError, match="base_url"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key", ["enabled", "offline"])
+    def test_remote_switches_take_only_booleans(self, workspace, key):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["remote"] = {"base_url": "http://localhost:1", key: "false"}
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ConfigError, match=f"remote.{key}"):
             load_config(path)
 
     def test_canonical_dict_is_stable(self, workspace):
