@@ -231,6 +231,36 @@ class TestBuildLinks:
         assert acme.imputed_full_project is None
         assert acme.funder_code == UNMAPPED
 
+    def test_undated_article_takes_smallest_full_number(self, tmp_path, aliases, award_db):
+        rows = [
+            article_row(
+                "2001",
+                "Undated report",
+                pub_year=None,
+                grant_tags=[
+                    {"award_text": "R01 CA031770-05", "funder_text": "NIA"},
+                    {"award_text": "U01 ZZ000001-01", "funder_text": "NHLBI"},
+                ],
+            )
+        ]
+        index, _ = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        links = build_links([index.get("2001")], award_db, aliases)
+        by_core = {l.core_project_number: l for l in links}
+        assert sorted(by_core) == ["R01CA031770", "U01ZZ000001"]
+
+        # the database record with the smallest full number supplies project, funder and org
+        ca = by_core["R01CA031770"]
+        assert ca.imputed_full_project == "R01CA031770-01"
+        assert ca.imputed_year is None
+        assert (ca.funder_code, ca.org_id, ca.org_name) == ("NCI", "075700000", "Duke University")
+
+        # no database record and no year: nothing to impute
+        zz = by_core["U01ZZ000001"]
+        assert zz.imputed_full_project is None
+        assert zz.imputed_year is None
+        assert zz.funder_code == "NHLBI"
+        assert zz.source == SOURCE_ARTICLE
+
     def test_every_funder_in_vocabulary(self, aliases, award_db):
         links = build_links(self.articles(), award_db, aliases)
         vocab = aliases.vocabulary | {UNMAPPED, "NIA"}  # db codes are canonical already
