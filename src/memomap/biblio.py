@@ -6,7 +6,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .artifacts import jsonl_rows
 from .corpus import normalize_fragment
@@ -60,12 +60,6 @@ class ArticleRecord:
         return frozenset(names)
 
 
-@dataclass(frozen=True)
-class IndexStats:
-    record_count: int
-    token_count: int
-
-
 def _parse_record(row: dict, where: str) -> ArticleRecord:
     for key in ("article_id", "title", "authors", "journal"):
         if key not in row:
@@ -99,24 +93,27 @@ def _parse_record(row: dict, where: str) -> ArticleRecord:
 
 
 class BiblioIndex:
-    """Inverted token index over title/author/journal plus an exact year index.
+    """Inverted token index over title, author and journal tokens.
 
-    Immutable after ingest; title and journal contribute normalized tokens of
-    length >= 2 while author tokens (including bare initials) are indexed
-    in full.
+    Built once, in the constructor, from records already validated and keyed
+    by id; it has no way to add a record later. Title and journal contribute
+    normalized tokens of length >= 2 while author tokens (including bare
+    initials) are indexed in full.
     """
 
-    def __init__(self) -> None:
-        self._records: dict[str, ArticleRecord] = {}
+    def __init__(self, records: Mapping[str, ArticleRecord]) -> None:
+        self._records = records
         self._postings: dict[str, set[str]] = {}
-        self._by_year: dict[int, set[str]] = {}
-        self._frozen = False
+        for article_id, record in records.items():
+            for token in record.title_tokens() | record.journal_tokens() | record.author_tokens():
+                self._postings.setdefault(token, set()).add(article_id)
 
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, article_id: str) -> bool:
-        return article_id in self._records
+    @property
+    def token_count(self) -> int:
+        return len(self._postings)
 
     def get(self, article_id: str) -> ArticleRecord | None:
         return self._records.get(article_id)
@@ -124,22 +121,6 @@ class BiblioIndex:
     def records(self) -> Iterable[ArticleRecord]:
         for article_id in sorted(self._records):
             yield self._records[article_id]
-
-    def add(self, record: ArticleRecord) -> None:
-        if self._frozen:
-            raise IngestError("index is frozen; ingest before querying")
-        if record.article_id in self._records:
-            raise IngestError(f"duplicate article_id {record.article_id!r}")
-        self._records[record.article_id] = record
-        tokens = record.title_tokens() | record.journal_tokens() | record.author_tokens()
-        for token in tokens:
-            self._postings.setdefault(token, set()).add(record.article_id)
-        if record.pub_year is not None:
-            self._by_year.setdefault(record.pub_year, set()).add(record.article_id)
-
-    def freeze(self) -> IndexStats:
-        self._frozen = True
-        return IndexStats(record_count=len(self._records), token_count=len(self._postings))
 
     def search(
         self,
@@ -180,16 +161,6 @@ class BiblioIndex:
         return [self._records[a] for a in ranked[:k]]
 
 
-def _records_by_id(rows: Iterable[tuple[str, dict]]) -> dict[str, ArticleRecord]:
-    records: dict[str, ArticleRecord] = {}
-    for where, row in rows:
-        record = _parse_record(row, where)
-        if record.article_id in records:
-            raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
-        records[record.article_id] = record
-    return records
-
-
 def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecord]:
     """Parse a records JSONL file into records by id, in file order.
 
@@ -197,27 +168,15 @@ def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecor
     Stages that only look records up by id use this and skip the index.
     ``digest`` (a hashlib object), when given, is updated with the file's bytes.
     """
-    return _records_by_id(jsonl_rows(Path(path), IngestError, digest))
+    records: dict[str, ArticleRecord] = {}
+    for where, row in jsonl_rows(Path(path), IngestError, digest):
+        record = _parse_record(row, where)
+        if record.article_id in records:
+            raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
+        records[record.article_id] = record
+    return records
 
 
-def build_index(records: Iterable[ArticleRecord]) -> tuple[BiblioIndex, IndexStats]:
-    """A frozen search index over the records."""
-    index = BiblioIndex()
-    for record in records:
-        index.add(record)
-    return index, index.freeze()
-
-
-def ingest_records(
-    records_source: str | Path | Iterable[dict], digest: Any = None
-) -> tuple[BiblioIndex, IndexStats]:
-    """Build an index from a records JSONL file (or pre-parsed rows).
-
-    Schema violations and duplicate ids raise IngestError naming the line.
-    ``digest`` is updated with the file's bytes, as in ``read_records``.
-    """
-    if isinstance(records_source, (str, Path)):
-        records = read_records(records_source, digest)
-    else:
-        records = _records_by_id((f"row {i}", row) for i, row in enumerate(records_source, start=1))
-    return build_index(records.values())
+def ingest_records(path: str | Path, digest: Any = None) -> BiblioIndex:
+    """The search index over a records JSONL file, read by ``read_records``."""
+    return BiblioIndex(read_records(path, digest))

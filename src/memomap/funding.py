@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .artifacts import csv_rows, jsonl_rows
 from .biblio import ArticleRecord
@@ -125,36 +125,34 @@ def parse_core_project(award_text: str) -> str:
 
 
 class AwardDatabase:
-    """Award records indexed by core project number and by cited article."""
+    """Award records sorted by full project number, indexed by core project
+    number and by cited article.
+
+    Built once, in the constructor; every lookup returns a stored sequence in
+    full-number order, not a copy, so callers must not modify it.
+    """
 
     def __init__(self, awards: Iterable[Award]) -> None:
-        self._by_full: dict[str, Award] = {}
+        self._awards = sorted(awards, key=lambda award: award.full_project_number)
         self._by_core: dict[str, list[Award]] = {}
         self._by_article: dict[str, list[Award]] = {}
-        for award in awards:
-            if award.full_project_number in self._by_full:
-                raise FundingError(f"duplicate full_project_number {award.full_project_number!r}")
-            self._by_full[award.full_project_number] = award
-        for full in sorted(self._by_full):
-            award = self._by_full[full]
+        previous = None
+        for award in self._awards:
+            if award.full_project_number == previous:
+                raise FundingError(f"duplicate full_project_number {previous!r}")
+            previous = award.full_project_number
             self._by_core.setdefault(award.core_project_number, []).append(award)
             for article_id in award.cited_article_ids:
                 self._by_article.setdefault(article_id, []).append(award)
 
-    def __len__(self) -> int:
-        return len(self._by_full)
+    def all_awards(self) -> Sequence[Award]:
+        return self._awards
 
-    def all_awards(self) -> list[Award]:
-        return [self._by_full[f] for f in sorted(self._by_full)]
+    def records_for_core(self, core: str) -> Sequence[Award]:
+        return self._by_core.get(core, ())
 
-    def get(self, full_project_number: str) -> Award | None:
-        return self._by_full.get(full_project_number)
-
-    def records_for_core(self, core: str) -> list[Award]:
-        return list(self._by_core.get(core, ()))
-
-    def awards_citing(self, article_id: str) -> list[Award]:
-        return list(self._by_article.get(article_id, ()))
+    def awards_citing(self, article_id: str) -> Sequence[Award]:
+        return self._by_article.get(article_id, ())
 
 
 def _parse_award(row: dict, where: str) -> Award:
@@ -244,21 +242,17 @@ def lookup_awards_citing(article_id: str, award_db: AwardDatabase) -> list[Artic
     ]
 
 
-def impute_award_year(
-    core_project_number: str, pub_year: int, award_db: AwardDatabase
-) -> tuple[str | None, int]:
-    """Pick the fiscal year of the project most plausibly behind a citation.
+def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
+    """The award most plausibly behind a citation, among non-empty ``records``.
 
-    Among projects sharing the core number, choose the one whose difference
-    d = pub_year - fiscal_year is closest to one; on ties prefer the larger
-    d (the project strictly before publication), then the smallest full
-    project number. Without any database record, assume the year before
-    publication.
+    The difference d = pub_year - fiscal_year is closest to one; ties go to
+    the larger d (the project strictly before publication), then to the
+    smallest full project number. Without a publication year, the smallest
+    full project number.
     """
-    records = award_db.records_for_core(core_project_number)
-    if not records:
-        return None, pub_year - 1
-    best = min(
+    if pub_year is None:
+        return min(records, key=lambda award: award.full_project_number)
+    return min(
         records,
         key=lambda award: (
             abs((pub_year - award.fiscal_year) - 1),
@@ -266,6 +260,20 @@ def impute_award_year(
             award.full_project_number,
         ),
     )
+
+
+def impute_award_year(
+    core_project_number: str, pub_year: int, award_db: AwardDatabase
+) -> tuple[str | None, int]:
+    """The full project number and fiscal year most plausibly behind a citation.
+
+    Among projects sharing the core number, the one ``_closest`` picks.
+    Without any database record, assume the year before publication.
+    """
+    records = award_db.records_for_core(core_project_number)
+    if not records:
+        return None, pub_year - 1
+    best = _closest(records, pub_year)
     return best.full_project_number, best.fiscal_year
 
 
@@ -303,31 +311,18 @@ def build_links(
         drafts = extract_article_awards(record, aliases)
         drafts += lookup_awards_citing(record.article_id, award_db)
         for link in merge_drafts(drafts):
-            if record.pub_year is None:
-                if award_db.records_for_core(link.core_project_number):
-                    first = award_db.records_for_core(link.core_project_number)[0]
-                    link = replace(
-                        link,
-                        imputed_full_project=first.full_project_number,
-                        imputed_year=None,
-                        funder_code=first.funder_code,
-                        org_id=first.org_id,
-                        org_name=first.org_name,
-                    )
-                links.append(link)
-                continue
-            full, year = impute_award_year(link.core_project_number, record.pub_year, award_db)
-            if full is not None:
-                chosen = award_db.get(full)
+            records = award_db.records_for_core(link.core_project_number)
+            if records:
+                chosen = _closest(records, record.pub_year)
                 link = replace(
                     link,
-                    imputed_full_project=full,
-                    imputed_year=year,
+                    imputed_full_project=chosen.full_project_number,
+                    imputed_year=None if record.pub_year is None else chosen.fiscal_year,
                     funder_code=chosen.funder_code,
                     org_id=chosen.org_id,
                     org_name=chosen.org_name,
                 )
-            else:
-                link = replace(link, imputed_full_project=None, imputed_year=year)
+            elif record.pub_year is not None:
+                link = replace(link, imputed_year=record.pub_year - 1)
             links.append(link)
     return links

@@ -57,10 +57,7 @@ ARTICLES = Artifact(
 )
 # The same file as a search index, which only `resolve` builds.
 ARTICLE_INDEX = replace(
-    ARTICLES,
-    load=lambda path, digest, config: biblio.build_index(
-        ARTICLES.load(path, digest, config).values()
-    )[0],
+    ARTICLES, load=_parsed(lambda path, digest, config: biblio.ingest_records(path, digest))
 )
 AWARDS = Artifact(
     "ingest/awards.jsonl",
@@ -235,7 +232,7 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
         fragments.extend(memo_fragments)
 
     records_digest, awards_digest = hashlib.sha256(), hashlib.sha256()
-    index, index_stats = biblio.ingest_records(config.records_path, records_digest)
+    index = biblio.ingest_records(config.records_path, records_digest)
     award_db = funding.load_award_db(config.award_db_path, awards_digest)
     aliases, aliases_bytes = _read_aliases(config)
 
@@ -253,7 +250,7 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
         AWARDS: award_db.all_awards(),
         ALIASES.name: aliases_bytes,
         "index_stats.json": _json_document(
-            {"record_count": index_stats.record_count, "token_count": index_stats.token_count}
+            {"record_count": len(index), "token_count": index.token_count}
         ),
     }
     hand_on = {

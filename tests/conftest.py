@@ -27,7 +27,7 @@ def article_row(article_id: str, title: str, **kwargs) -> dict:
 
 
 @pytest.fixture
-def small_index():
+def small_index(tmp_path):
     rows = [
         article_row(
             "1001",
@@ -52,8 +52,7 @@ def small_index():
             retracted=True,
         ),
     ]
-    index, _ = ingest_records(rows)
-    return index
+    return ingest_records(write_jsonl(tmp_path / "small_index.jsonl", rows))
 
 
 @pytest.fixture

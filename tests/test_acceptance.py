@@ -23,6 +23,7 @@ from memomap.report import build_flow_graph
 from memomap.resolver import resolve_fragment
 from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
 
+from conftest import write_jsonl
 from oracles import enumeration_p, oracle_impute
 from synth import build_labeled_corpus
 from test_pipeline import FIXTURES, INPUT_FILES, read_tree
@@ -143,7 +144,7 @@ def test_criterion_5_resolution_quality(tmp_path):
     with criterion(5, "labeled 200-fragment corpus: precision >= 0.95, recall >= 0.90"):
         records, labeled = build_labeled_corpus()
         assert len(labeled) == 200
-        index, _ = ingest_records(records)
+        index = ingest_records(write_jsonl(tmp_path / "records.jsonl", records))
 
         runs = []
         for _ in range(2):

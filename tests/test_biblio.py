@@ -12,16 +12,14 @@ from oracles import oracle_search
 
 
 class TestIngest:
-    def test_empty_source(self):
-        index, stats = ingest_records([])
-        assert stats.record_count == 0
-        assert stats.token_count == 0
+    def test_empty_source(self, tmp_path):
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", []))
         assert len(index) == 0
+        assert index.token_count == 0
 
     def test_counts_from_file(self, tmp_path):
         rows = [article_row(str(i), f"Title number {i} alpha beta") for i in range(1, 11)]
-        index, stats = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
-        assert stats.record_count == 10
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         assert len(index) == 10
 
     def test_duplicate_id_names_line(self, tmp_path):
@@ -39,9 +37,10 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"r\.jsonl:2"):
             ingest_records(path)
 
-    def test_pub_year_range_enforced(self):
-        with pytest.raises(IngestError, match="pub_year"):
-            ingest_records([article_row("1", "T", pub_year=1492)])
+    def test_pub_year_range_enforced(self, tmp_path):
+        path = write_jsonl(tmp_path / "r.jsonl", [article_row("1", "T", pub_year=1492)])
+        with pytest.raises(IngestError, match=r"r\.jsonl:1: pub_year"):
+            ingest_records(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -59,37 +58,35 @@ class TestSearch:
     def test_disjoint_tokens_empty(self, small_index):
         assert small_index.search(["zz", "qq", "vv"], k=5) == []
 
-    def test_year_hint_breaks_token_tie(self):
+    def test_year_hint_breaks_token_tie(self, tmp_path):
         shared_title = "common words shared across both records"
-        index, _ = ingest_records(
-            [
-                article_row("2000", shared_title, pub_year=2000),
-                article_row("2010", shared_title, pub_year=2010),
-            ]
-        )
+        rows = [
+            article_row("2000", shared_title, pub_year=2000),
+            article_row("2010", shared_title, pub_year=2010),
+        ]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         tokens = shared_title.split()
         assert index.search(tokens, year_hint=2009, k=2)[0].article_id == "2010"
         assert index.search(tokens, year_hint=2001, k=2)[0].article_id == "2000"
 
-    def test_id_breaks_remaining_tie(self):
+    def test_id_breaks_remaining_tie(self, tmp_path):
         shared_title = "identical in every indexed way"
-        index, _ = ingest_records(
-            [
-                article_row("b", shared_title, pub_year=2005),
-                article_row("a", shared_title, pub_year=2005),
-            ]
-        )
+        rows = [
+            article_row("b", shared_title, pub_year=2005),
+            article_row("a", shared_title, pub_year=2005),
+        ]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         hits = index.search(shared_title.split(), year_hint=2005, k=2)
         assert [h.article_id for h in hits] == ["a", "b"]
 
-    def test_ranking_independent_of_insertion_order(self):
+    def test_ranking_independent_of_insertion_order(self, tmp_path):
         rows = [
             article_row("1", "alpha beta gamma delta"),
             article_row("2", "alpha beta gamma epsilon"),
             article_row("3", "alpha beta zeta eta"),
         ]
-        forward, _ = ingest_records(rows)
-        backward, _ = ingest_records(list(reversed(rows)))
+        forward = ingest_records(write_jsonl(tmp_path / "forward.jsonl", rows))
+        backward = ingest_records(write_jsonl(tmp_path / "backward.jsonl", rows[::-1]))
         tokens = ["alpha", "beta", "gamma", "delta"]
         assert [r.article_id for r in forward.search(tokens, k=3)] == [
             r.article_id for r in backward.search(tokens, k=3)
@@ -105,10 +102,9 @@ class TestSearch:
         with pytest.raises(ValueError):
             small_index.search(["amyloid"], k=0)
 
-    def test_single_letters_reach_only_authors(self):
-        index, _ = ingest_records(
-            [article_row("1", "A b of x", authors=["Quayle J"], journal="Q J")]
-        )
+    def test_single_letters_reach_only_authors(self, tmp_path):
+        rows = [article_row("1", "A b of x", authors=["Quayle J"], journal="Q J")]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         # 'a', 'b', 'x' are too short for the title field; 'j' matches the author initial.
         assert index.search(["a"], k=3) == []
         assert [r.article_id for r in index.search(["j"], k=3)] == ["1"]
@@ -141,9 +137,10 @@ class TestTopKMatchesFullSort:
         assert got == oracle_search(index.records(), tokens, year_hint, k)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_indexes(self, seed):
+    def test_random_indexes(self, tmp_path, seed):
         rng = random.Random(seed)
-        index, _ = ingest_records(self.random_rows(rng, rng.randint(5, 60)))
+        rows = self.random_rows(rng, rng.randint(5, 60))
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         query_pool = self.WORDS + ["adams", "chen", "a", "b", "lancet", "med", "nothing"]
         for _ in range(30):
             tokens = rng.sample(query_pool, rng.randint(1, 5))
@@ -153,7 +150,7 @@ class TestTopKMatchesFullSort:
 
     @pytest.mark.parametrize("year_hint", [None, 2002])
     @pytest.mark.parametrize("k", [1, 4, 9, 40])
-    def test_tie_at_kth_count(self, k, year_hint):
+    def test_tie_at_kth_count(self, tmp_path, k, year_hint):
         # Twelve records share all three query tokens, so k < 12 cuts inside
         # one tie group that only year distance and id can order.
         rows = [
@@ -161,21 +158,7 @@ class TestTopKMatchesFullSort:
             for i in range(12)
         ]
         rows += [article_row(f"u{i:02d}", "alpha beta", pub_year=2002) for i in range(6)]
-        index, _ = ingest_records(rows)
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         self.check(index, ["alpha", "beta", "gamma"], year_hint, k)
         self.check(index, ["alpha", "beta"], year_hint, k)
 
-
-def test_frozen_index_rejects_adds(small_index):
-    from memomap.biblio import ArticleRecord
-
-    with pytest.raises(IngestError, match="frozen"):
-        small_index.add(
-            ArticleRecord(
-                article_id="z",
-                title="t",
-                authors=("A B",),
-                journal="j",
-                pub_year=2000,
-            )
-        )

@@ -67,13 +67,16 @@ class TestAliases:
 
 
 class TestExtract:
-    def make_record(self, tags):
-        rows = [article_row("10", "T", grant_tags=tags)]
-        index, _ = ingest_records(rows)
-        return index.get("10")
+    @pytest.fixture
+    def make_record(self, tmp_path):
+        def make(tags):
+            rows = [article_row("10", "T", grant_tags=tags)]
+            return ingest_records(write_jsonl(tmp_path / "r.jsonl", rows)).get("10")
 
-    def test_suffix_stripped_and_funder_mapped(self, aliases):
-        record = self.make_record([{"award_text": "R01 CA031770-02", "funder_text": "NCI"}])
+        return make
+
+    def test_suffix_stripped_and_funder_mapped(self, aliases, make_record):
+        record = make_record([{"award_text": "R01 CA031770-02", "funder_text": "NCI"}])
         drafts = extract_article_awards(record, aliases)
         assert len(drafts) == 1
         assert drafts[0].core_project_number == "R01CA031770"
@@ -81,11 +84,11 @@ class TestExtract:
         assert drafts[0].source == SOURCE_ARTICLE
         assert drafts[0].org_id is None
 
-    def test_no_tags_empty(self, aliases):
-        assert extract_article_awards(self.make_record([]), aliases) == []
+    def test_no_tags_empty(self, aliases, make_record):
+        assert extract_article_awards(make_record([]), aliases) == []
 
-    def test_unmapped_warns_and_continues(self, aliases, caplog):
-        record = self.make_record(
+    def test_unmapped_warns_and_continues(self, aliases, caplog, make_record):
+        record = make_record(
             [
                 {"award_text": "R01CA1-01", "funder_text": "NCI"},
                 {"award_text": "XY99-7", "funder_text": "Mystery Fund"},
@@ -98,9 +101,9 @@ class TestExtract:
         assert [d.funder_code for d in drafts] == ["NCI", UNMAPPED, "NIA"]
         assert sum("unmapped funder" in r.message for r in caplog.records) == 1
 
-    def test_unmapped_can_hard_fail(self):
+    def test_unmapped_can_hard_fail(self, make_record):
         strict = FunderAliasTable({"NCI": "NCI"}, on_unmapped="fail")
-        record = self.make_record([{"award_text": "Z01-1", "funder_text": "Mystery Fund"}])
+        record = make_record([{"award_text": "Z01-1", "funder_text": "Mystery Fund"}])
         with pytest.raises(UnmappedFunderError):
             extract_article_awards(record, strict)
 
@@ -118,7 +121,7 @@ class TestLookup:
 
 
 class TestMerge:
-    def test_award_db_wins_shared_core(self, aliases, award_db):
+    def test_award_db_wins_shared_core(self, tmp_path, aliases, award_db):
         rows = [
             article_row(
                 "1001",
@@ -127,7 +130,7 @@ class TestMerge:
                 grant_tags=[{"award_text": "R01 CA031770-01", "funder_text": "NCI"}],
             )
         ]
-        index, _ = ingest_records(rows)
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         drafts = extract_article_awards(index.get("1001"), aliases)
         drafts += lookup_awards_citing("1001", award_db)
         merged = merge_drafts(drafts)
@@ -194,7 +197,8 @@ class TestImputeYear:
 
 
 class TestBuildLinks:
-    def articles(self):
+    @pytest.fixture
+    def articles(self, tmp_path):
         rows = [
             article_row(
                 "1001",
@@ -210,11 +214,11 @@ class TestBuildLinks:
                 grant_tags=[{"award_text": "EY999", "funder_text": "Acme Trust"}],
             ),
         ]
-        index, _ = ingest_records(rows)
+        index = ingest_records(write_jsonl(tmp_path / "articles.jsonl", rows))
         return [index.get(a) for a in ("1001", "1002", "1003")]
 
-    def test_links_carry_imputed_year_and_org(self, aliases, award_db):
-        links = build_links(self.articles(), award_db, aliases)
+    def test_links_carry_imputed_year_and_org(self, aliases, award_db, articles):
+        links = build_links(articles, award_db, aliases)
         by_key = {(l.article_id, l.core_project_number): l for l in links}
 
         ca = by_key[("1001", "R01CA031770")]
@@ -243,7 +247,7 @@ class TestBuildLinks:
                 ],
             )
         ]
-        index, _ = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         links = build_links([index.get("2001")], award_db, aliases)
         by_core = {l.core_project_number: l for l in links}
         assert sorted(by_core) == ["R01CA031770", "U01ZZ000001"]
@@ -261,17 +265,16 @@ class TestBuildLinks:
         assert zz.funder_code == "NHLBI"
         assert zz.source == SOURCE_ARTICLE
 
-    def test_every_funder_in_vocabulary(self, aliases, award_db):
-        links = build_links(self.articles(), award_db, aliases)
+    def test_every_funder_in_vocabulary(self, aliases, award_db, articles):
+        links = build_links(articles, award_db, aliases)
         vocab = aliases.vocabulary | {UNMAPPED, "NIA"}  # db codes are canonical already
         assert all(l.funder_code in vocab for l in links)
 
-    def test_idempotent(self, aliases, award_db):
-        articles = self.articles()
+    def test_idempotent(self, aliases, award_db, articles):
         assert build_links(articles, award_db, aliases) == build_links(articles, award_db, aliases)
 
-    def test_imputed_year_minimizes_oracle_criterion(self, aliases, award_db):
-        for link in build_links(self.articles(), award_db, aliases):
+    def test_imputed_year_minimizes_oracle_criterion(self, aliases, award_db, articles):
+        for link in build_links(articles, award_db, aliases):
             records = award_db.records_for_core(link.core_project_number)
             if not records:
                 continue

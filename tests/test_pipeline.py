@@ -208,8 +208,8 @@ class TestLoadOnce:
     def test_index_from_raw_records_equals_index_from_artifact(self, workspace):
         run_all(load_config(workspace / "config.yaml"))
         ingest_dir = workspace / "out" / "ingest"
-        raw, _ = biblio.ingest_records(workspace / "articles.jsonl")
-        loaded, _ = biblio.ingest_records(ingest_dir / "articles.jsonl")
+        raw = biblio.ingest_records(workspace / "articles.jsonl")
+        loaded = biblio.ingest_records(ingest_dir / "articles.jsonl")
         assert list(raw.records()) == list(loaded.records())
         fragments = [
             json.loads(line)["normalized_text"]
@@ -259,7 +259,7 @@ class TestSingleStageLoads:
             raise AssertionError("link and report must not build the inverted index")
 
         monkeypatch.setattr(biblio, "ingest_records", forbidden)
-        monkeypatch.setattr(biblio.BiblioIndex, "add", forbidden)
+        monkeypatch.setattr(biblio.BiblioIndex, "__init__", forbidden)
         run_link(primed)
         run_report(primed)
         produced = read_tree(workspace / "out")

@@ -20,7 +20,7 @@ from memomap.resolver import (
     score_candidate,
 )
 
-from conftest import article_row
+from conftest import article_row, write_jsonl
 
 
 def fragment(text: str, memo_id: str = "m", ordinal: int = 0) -> ReferenceFragment:
@@ -55,23 +55,23 @@ class TestScore:
         frag = fragment("Totally unrelated words everywhere 1955")
         assert score_candidate(frag, small_index.get("1002")) == 0.0
 
-    def test_title_only_scores_point_six(self):
-        index, _ = ingest_records(
-            [
-                article_row(
-                    "50",
-                    "Antibiotic stewardship reduces resistance rates",
-                    authors=["Zhou KL"],
-                    journal="Clin Infect Dis",
-                    pub_year=2014,
-                )
-            ]
-        )
+    def test_title_only_scores_point_six(self, tmp_path):
+        rows = [
+            article_row(
+                "50",
+                "Antibiotic stewardship reduces resistance rates",
+                authors=["Zhou KL"],
+                journal="Clin Infect Dis",
+                pub_year=2014,
+            )
+        ]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         frag = fragment("Antibiotic stewardship reduces resistance rates")
         assert score_candidate(frag, index.get("50")) == pytest.approx(0.6)
 
-    def test_year_within_one_gets_half_credit(self):
-        index, _ = ingest_records([article_row("60", "unique sentinel phrase", pub_year=2005)])
+    def test_year_within_one_gets_half_credit(self, tmp_path):
+        rows = [article_row("60", "unique sentinel phrase", pub_year=2005)]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         base = score_candidate(fragment("unique sentinel phrase"), index.get("60"))
         near = score_candidate(fragment("unique sentinel phrase 2006"), index.get("60"))
         exact = score_candidate(fragment("unique sentinel phrase 2005"), index.get("60"))
@@ -106,16 +106,15 @@ class TestResolveFragment:
         assert result.article_id is None
         assert result.score is None
 
-    def test_near_tie_rejected(self):
+    def test_near_tie_rejected(self, tmp_path):
         # Two records differing by one word in a 13-token title: both clear
         # the threshold, the margin rule refuses to pick one.
         shared = "a randomized controlled trial of endovascular repair versus open surgery for abdominal aneurysm"
-        index, _ = ingest_records(
-            [
-                article_row("71", shared + " alpha", authors=["Nguyen PT"], pub_year=2015),
-                article_row("72", shared + " omega", authors=["Nguyen PT"], pub_year=2015),
-            ]
-        )
+        rows = [
+            article_row("71", shared + " alpha", authors=["Nguyen PT"], pub_year=2015),
+            article_row("72", shared + " omega", authors=["Nguyen PT"], pub_year=2015),
+        ]
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
         frag = fragment(f"Nguyen PT. {shared} alpha. J Test Med. 2015.")
         best = score_candidate(frag, index.get("71"))
         second = score_candidate(frag, index.get("72"))
