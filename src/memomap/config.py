@@ -58,10 +58,27 @@ class PipelineConfig:
         }
 
 
-def _boolean(raw: Any) -> bool:
-    if not isinstance(raw, bool):
-        raise TypeError("expected true or false")
-    return raw
+def _strict(types: type | tuple[type, ...], convert: Callable[[Any], Any], expected: str):
+    """A converter of ``types`` only; a bool, an int to ``isinstance``, only as a bool."""
+
+    def check(raw: Any) -> Any:
+        if not isinstance(raw, types) or (isinstance(raw, bool) and types is not bool):
+            raise TypeError(f"expected {expected}")
+        return convert(raw)
+
+    return check
+
+
+_bool = _strict(bool, bool, "true or false")
+_int = _strict(int, int, "an integer")
+_float = _strict((int, float), float, "a number")  # an int loads as the equal float
+_str = _strict(str, str, "a string")
+
+
+def _str_list(raw: Any) -> tuple[str, ...]:
+    if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
+        raise TypeError("expected a list of strings")
+    return tuple(raw)
 
 
 def _section(data: dict, name: str) -> dict:
@@ -108,9 +125,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     try:
         segmenter = SegmenterConfig(
-            headings=value("corpus.headings", DEFAULT_HEADINGS, tuple),
-            terminators=value("corpus.terminators", DEFAULT_TERMINATORS, tuple),
-            min_fragment_chars=value("corpus.min_fragment_chars", DEFAULT_MIN_FRAGMENT_CHARS, int),
+            headings=value("corpus.headings", DEFAULT_HEADINGS, _str_list),
+            terminators=value("corpus.terminators", DEFAULT_TERMINATORS, _str_list),
+            min_fragment_chars=value("corpus.min_fragment_chars", DEFAULT_MIN_FRAGMENT_CHARS, _int),
         )
     except CorpusError as exc:
         raise ConfigError(f"{path}: bad corpus section: {exc}") from exc
@@ -124,25 +141,25 @@ def load_config(path: str | Path) -> PipelineConfig:
         aliases_path=base / str(paths["aliases"]) if paths.get("aliases") else None,
         segmenter=segmenter,
         resolver=ResolverConfig(
-            threshold=value("resolver.threshold", 0.55, float),
-            margin=value("resolver.margin", 0.05, float),
-            k=value("resolver.k", 10, int),
+            threshold=value("resolver.threshold", 0.55, _float),
+            margin=value("resolver.margin", 0.05, _float),
+            k=value("resolver.k", 10, _int),
         ),
         remote=RemoteConfig(
-            enabled=value("remote.enabled", False, _boolean),
-            base_url=value("remote.base_url", "", str),
-            rps=value("remote.rps", 3.0, float),
-            max_retries=value("remote.max_retries", 3, int),
-            offline=value("remote.offline", False, _boolean),
+            enabled=value("remote.enabled", False, _bool),
+            base_url=value("remote.base_url", "", _str),
+            rps=value("remote.rps", 3.0, _float),
+            max_retries=value("remote.max_retries", 3, _int),
+            offline=value("remote.offline", False, _bool),
         ),
         remote_cache_dir=base / str(cache_dir) if cache_dir else None,
-        on_unmapped=value("funding.on_unmapped", "warn", str),
+        on_unmapped=value("funding.on_unmapped", "warn", _str),
         stats=StatsOptions(
-            denominator=value("stats.denominator", "pool_entities", str),
-            ci_level=value("stats.ci_level", 0.95, float),
-            min_obs=value("stats.min_obs", 5, int),
+            denominator=value("stats.denominator", "pool_entities", _str),
+            ci_level=value("stats.ci_level", 0.95, _float),
+            min_obs=value("stats.min_obs", 5, _int),
         ),
-        top_k=value("report.top_k", 10, int),
+        top_k=value("report.top_k", 10, _int),
     )
     validate_config(config)
     return config

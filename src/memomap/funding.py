@@ -125,12 +125,8 @@ def parse_core_project(award_text: str) -> str:
 
 
 class AwardDatabase:
-    """Award records sorted by full project number, indexed by core project
-    number and by cited article.
-
-    Built once, in the constructor; every lookup returns a stored sequence in
-    full-number order, not a copy, so callers must not modify it.
-    """
+    """Awards sorted by full project number and indexed, once, by core number
+    and by cited article; lookups return the stored sequences, not copies."""
 
     def __init__(self, awards: Iterable[Award]) -> None:
         self._awards = sorted(awards, key=lambda award: award.full_project_number)
@@ -243,13 +239,10 @@ def lookup_awards_citing(article_id: str, award_db: AwardDatabase) -> list[Artic
 
 
 def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
-    """The award most plausibly behind a citation, among non-empty ``records``.
-
-    The difference d = pub_year - fiscal_year is closest to one; ties go to
-    the larger d (the project strictly before publication), then to the
-    smallest full project number. Without a publication year, the smallest
-    full project number.
-    """
+    """Of non-empty ``records``, the award whose d = pub_year - fiscal_year is
+    closest to one; ties go to the larger d (the project strictly before
+    publication), then to the smallest full project number, which alone
+    decides when ``pub_year`` is None."""
     if pub_year is None:
         return min(records, key=lambda award: award.full_project_number)
     return min(
@@ -265,11 +258,8 @@ def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
 def impute_award_year(
     core_project_number: str, pub_year: int, award_db: AwardDatabase
 ) -> tuple[str | None, int]:
-    """The full project number and fiscal year most plausibly behind a citation.
-
-    Among projects sharing the core number, the one ``_closest`` picks.
-    Without any database record, assume the year before publication.
-    """
+    """Full number and fiscal year of the award ``_closest`` picks among those
+    of the core number; without any, (None, the year before publication)."""
     records = award_db.records_for_core(core_project_number)
     if not records:
         return None, pub_year - 1

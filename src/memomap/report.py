@@ -83,6 +83,17 @@ def _flow_through(
     }
 
 
+def _org_labels(links: Iterable[ArticleAwardLink]) -> dict[str, str]:
+    """Each org's label: the smallest non-empty ``org_name`` among its links."""
+    labels: dict[str, str] = {}
+    for link in links:
+        if link.org_id is not None and link.org_name:
+            current = labels.get(link.org_id)
+            if current is None or link.org_name < current:
+                labels[link.org_id] = link.org_name
+    return labels
+
+
 def build_flow_graph(
     memo_id: str,
     links: Iterable[ArticleAwardLink],
@@ -104,17 +115,12 @@ def build_flow_graph(
     counts (``stats.split_weights``), so every sum is exact.
     """
     cited = {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
+    links = [l for l in links if l.article_id in cited]
 
     pairs_by_article: dict[str, list[tuple[str, str | None]]] = {}
-    org_names: dict[str, str] = {}
     for l in links:
-        if l.article_id not in cited:
-            continue
         pairs_by_article.setdefault(l.article_id, []).append((l.funder_code, l.org_id))
-        if l.org_id is not None and l.org_name:
-            current = org_names.get(l.org_id)
-            if current is None or l.org_name < current:
-                org_names[l.org_id] = l.org_name
+    org_names = _org_labels(links)
 
     pair_weights, denominator, _ = split_weights(pairs_by_article.values())
     if not pair_weights:
@@ -361,14 +367,10 @@ def emit_tables(
         )
 
     org_counts: dict[str, int] = {}
-    org_labels: dict[str, str] = {}
     for link in links:
         org = link.org_id if link.org_id is not None else "UNKNOWN"
         org_counts[org] = org_counts.get(org, 0) + 1
-        if link.org_id is not None and link.org_name:
-            current = org_labels.get(org)
-            if current is None or link.org_name < current:
-                org_labels[org] = link.org_name
+    org_labels = _org_labels(links)
     org_labels.setdefault("UNKNOWN", "Unknown")
     org_rows = [header]
     for org in sorted(org_counts):

@@ -341,7 +341,17 @@ class TestCliErrors:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("report", "top_k", "three"), ("resolver", "threshold", [1]), ("remote", "enabled", "false")],
+        [
+            ("report", "top_k", "three"),
+            ("resolver", "threshold", [1]),
+            ("remote", "enabled", "false"),
+            ("corpus", "headings", "References"),
+            ("corpus", "headings", [1, 2]),
+            ("resolver", "k", 2.9),
+            ("report", "top_k", True),
+            ("stats", "min_obs", 4.5),
+            ("remote", "base_url", None),
+        ],
     )
     def test_config_value_of_wrong_type(self, workspace, caplog, section, key, value):
         path = workspace / "config.yaml"
