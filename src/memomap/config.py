@@ -59,7 +59,7 @@ class PipelineConfig:
 
 
 def _strict(types: type | tuple[type, ...], convert: Callable[[Any], Any], expected: str):
-    """A converter of ``types`` only; a bool, an int to ``isinstance``, only as a bool."""
+    """A converter taking values of ``types`` only, and a bool only if ``types`` is bool."""
 
     def check(raw: Any) -> Any:
         if not isinstance(raw, types) or (isinstance(raw, bool) and types is not bool):
