@@ -1,24 +1,39 @@
-"""Stage artifacts: one declaration per file, one reader per format.
+"""Typed rows and stage artifacts: one decoder, one declaration per file.
+
+``decode(row_type, mapping)`` builds a dataclass from a JSON or YAML
+mapping, checking each field against its annotation: ``str``, ``bool``,
+``int`` (not a bool), ``float`` (an int or a float, loaded as float),
+``X | None``, ``tuple[T, ...]`` from a list and a nested dataclass from a
+mapping. An absent field takes its default, an absent ``X | None`` field
+without one is None, and keys that are not fields are ignored. A wrong
+value raises DecodeError naming the field (``title: expected a string,
+got None``), which each caller prefixes with its ``file:line`` or
+``section.`` and turns into its own error. Every config section, raw input
+row and JSONL artifact row is built this way.
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, less those declared in
-``omit_none`` when they are None; a CSV row is the declared columns, each an
-attribute of the row object. Writing and reading both stream the file line
-by line and return the sha256 of its bytes, which the stage manifest
-records; reading also returns the objects. ``jsonl_rows`` and ``csv_rows``
-also read the raw inputs, raising the caller's error class.
+``omit_none`` when they are None; reading one back also rejects a key that
+is not a field, since this program wrote the file. A CSV row is the
+declared columns, each an attribute of the row object. Writing and reading
+both stream the file line by line and return the sha256 of its bytes, which
+the stage manifest records; reading also returns the objects. ``jsonl_rows``
+and ``csv_rows`` also read the raw inputs, raising the caller's error class.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TypeVar, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
@@ -26,6 +41,91 @@ if TYPE_CHECKING:
 
 class StageDependencyError(Exception):
     """An upstream artifact this stage needs is missing or malformed."""
+
+
+_T = TypeVar("_T")
+
+
+class DecodeError(ValueError):
+    """A mapping value that does not fit its field; the message names the field."""
+
+
+_KEEP, _REQUIRED = object(), object()  # markers: a value kept as it is, an absent required field
+_SCALARS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _check(annotation: Any) -> tuple[dict[type, Any], str]:
+    """Each value type a field takes, mapped to its converter or to _KEEP,
+    and what the field expects, in words."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if annotation in _SCALARS:
+        accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
+        return accepts, _SCALARS[annotation]
+    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
+        accepts, expected = _check(args[0])
+        return {**accepts, type(None): _KEEP}, f"{expected} or null"
+    if origin is tuple and args[1:] == (Ellipsis,):
+        of = _check(args[0])
+        return {list: lambda v: tuple([_value(of, x, f"[{i}]") for i, x in enumerate(v)])}, "a list"
+    if is_dataclass(annotation):
+        return {dict: functools.partial(decode, annotation)}, "a mapping"
+    raise TypeError(f"no decoder for {annotation!r}")
+
+
+def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
+    """``value`` checked and converted; an error names ``where`` and what lies inside it."""
+    accepts, expected = check
+    convert = accepts.get(type(value))
+    if convert is None:
+        got = "nothing" if value is _REQUIRED else repr(value)
+        raise DecodeError(f"{where}: expected {expected}, got {got}")
+    try:
+        return value if convert is _KEEP else convert(value)
+    except DecodeError as exc:
+        raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
+
+
+@functools.cache
+def _plan(row_type: type) -> list[tuple]:
+    """Per field: its name, the value types it takes, its check, and what it
+    gets when absent from the mapping (MISSING leaves it to the dataclass default)."""
+    hints, plan = get_type_hints(row_type), []
+    for f in fields(row_type):
+        check = _check(hints[f.name])
+        defaulted = f.default is not MISSING or f.default_factory is not MISSING
+        absent = MISSING if defaulted else None if type(None) in check[0] else _REQUIRED
+        plan.append((f.name, check[0], check, absent))
+    return plan
+
+
+def decode(row_type: type[_T], mapping: Mapping[str, Any]) -> _T:
+    """``row_type`` from ``mapping``, each value checked against its field's
+    annotation; raises DecodeError naming the first field that does not fit."""
+    kw = {}
+    for name, accepts, check, absent in _plan(row_type):
+        value = mapping.get(name, absent)
+        if value is not MISSING:
+            # Only a list, a nested row, an int for a float or a wrong type goes on.
+            kw[name] = value if accepts.get(type(value)) is _KEEP else _value(check, value, name)
+    return row_type(**kw)
+
+
+def decoded_rows(
+    path: Path, row_type: type[_T], error: type[Exception], digest: Any = None, exact: bool = False
+) -> Iterator[tuple[str, _T]]:
+    """``(path:line, row_type object)`` for each row ``jsonl_rows`` reads.
+
+    A row that does not decode raises ``error`` naming ``file:line`` and the
+    field; with ``exact``, so does a key that is not a field.
+    """
+    names = {f.name for f in fields(row_type)}
+    for where, row in jsonl_rows(path, error, digest):
+        try:
+            if exact and not names.issuperset(row):
+                raise DecodeError(f"{min(row.keys() - names)}: not a field")
+            yield where, decode(row_type, row)
+        except DecodeError as exc:
+            raise error(f"{where}: {exc}") from exc
 
 
 def jsonl_rows(
@@ -109,7 +209,7 @@ class Artifact:
     path: str  # "<stage>/<file>" under the working directory
     row_type: type | None = None
     columns: tuple[str, ...] = ()  # CSV: "column", or "column=attribute" when they differ
-    omit_none: tuple[str, ...] = ()  # JSONL: fields left out when None
+    omit_none: tuple[str, ...] = ()  # JSONL: fields written only when not None
     # Replaces the row reader: (path, sha256 to update, config) -> objects.
     load: Callable[[Path, Any, PipelineConfig], Any] | None = None
 
@@ -153,19 +253,10 @@ class Artifact:
             objects = self.load(path, digest, config)
         elif self.columns:
             objects = self._parse_csv(path, digest)
-        else:
-            objects = self._parse_jsonl(path, digest)
+        else:  # a program-written JSONL file: a key that is no field means a foreign file
+            rows = decoded_rows(path, self.row_type, StageDependencyError, digest, exact=True)
+            objects = [obj for _, obj in rows]
         return Loaded(self, objects, digest.hexdigest())
-
-    def _parse_jsonl(self, path: Path, digest: Any) -> list:
-        row_type, omitted = self.row_type, dict.fromkeys(self.omit_none)
-        objects = []
-        for where, row in jsonl_rows(path, StageDependencyError, digest):
-            try:
-                objects.append(row_type(**{**omitted, **row}))
-            except TypeError as exc:
-                raise StageDependencyError(f"{where}: {exc}") from exc
-        return objects
 
     def _parse_csv(self, path: Path, digest: Any) -> list:
         columns = self._columns()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .artifacts import jsonl_rows
+from .artifacts import decoded_rows
 from .corpus import normalize_fragment
 
 
@@ -58,38 +58,6 @@ class ArticleRecord:
             if parts:
                 names.add(parts[0])
         return frozenset(names)
-
-
-def _parse_record(row: dict, where: str) -> ArticleRecord:
-    for key in ("article_id", "title", "authors", "journal"):
-        if key not in row:
-            raise IngestError(f"{where}: missing field {key!r}")
-    article_id = row["article_id"]
-    if not isinstance(article_id, str) or not article_id:
-        raise IngestError(f"{where}: article_id must be a non-empty string")
-    authors = row["authors"]
-    if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
-        raise IngestError(f"{where}: authors must be a list of strings")
-    pub_year = row.get("pub_year")
-    if pub_year is not None:
-        if not isinstance(pub_year, int) or not (MIN_YEAR <= pub_year <= MAX_YEAR):
-            raise IngestError(f"{where}: pub_year {pub_year!r} outside [{MIN_YEAR}, {MAX_YEAR}]")
-    tags = []
-    for tag in row.get("grant_tags") or []:
-        if not isinstance(tag, dict) or "award_text" not in tag or "funder_text" not in tag:
-            raise IngestError(f"{where}: grant_tags entries need award_text and funder_text")
-        tags.append(GrantTag(award_text=str(tag["award_text"]), funder_text=str(tag["funder_text"])))
-    return ArticleRecord(
-        article_id=article_id,
-        title=str(row["title"]),
-        authors=tuple(authors),
-        journal=str(row["journal"]),
-        pub_year=pub_year,
-        volume=row.get("volume"),
-        pages=row.get("pages"),
-        grant_tags=tuple(tags),
-        retracted=bool(row.get("retracted", False)),
-    )
 
 
 class BiblioIndex:
@@ -169,8 +137,12 @@ def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecor
     ``digest`` (a hashlib object), when given, is updated with the file's bytes.
     """
     records: dict[str, ArticleRecord] = {}
-    for where, row in jsonl_rows(Path(path), IngestError, digest):
-        record = _parse_record(row, where)
+    for where, record in decoded_rows(Path(path), ArticleRecord, IngestError, digest):
+        if not record.article_id:
+            raise IngestError(f"{where}: article_id must be a non-empty string")
+        year = record.pub_year
+        if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
+            raise IngestError(f"{where}: pub_year {year!r} outside [{MIN_YEAR}, {MAX_YEAR}]")
         if record.article_id in records:
             raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
         records[record.article_id] = record

@@ -1,14 +1,18 @@
-"""Pipeline configuration: one YAML file owns everything that affects results."""
+"""Pipeline configuration: one YAML file owns everything that affects results.
+
+Each section of the file is a dataclass, which declares every key's type
+and default; ``artifacts.decode`` builds it and checks each value.
+"""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, get_args, get_type_hints
+from typing import Any, get_args, get_type_hints
 
 import yaml
 
-from .corpus import DEFAULT_HEADINGS, DEFAULT_MIN_FRAGMENT_CHARS, DEFAULT_TERMINATORS
+from .artifacts import DecodeError, decode
 from .corpus import CorpusError, SegmenterConfig
 from .remote import RemoteConfig
 from .resolver import ResolverConfig
@@ -25,20 +29,46 @@ class StatsOptions:
     min_obs: int = 5
 
 
+# The sections that hold no dataclass of the pipeline's own. Paths are
+# relative to the config file's directory.
+@dataclass(frozen=True)
+class _Paths:
+    corpus: str
+    records: str
+    award_db: str
+    workdir: str
+    aliases: str | None = None  # None = packaged default table
+
+
+@dataclass(frozen=True)
+class _RemoteCache:  # read from the "remote" section beside RemoteConfig
+    cache_dir: str | None = None  # None = <workdir>/remote_cache
+
+
+@dataclass(frozen=True)
+class _Funding:
+    on_unmapped: str = "warn"
+
+
+@dataclass(frozen=True)
+class _Report:
+    top_k: int = 10
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     corpus_path: Path
     records_path: Path
     award_db_path: Path
     workdir: Path
-    aliases_path: Path | None = None  # None = packaged default table
-    segmenter: SegmenterConfig = field(default_factory=SegmenterConfig)
-    resolver: ResolverConfig = field(default_factory=ResolverConfig)
-    remote: RemoteConfig = field(default_factory=RemoteConfig)
-    remote_cache_dir: Path | None = None
-    on_unmapped: str = "warn"
-    stats: StatsOptions = field(default_factory=StatsOptions)
-    top_k: int = 10
+    aliases_path: Path | None
+    segmenter: SegmenterConfig
+    resolver: ResolverConfig
+    remote: RemoteConfig
+    remote_cache_dir: Path | None
+    on_unmapped: str
+    stats: StatsOptions
+    top_k: int
 
     def cache_dir(self) -> Path:
         return self.remote_cache_dir or self.workdir / "remote_cache"
@@ -58,36 +88,6 @@ class PipelineConfig:
         }
 
 
-def _strict(types: type | tuple[type, ...], convert: Callable[[Any], Any], expected: str):
-    """A converter taking values of ``types`` only, and a bool only if ``types`` is bool."""
-
-    def check(raw: Any) -> Any:
-        if not isinstance(raw, types) or (isinstance(raw, bool) and types is not bool):
-            raise TypeError(f"expected {expected}")
-        return convert(raw)
-
-    return check
-
-
-_bool = _strict(bool, bool, "true or false")
-_int = _strict(int, int, "an integer")
-_float = _strict((int, float), float, "a number")  # an int loads as the equal float
-_str = _strict(str, str, "a string")
-
-
-def _str_list(raw: Any) -> tuple[str, ...]:
-    if not isinstance(raw, (list, tuple)) or not all(isinstance(s, str) for s in raw):
-        raise TypeError("expected a list of strings")
-    return tuple(raw)
-
-
-def _section(data: dict, name: str) -> dict:
-    value = data.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
-
-
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a pipeline config file.
 
@@ -105,61 +105,34 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
 
-    base = path.parent
-    paths = _section(data, "paths")
-    for key in ("corpus", "records", "award_db", "workdir"):
-        if key not in paths:
-            raise ConfigError(f"{path}: paths.{key} is required")
-
-    def resolve(key: str) -> Path:
-        return base / str(paths[key])
-
-    def value(key: str, default: Any, convert: Callable[[Any], Any]) -> Any:
-        """``section.name`` from the file, else the default, converted."""
-        section, name = key.split(".")
-        raw = _section(data, section).get(name, default)
+    def section(name: str, row_type: type) -> Any:
+        """Section ``name`` as ``row_type``; an absent or empty section takes every default."""
+        raw = data.get(name) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: config section {name!r} must be a mapping")
         try:
-            return convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: {key}: bad value {raw!r}: {exc}") from exc
+            return decode(row_type, raw)
+        except DecodeError as exc:
+            raise ConfigError(f"{path}: {name}.{exc}") from exc
+        except CorpusError as exc:
+            raise ConfigError(f"{path}: bad {name} section: {exc}") from exc
 
-    try:
-        segmenter = SegmenterConfig(
-            headings=value("corpus.headings", DEFAULT_HEADINGS, _str_list),
-            terminators=value("corpus.terminators", DEFAULT_TERMINATORS, _str_list),
-            min_fragment_chars=value("corpus.min_fragment_chars", DEFAULT_MIN_FRAGMENT_CHARS, _int),
-        )
-    except CorpusError as exc:
-        raise ConfigError(f"{path}: bad corpus section: {exc}") from exc
-    cache_dir = _section(data, "remote").get("cache_dir")
-
+    base = path.parent
+    paths = section("paths", _Paths)
+    cache_dir = section("remote", _RemoteCache).cache_dir
     config = PipelineConfig(
-        corpus_path=resolve("corpus"),
-        records_path=resolve("records"),
-        award_db_path=resolve("award_db"),
-        workdir=resolve("workdir"),
-        aliases_path=base / str(paths["aliases"]) if paths.get("aliases") else None,
-        segmenter=segmenter,
-        resolver=ResolverConfig(
-            threshold=value("resolver.threshold", 0.55, _float),
-            margin=value("resolver.margin", 0.05, _float),
-            k=value("resolver.k", 10, _int),
-        ),
-        remote=RemoteConfig(
-            enabled=value("remote.enabled", False, _bool),
-            base_url=value("remote.base_url", "", _str),
-            rps=value("remote.rps", 3.0, _float),
-            max_retries=value("remote.max_retries", 3, _int),
-            offline=value("remote.offline", False, _bool),
-        ),
-        remote_cache_dir=base / str(cache_dir) if cache_dir else None,
-        on_unmapped=value("funding.on_unmapped", "warn", _str),
-        stats=StatsOptions(
-            denominator=value("stats.denominator", "pool_entities", _str),
-            ci_level=value("stats.ci_level", 0.95, _float),
-            min_obs=value("stats.min_obs", 5, _int),
-        ),
-        top_k=value("report.top_k", 10, _int),
+        corpus_path=base / paths.corpus,
+        records_path=base / paths.records,
+        award_db_path=base / paths.award_db,
+        workdir=base / paths.workdir,
+        aliases_path=base / paths.aliases if paths.aliases else None,
+        segmenter=section("corpus", SegmenterConfig),
+        resolver=section("resolver", ResolverConfig),
+        remote=section("remote", RemoteConfig),
+        remote_cache_dir=base / cache_dir if cache_dir else None,
+        on_unmapped=section("funding", _Funding).on_unmapped,
+        stats=section("stats", StatsOptions),
+        top_k=section("report", _Report).top_k,
     )
     validate_config(config)
     return config

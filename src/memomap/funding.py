@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .artifacts import csv_rows, jsonl_rows
+from .artifacts import csv_rows, decoded_rows
 from .biblio import ArticleRecord
 
 logger = logging.getLogger(__name__)
@@ -151,31 +151,6 @@ class AwardDatabase:
         return self._by_article.get(article_id, ())
 
 
-def _parse_award(row: dict, where: str) -> Award:
-    for key in ("full_project_number", "core_project_number", "funder_code", "fiscal_year"):
-        if key not in row:
-            raise FundingError(f"{where}: missing field {key!r}")
-    full = str(row["full_project_number"])
-    core = str(row["core_project_number"])
-    if not (full == core or full.startswith(core + "-")):
-        raise FundingError(f"{where}: full number {full!r} does not extend core {core!r}")
-    fiscal_year = row["fiscal_year"]
-    if not isinstance(fiscal_year, int):
-        raise FundingError(f"{where}: fiscal_year must be an integer")
-    cited = row.get("cited_article_ids") or []
-    if not isinstance(cited, list) or not all(isinstance(a, str) for a in cited):
-        raise FundingError(f"{where}: cited_article_ids must be a list of strings")
-    return Award(
-        full_project_number=full,
-        core_project_number=core,
-        funder_code=str(row["funder_code"]),
-        fiscal_year=fiscal_year,
-        org_id=row.get("org_id"),
-        org_name=row.get("org_name"),
-        cited_article_ids=tuple(cited),
-    )
-
-
 def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
     """Award records from a JSONL file.
 
@@ -184,9 +159,10 @@ def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
     file's bytes.
     """
     awards: dict[str, Award] = {}
-    for where, row in jsonl_rows(Path(path), FundingError, digest):
-        award = _parse_award(row, where)
-        full = award.full_project_number
+    for where, award in decoded_rows(Path(path), Award, FundingError, digest):
+        full, core = award.full_project_number, award.core_project_number
+        if not (full == core or full.startswith(core + "-")):
+            raise FundingError(f"{where}: full number {full!r} does not extend core {core!r}")
         if full in awards:
             raise FundingError(f"{where}: duplicate full_project_number {full!r}")
         awards[full] = award

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import json
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -163,6 +164,16 @@ class TestStages:
             ("ingest/articles.jsonl", "link", truncate_first_line),
             ("ingest/awards.jsonl", "stats", truncate_first_line),
             ("ingest/aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
+            (
+                "link/links.jsonl",
+                "stats",
+                lambda data: re.sub(rb'"imputed_year": (\d+)', rb'"imputed_year": "\1"', data, 1),
+            ),
+            (
+                "link/links.jsonl",
+                "stats",
+                lambda data: data.replace(b'{"article_id"', b'{"added": 1, "article_id"', 1),
+            ),
         ],
         ids=[
             "truncated-fragments",
@@ -171,6 +182,8 @@ class TestStages:
             "truncated-articles",
             "truncated-awards",
             "alias-without-code",
+            "link-year-as-string",
+            "link-extra-field",
         ],
     )
     def test_malformed_artifact_is_dependency_error(
@@ -351,6 +364,9 @@ class TestCliErrors:
             ("report", "top_k", True),
             ("stats", "min_obs", 4.5),
             ("remote", "base_url", None),
+            ("paths", "workdir", ["out"]),
+            ("paths", "aliases", 5),
+            ("remote", "cache_dir", [1]),
         ],
     )
     def test_config_value_of_wrong_type(self, workspace, caplog, section, key, value):
@@ -360,6 +376,7 @@ class TestCliErrors:
         path.write_text(yaml.safe_dump(data))
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
         assert f"{section}.{key}" in caplog.text
+        assert "expected" in caplog.text  # reported as a wrong type, not as a missing file
 
     def test_missing_input_path(self, workspace):
         (workspace / "articles.jsonl").unlink()
@@ -382,6 +399,25 @@ class TestCliErrors:
         with (workspace / name).open("a", encoding="utf-8") as fh:
             fh.write("7\n")
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("articles.jsonl", "title", None),
+            ("articles.jsonl", "retracted", "no"),
+            ("articles.jsonl", "volume", 12),
+            ("awards.jsonl", "funder_code", None),
+            ("awards.jsonl", "org_id", 44387102),
+        ],
+    )
+    def test_input_field_of_wrong_type(self, workspace, caplog, name, field, value):
+        path = workspace / name
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        row = json.loads(first)
+        row[field] = value
+        path.write_text(json.dumps(row) + "\n" + rest, encoding="utf-8")
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert f"{path}:1: {field}" in caplog.text
 
 
 class TestConfig:
