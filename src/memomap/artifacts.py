@@ -1,15 +1,12 @@
 """Typed rows and stage artifacts: one decoder, one declaration per file.
 
-``decode(row_type, mapping)`` builds a dataclass from a JSON or YAML
-mapping, checking each field against its annotation: ``str``, ``bool``,
-``int`` (not a bool), ``float`` (an int or a float, loaded as float),
-``X | None``, ``tuple[T, ...]`` from a list and a nested dataclass from a
-mapping. An absent field takes its default, an absent ``X | None`` field
-without one is None, and keys that are not fields are ignored. A wrong
-value raises DecodeError naming the field (``title: expected a string,
-got None``), which each caller prefixes with its ``file:line`` or
-``section.`` and turns into its own error. Every config section, raw input
-row and JSONL artifact row is built this way.
+``decode(row_type, mapping)`` builds every config section, raw input row and
+JSONL artifact row, checking each value against its field's annotation:
+``str``, ``bool``, ``int`` (not a bool), ``float`` (an int loads as the equal
+float), ``X | None``, ``tuple[T, ...]`` from a list, a nested dataclass from a
+mapping. Absent fields take their defaults (``X | None`` ones without one are
+None); other keys are ignored. A wrong value raises DecodeError naming the
+field, which the caller prefixes with its ``file:line`` or ``section.``
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, less those declared in
@@ -43,20 +40,17 @@ class StageDependencyError(Exception):
     """An upstream artifact this stage needs is missing or malformed."""
 
 
-_T = TypeVar("_T")
-
-
 class DecodeError(ValueError):
     """A mapping value that does not fit its field; the message names the field."""
 
 
+_T = TypeVar("_T")
 _KEEP, _REQUIRED = object(), object()  # markers: a value kept as it is, an absent required field
 _SCALARS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
 
 
 def _check(annotation: Any) -> tuple[dict[type, Any], str]:
-    """Each value type a field takes, mapped to its converter or to _KEEP,
-    and what the field expects, in words."""
+    """The value types a field takes, each mapped to _KEEP or a converter, and what it expects."""
     origin, args = get_origin(annotation), get_args(annotation)
     if annotation in _SCALARS:
         accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
@@ -73,7 +67,7 @@ def _check(annotation: Any) -> tuple[dict[type, Any], str]:
 
 
 def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
-    """``value`` checked and converted; an error names ``where`` and what lies inside it."""
+    """``value`` checked and converted; an error inside it reads ``where[i]`` or ``where.field``."""
     accepts, expected = check
     convert = accepts.get(type(value))
     if convert is None:
@@ -87,8 +81,7 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
 
 @functools.cache
 def _plan(row_type: type) -> list[tuple]:
-    """Per field: its name, the value types it takes, its check, and what it
-    gets when absent from the mapping (MISSING leaves it to the dataclass default)."""
+    """Per field: name, accepted types, check, and what an absent key gives (MISSING: default)."""
     hints, plan = get_type_hints(row_type), []
     for f in fields(row_type):
         check = _check(hints[f.name])
@@ -99,8 +92,7 @@ def _plan(row_type: type) -> list[tuple]:
 
 
 def decode(row_type: type[_T], mapping: Mapping[str, Any]) -> _T:
-    """``row_type`` from ``mapping``, each value checked against its field's
-    annotation; raises DecodeError naming the first field that does not fit."""
+    """``row_type`` from ``mapping``; DecodeError names the first field whose value does not fit."""
     kw = {}
     for name, accepts, check, absent in _plan(row_type):
         value = mapping.get(name, absent)
@@ -113,11 +105,8 @@ def decode(row_type: type[_T], mapping: Mapping[str, Any]) -> _T:
 def decoded_rows(
     path: Path, row_type: type[_T], error: type[Exception], digest: Any = None, exact: bool = False
 ) -> Iterator[tuple[str, _T]]:
-    """``(path:line, row_type object)`` for each row ``jsonl_rows`` reads.
-
-    A row that does not decode raises ``error`` naming ``file:line`` and the
-    field; with ``exact``, so does a key that is not a field.
-    """
+    """``(path:line, row_type object)`` per row of ``jsonl_rows``; a row that does not
+    decode, or with ``exact`` has a key that is not a field, raises ``error``."""
     names = {f.name for f in fields(row_type)}
     for where, row in jsonl_rows(path, error, digest):
         try:

@@ -1,7 +1,6 @@
 """Pipeline configuration: one YAML file owns everything that affects results.
 
-Each section of the file is a dataclass, which declares every key's type
-and default; ``artifacts.decode`` builds it and checks each value.
+Each section is a dataclass that declares its keys' types and defaults.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ class StatsOptions:
     min_obs: int = 5
 
 
-# The sections that hold no dataclass of the pipeline's own. Paths are
-# relative to the config file's directory.
+# Sections with no dataclass of their own elsewhere; paths are relative to the config file.
 @dataclass(frozen=True)
 class _Paths:
     corpus: str

@@ -1,0 +1,80 @@
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+import pytest
+
+from memomap.artifacts import DecodeError, decode
+from memomap.biblio import ArticleRecord
+
+
+@dataclass(frozen=True)
+class Inner:
+    name: str
+
+
+@dataclass(frozen=True)
+class Row:
+    count: int
+    ratio: float
+    note: str | None
+    flag: bool = False
+    items: tuple[Inner, ...] = ()
+    tags: tuple[str, ...] = ("default",)
+
+
+class TestDecode:
+    def test_valid_mapping(self):
+        row = decode(Row, {"count": 2, "ratio": 1, "note": None, "items": [{"name": "a"}]})
+        assert row == Row(2, 1.0, None, items=(Inner("a"),))
+        assert type(row.ratio) is float  # an int loads as the equal float
+
+    def test_absent_fields(self):
+        # An absent `X | None` field is None; a defaulted one takes its default.
+        assert decode(Row, {"count": 1, "ratio": 0.5}) == Row(1, 0.5, None)
+
+    def test_keys_that_are_not_fields_are_ignored(self):
+        assert decode(Row, {"count": 1, "ratio": 0.5, "other": [1]}) == Row(1, 0.5, None)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"count": True}, "count: expected an integer, got True"),
+            ({"count": 1.0}, "count: expected an integer, got 1.0"),
+            ({"ratio": "0.5"}, "ratio: expected a number, got '0.5'"),
+            ({"ratio": False}, "ratio: expected a number, got False"),
+            ({"note": 3}, "note: expected a string or null, got 3"),
+            ({"flag": "no"}, "flag: expected true or false, got 'no'"),
+            ({"flag": None}, "flag: expected true or false, got None"),
+            ({"tags": "abc"}, "tags: expected a list, got 'abc'"),
+            ({"tags": ("a",)}, "tags: expected a list, got ('a',)"),
+            ({"tags": ["a", 5]}, "tags[1]: expected a string, got 5"),
+            ({"items": [{"name": "a"}, "b"]}, "items[1]: expected a mapping, got 'b'"),
+            ({"items": [{"name": 1}]}, "items[0].name: expected a string, got 1"),
+            ({"items": [{}]}, "items[0].name: expected a string, got nothing"),
+        ],
+    )
+    def test_wrong_value_names_the_field(self, change, message):
+        with pytest.raises(DecodeError) as caught:
+            decode(Row, {"count": 1, "ratio": 0.5, "note": "n", **change})
+        assert str(caught.value) == message
+
+    def test_absent_required_field(self):
+        with pytest.raises(DecodeError, match="^ratio: expected a number, got nothing$"):
+            decode(Row, {"count": 1})
+
+    def test_article_record_round_trip(self):
+        row = {
+            "article_id": "1",
+            "title": "T",
+            "authors": ["Smith JA"],
+            "journal": "J",
+            "pub_year": None,
+            "grant_tags": [{"award_text": "R01 CA1-01", "funder_text": "NCI"}],
+            "retracted": True,
+        }
+        record = decode(ArticleRecord, row)
+        assert record.authors == ("Smith JA",) and record.grant_tags[0].funder_text == "NCI"
+        # As the artifact writer serializes it: tuples as lists, nested rows as objects.
+        assert decode(ArticleRecord, json.loads(json.dumps(vars(record), default=vars))) == record
