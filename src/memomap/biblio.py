@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import heapq
-from collections import Counter
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -61,20 +61,33 @@ class ArticleRecord:
 
 
 class BiblioIndex:
-    """Inverted token index over title, author and journal tokens.
+    """Inverted token index over title, author and journal tokens, as record bitmaps.
 
     Built once, in the constructor, from records already validated and keyed
     by id; it has no way to add a record later. Title and journal contribute
     normalized tokens of length >= 2 while author tokens (including bare
     initials) are indexed in full.
+
+    Record i in ascending ``article_id`` order is bit i. A token's posting is
+    an ``int`` bitmap of its records when that takes no more bits than an
+    ``array("i")`` of their positions, and that array otherwise, so memory
+    stays linear in the total posting length however many records there
+    are. ``search`` adds the query's bitmaps into bit-sliced counts (O'Neil
+    and Quass 1997): plane j holds bit j of each record's shared-token count.
     """
 
     def __init__(self, records: Mapping[str, ArticleRecord]) -> None:
         self._records = records
-        self._postings: dict[str, set[str]] = {}
-        for article_id, record in records.items():
+        self._ordered = [records[article_id] for article_id in sorted(records)]
+        positions: defaultdict[str, array] = defaultdict(lambda: array("i"))
+        for i, record in enumerate(self._ordered):
             for token in record.title_tokens() | record.journal_tokens() | record.author_tokens():
-                self._postings.setdefault(token, set()).add(article_id)
+                positions[token].append(i)
+        # A bitmap needs posting[-1] + 1 bits, the array 32 per position.
+        self._postings: dict[str, int | array] = {
+            token: _bitmap(posting) if posting[-1] < 32 * len(posting) else posting
+            for token, posting in positions.items()
+        }
 
     def __len__(self) -> int:
         return len(self._records)
@@ -87,8 +100,7 @@ class BiblioIndex:
         return self._records.get(article_id)
 
     def records(self) -> Iterable[ArticleRecord]:
-        for article_id in sorted(self._records):
-            yield self._records[article_id]
+        return iter(self._ordered)
 
     def search(
         self,
@@ -100,44 +112,87 @@ class BiblioIndex:
 
         Ties break on |pub_year - year_hint| (when a hint is given; records
         without a year sort last), then on ascending article_id, so the
-        ranking is a total order. Only records whose shared count reaches
-        the k-th largest count (the smallest, when fewer than k records
-        match) are sorted: the ranking orders by count first, so no other
-        record can enter the top k, and the result, ties included, equals a
-        full sort of every candidate.
+        ranking is a total order. Each query token's bitmap is added into
+        the count planes with a ripple carry. Splitting the matching records
+        by the planes, from the top, gives one bitmap per count, highest
+        count first; only these groups are read, each sorted by year
+        distance, until k records are ranked. The ranking orders by count
+        first, so no record of a later group can enter the top k, and the
+        result, ties included, equals a full sort of every candidate.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
-        shared: Counter[str] = Counter()
+        planes: list[int] = []
+        matched = 0
         for token in set(tokens):
-            shared.update(self._postings.get(token, ()))
-        if not shared:
+            posting = self._postings.get(token)
+            if posting is None:
+                continue
+            carry = posting if isinstance(posting, int) else _bitmap(posting)
+            matched |= carry
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ carry
+                carry &= plane
+                if not carry:
+                    break
+            else:
+                planes.append(carry)
+        if not matched:
             return []
 
-        far = MAX_YEAR - MIN_YEAR + 1
-
-        def sort_key(article_id: str) -> tuple:
-            record = self._records[article_id]
+        # Split the matching records by one plane at a time, from the top,
+        # records with the bit set first: the final groups hold one count
+        # each, in descending order. Within a group, positions (ids) ascend.
+        groups = [matched]
+        for plane in reversed(planes):
+            groups = [g for group in groups for g in (group & plane, group & ~plane) if g]
+        ranked: list[int] = []
+        for group in groups:
+            members = _positions(group)
             if year_hint is not None:
-                distance = abs(record.pub_year - year_hint) if record.pub_year is not None else far
-            else:
-                distance = 0
-            return (-shared[article_id], distance, article_id)
-
-        kth = heapq.nlargest(k, shared.values())[-1]
-        ranked = sorted((a for a, count in shared.items() if count >= kth), key=sort_key)
-        return [self._records[a] for a in ranked[:k]]
+                members.sort(key=lambda i: _distance(self._ordered[i].pub_year, year_hint))
+            ranked += members
+            if len(ranked) >= k:
+                break
+        return [self._ordered[i] for i in ranked[:k]]
 
 
-def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecord]:
+def _distance(year: int | None, year_hint: int) -> int:
+    return abs(year - year_hint) if year is not None else MAX_YEAR - MIN_YEAR + 1
+
+
+def _bitmap(positions: array) -> int:
+    """The ``int`` with exactly the bits at ``positions`` (ascending) set."""
+    bits = bytearray(positions[-1] // 8 + 1)
+    for i in positions:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _positions(bitmap: int) -> list[int]:
+    """The indexes of the set bits of a non-negative ``bitmap``, ascending."""
+    bits = format(bitmap, "b")[::-1]
+    found = []
+    i = bits.find("1")
+    while i >= 0:
+        found.append(i)
+        i = bits.find("1", i + 1)
+    return found
+
+
+def read_records(
+    path: str | Path, digest: Any = None, exact: bool = False
+) -> dict[str, ArticleRecord]:
     """Parse a records JSONL file into records by id, in file order.
 
-    Schema violations and duplicate ids raise IngestError naming the line.
-    Stages that only look records up by id use this and skip the index.
-    ``digest`` (a hashlib object), when given, is updated with the file's bytes.
+    Schema violations and duplicate ids raise IngestError naming the line,
+    and so does, with ``exact`` (a file this program wrote), a key that is
+    not a field. Stages that only look records up by id use this and skip
+    the index. ``digest`` (a hashlib object), when given, is updated with
+    the file's bytes.
     """
     records: dict[str, ArticleRecord] = {}
-    for where, record in decoded_rows(Path(path), ArticleRecord, IngestError, digest):
+    for where, record in decoded_rows(Path(path), ArticleRecord, IngestError, digest, exact):
         if not record.article_id:
             raise IngestError(f"{where}: article_id must be a non-empty string")
         year = record.pub_year
@@ -149,6 +204,6 @@ def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecor
     return records
 
 
-def ingest_records(path: str | Path, digest: Any = None) -> BiblioIndex:
+def ingest_records(path: str | Path, digest: Any = None, exact: bool = False) -> BiblioIndex:
     """The search index over a records JSONL file, read by ``read_records``."""
-    return BiblioIndex(read_records(path, digest))
+    return BiblioIndex(read_records(path, digest, exact))

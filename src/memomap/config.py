@@ -104,9 +104,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
 
     def section(name: str, row_type: type) -> Any:
-        """Section ``name`` as ``row_type``; an absent or empty section takes every default."""
-        raw = data.get(name) or {}
-        if not isinstance(raw, dict):
+        """Section ``name`` as ``row_type``; an absent or null section takes every default."""
+        raw = data.get(name)
+        if raw is None:
+            raw = {}
+        elif not isinstance(raw, dict):
             raise ConfigError(f"{path}: config section {name!r} must be a mapping")
         try:
             return decode(row_type, raw)

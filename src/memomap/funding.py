@@ -151,15 +151,16 @@ class AwardDatabase:
         return self._by_article.get(article_id, ())
 
 
-def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
+def load_award_db(path: str | Path, digest: Any = None, exact: bool = False) -> AwardDatabase:
     """Award records from a JSONL file.
 
     Schema violations and duplicate full numbers raise FundingError naming
-    the line. ``digest`` (a hashlib object), when given, is updated with the
-    file's bytes.
+    the line, and so does, with ``exact`` (a file this program wrote), a key
+    that is not a field. ``digest`` (a hashlib object), when given, is
+    updated with the file's bytes.
     """
     awards: dict[str, Award] = {}
-    for where, award in decoded_rows(Path(path), Award, FundingError, digest):
+    for where, award in decoded_rows(Path(path), Award, FundingError, digest, exact):
         full, core = award.full_project_number, award.core_project_number
         if not (full == core or full.startswith(core + "-")):
             raise FundingError(f"{where}: full number {full!r} does not extend core {core!r}")

@@ -53,17 +53,18 @@ ARTICLES = Artifact(
     "ingest/articles.jsonl",
     biblio.ArticleRecord,
     omit_none=("volume", "pages"),
-    load=_parsed(lambda path, digest, config: biblio.read_records(path, digest)),
+    load=_parsed(lambda path, digest, config: biblio.read_records(path, digest, exact=True)),
 )
 # The same file as a search index, which only `resolve` builds.
 ARTICLE_INDEX = replace(
-    ARTICLES, load=_parsed(lambda path, digest, config: biblio.ingest_records(path, digest))
+    ARTICLES,
+    load=_parsed(lambda path, digest, config: biblio.ingest_records(path, digest, exact=True)),
 )
 AWARDS = Artifact(
     "ingest/awards.jsonl",
     funding.Award,
     omit_none=("org_id", "org_name"),
-    load=_parsed(lambda path, digest, config: funding.load_award_db(path, digest)),
+    load=_parsed(lambda path, digest, config: funding.load_award_db(path, digest, exact=True)),
 )
 ALIASES = Artifact(
     "ingest/aliases.csv",

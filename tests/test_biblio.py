@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from memomap import corpus
 from memomap.biblio import IngestError, ingest_records
+from memomap.config import load_config
+from memomap.resolver import fragment_years
 
 from conftest import article_row, write_jsonl
 from oracles import oracle_search
+from test_scale_goldens import _gen
 
 
 class TestIngest:
@@ -111,9 +116,22 @@ class TestSearch:
         assert [r.article_id for r in index.search(["quayle"], k=3)] == ["1"]
 
 
+def tokens_once(record) -> SimpleNamespace:
+    """``record`` for ``oracle_search``, its indexed tokens computed once."""
+    tokens = record.title_tokens() | record.journal_tokens() | record.author_tokens()
+    return SimpleNamespace(
+        article_id=record.article_id,
+        pub_year=record.pub_year,
+        title_tokens=lambda: tokens,
+        journal_tokens=frozenset,
+        author_tokens=frozenset,
+    )
+
+
 class TestTopKMatchesFullSort:
-    """search() ranks only records at or above the k-th shared count; the
-    oracle sorts every candidate. Small vocabularies force heavy ties."""
+    """search() reads only the count groups it needs for k records; the
+    oracle sorts every candidate. Small vocabularies force heavy ties; long
+    posting lists and long queries force bitmap postings and five count planes."""
 
     WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
     SURNAMES = ["Adams", "Baker", "Chen"]
@@ -162,3 +180,62 @@ class TestTopKMatchesFullSort:
         self.check(index, ["alpha", "beta", "gamma"], year_hint, k)
         self.check(index, ["alpha", "beta"], year_hint, k)
 
+    ZIPF_WORDS = [f"w{rank:03d}" for rank in range(400)]
+
+    def zipf_rows(self, rng: random.Random, n: int) -> list[dict]:
+        weights = [1 / (rank + 1) for rank in range(len(self.ZIPF_WORDS))]
+        surnames = [f"Name{i:03d}" for i in range(150)]
+        return [
+            article_row(
+                f"z{rng.randrange(10**6):06d}-{i}",
+                " ".join(rng.choices(self.ZIPF_WORDS, weights, k=rng.randint(4, 24))),
+                authors=[
+                    f"{rng.choice(surnames)} {rng.choice('ABC')}" for _ in range(rng.randint(1, 3))
+                ],
+                journal=rng.choice(["J Test Med", "Lancet", "JAMA", "BMJ", "Cell Rep"]),
+                pub_year=rng.choice([None, *range(1990, 2016)]),
+            )
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_long_postings(self, tmp_path, seed):
+        rng = random.Random(seed)
+        rows = self.zipf_rows(rng, 2000 + 300 * seed)
+        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        stored = {isinstance(p, int) for p in index._postings.values()}
+        assert stored == {True, False}  # both bitmap and sparse postings
+        records = [tokens_once(r) for r in index.records()]
+        by_id = {r.article_id: r for r in records}
+        top_shared = 0
+        for _ in range(40):
+            own = sorted(rng.choice(records).title_tokens())
+            pool = own + rng.sample(self.ZIPF_WORDS, 10) + ["nothing"]
+            tokens = rng.sample(pool, min(len(pool), rng.randint(1, 30)))
+            year_hint = rng.choice([None, 1989, 2003, 2020])
+            full = oracle_search(records, tokens, year_hint, len(records))
+            for k in (1, 10, 50, len(full) + 1):
+                got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
+                assert got == full[:k]
+            if full:
+                top_shared = max(top_shared, len(set(tokens) & by_id[full[0]].title_tokens()))
+        assert top_shared >= 16  # counts of five bits
+
+    def test_benchmark_fragments(self, tmp_path):
+        _gen().generate("resolve-zipf", 11, tmp_path, "smoke")
+        config = load_config(tmp_path / "config.yaml")
+        index = ingest_records(config.records_path)
+        records = [tokens_once(r) for r in index.records()]
+        fragments = [
+            fragment
+            for memo in corpus.load_corpus(config.corpus_path)
+            for fragment in corpus.extract_fragments(memo, config.segmenter)
+        ]
+        assert len(fragments) >= 20
+        for fragment in fragments:
+            tokens = fragment.normalized_text.split()
+            year_hint = next(iter(fragment_years(fragment.normalized_text)), None)
+            full = oracle_search(records, tokens, year_hint, len(records))
+            for k in (1, 10, 50):
+                got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
+                assert got == full[:k]

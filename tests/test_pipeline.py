@@ -174,6 +174,8 @@ class TestStages:
                 "stats",
                 lambda data: data.replace(b'{"article_id"', b'{"added": 1, "article_id"', 1),
             ),
+            ("ingest/articles.jsonl", "link", lambda data: b'{"added": 1, ' + data[1:]),
+            ("ingest/awards.jsonl", "stats", lambda data: b'{"added": 1, ' + data[1:]),
         ],
         ids=[
             "truncated-fragments",
@@ -184,6 +186,8 @@ class TestStages:
             "alias-without-code",
             "link-year-as-string",
             "link-extra-field",
+            "articles-extra-field",
+            "awards-extra-field",
         ],
     )
     def test_malformed_artifact_is_dependency_error(
@@ -377,6 +381,22 @@ class TestCliErrors:
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
         assert f"{section}.{key}" in caplog.text
         assert "expected" in caplog.text  # reported as a wrong type, not as a missing file
+
+    @pytest.mark.parametrize("section, value", [("stats", False), ("report", []), ("remote", 0)])
+    def test_falsy_section_is_config_error(self, workspace, caplog, section, value):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data[section] = value
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert f"section {section!r}" in caplog.text
+
+    def test_null_section_takes_defaults(self, workspace):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["report"] = None
+        path.write_text(yaml.safe_dump(data))
+        assert load_config(path).top_k == 10
 
     def test_missing_input_path(self, workspace):
         (workspace / "articles.jsonl").unlink()
