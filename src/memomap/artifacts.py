@@ -3,10 +3,12 @@
 ``decode(row_type, mapping)`` builds every config section, raw input row and
 JSONL artifact row, checking each value against its field's annotation:
 ``str``, ``bool``, ``int`` (not a bool), ``float`` (an int loads as the equal
-float), ``X | None``, ``tuple[T, ...]`` from a list, a nested dataclass from a
-mapping. Absent fields take their defaults (``X | None`` ones without one are
-None); other keys are ignored. A wrong value raises DecodeError naming the
-field, which the caller prefixes with its ``file:line`` or ``section.``
+float), ``datetime.date`` from an ISO date string, ``X | None``,
+``tuple[T, ...]`` from a list, a nested dataclass from a mapping. Absent
+fields take their defaults (``X | None`` ones without one are None); other
+keys are ignored, or with ``exact`` rejected at every level. A wrong value
+raises DecodeError naming the field, which the caller prefixes with its
+``file:line`` or ``section.``
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, less those declared in
@@ -21,6 +23,7 @@ and ``csv_rows`` also read the raw inputs, raising the caller's error class.
 from __future__ import annotations
 
 import csv
+import datetime
 import functools
 import hashlib
 import io
@@ -49,20 +52,22 @@ _KEEP, _REQUIRED = object(), object()  # markers: a value kept as it is, an abse
 _SCALARS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
 
 
-def _check(annotation: Any) -> tuple[dict[type, Any], str]:
+def _check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
     """The value types a field takes, each mapped to _KEEP or a converter, and what it expects."""
     origin, args = get_origin(annotation), get_args(annotation)
     if annotation in _SCALARS:
         accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
         return accepts, _SCALARS[annotation]
+    if annotation is datetime.date:
+        return {str: datetime.date.fromisoformat}, "an ISO date string"
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
-        accepts, expected = _check(args[0])
+        accepts, expected = _check(args[0], exact)
         return {**accepts, type(None): _KEEP}, f"{expected} or null"
     if origin is tuple and args[1:] == (Ellipsis,):
-        of = _check(args[0])
+        of = _check(args[0], exact)
         return {list: lambda v: tuple([_value(of, x, f"[{i}]") for i, x in enumerate(v)])}, "a list"
     if is_dataclass(annotation):
-        return {dict: functools.partial(decode, annotation)}, "a mapping"
+        return {dict: functools.partial(decode, annotation, exact=exact)}, "a mapping"
     raise TypeError(f"no decoder for {annotation!r}")
 
 
@@ -77,24 +82,31 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
         return value if convert is _KEEP else convert(value)
     except DecodeError as exc:
         raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
+    except ValueError:  # a string that is no ISO date
+        raise DecodeError(f"{where}: expected {expected}, got {value!r}") from None
 
 
 @functools.cache
-def _plan(row_type: type) -> list[tuple]:
-    """Per field: name, accepted types, check, and what an absent key gives (MISSING: default)."""
+def _plan(row_type: type, exact: bool) -> tuple[frozenset[str], list[tuple]]:
+    """The field names, and per field: name, accepted types, check, and what an
+    absent key gives (MISSING: the default)."""
     hints, plan = get_type_hints(row_type), []
     for f in fields(row_type):
-        check = _check(hints[f.name])
+        check = _check(hints[f.name], exact)
         defaulted = f.default is not MISSING or f.default_factory is not MISSING
         absent = MISSING if defaulted else None if type(None) in check[0] else _REQUIRED
         plan.append((f.name, check[0], check, absent))
-    return plan
+    return frozenset(step[0] for step in plan), plan
 
 
-def decode(row_type: type[_T], mapping: Mapping[str, Any]) -> _T:
-    """``row_type`` from ``mapping``; DecodeError names the first field whose value does not fit."""
+def decode(row_type: type[_T], mapping: Mapping[str, Any], exact: bool = False) -> _T:
+    """``row_type`` from ``mapping``; DecodeError names the first field whose value does not
+    fit, or with ``exact`` (here and in nested rows) a key that is not a field."""
+    names, plan = _plan(row_type, exact)
+    if exact and not names.issuperset(mapping):
+        raise DecodeError(f"{min(mapping.keys() - names)}: not a field")
     kw = {}
-    for name, accepts, check, absent in _plan(row_type):
+    for name, accepts, check, absent in plan:
         value = mapping.get(name, absent)
         if value is not MISSING:
             # Only a list, a nested row, an int for a float or a wrong type goes on.
@@ -107,12 +119,9 @@ def decoded_rows(
 ) -> Iterator[tuple[str, _T]]:
     """``(path:line, row_type object)`` per row of ``jsonl_rows``; a row that does not
     decode, or with ``exact`` has a key that is not a field, raises ``error``."""
-    names = {f.name for f in fields(row_type)}
     for where, row in jsonl_rows(path, error, digest):
         try:
-            if exact and not names.issuperset(row):
-                raise DecodeError(f"{min(row.keys() - names)}: not a field")
-            yield where, decode(row_type, row)
+            yield where, decode(row_type, row, exact)
         except DecodeError as exc:
             raise error(f"{where}: {exc}") from exc
 

@@ -187,8 +187,7 @@ def read_records(
 
     Schema violations and duplicate ids raise IngestError naming the line,
     and so does, with ``exact`` (a file this program wrote), a key that is
-    not a field. Stages that only look records up by id use this and skip
-    the index. ``digest`` (a hashlib object), when given, is updated with
+    not a field. ``digest`` (a hashlib object), when given, is updated with
     the file's bytes.
     """
     records: dict[str, ArticleRecord] = {}
@@ -204,6 +203,6 @@ def read_records(
     return records
 
 
-def ingest_records(path: str | Path, digest: Any = None, exact: bool = False) -> BiblioIndex:
-    """The search index over a records JSONL file, read by ``read_records``."""
-    return BiblioIndex(read_records(path, digest, exact))
+def ingest_records(records: Mapping[str, ArticleRecord]) -> BiblioIndex:
+    """The search index over records by id, as ``read_records`` returns them."""
+    return BiblioIndex(records)

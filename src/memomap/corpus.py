@@ -7,8 +7,9 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
-from .artifacts import jsonl_rows
+from .artifacts import decoded_rows
 
 
 class CorpusError(Exception):
@@ -163,51 +164,38 @@ def extract_fragments(memo: Memo, config: SegmenterConfig | None = None) -> list
     return split_fragments(memo.memo_id, section, config.min_fragment_chars)
 
 
-def _parse_date(value: object) -> datetime.date | None:
-    if value in (None, ""):
-        return None
-    if isinstance(value, str):
-        try:
-            return datetime.date.fromisoformat(value)
-        except ValueError as exc:
-            raise CorpusError(f"bad decision_date {value!r}: {exc}") from exc
-    raise CorpusError(f"bad decision_date {value!r}")
-
-
-def load_corpus(path: str | Path) -> list[Memo]:
+def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
     """Load memos from a JSONL file or a directory of UTF-8 text files.
 
-    JSONL rows carry {memo_id, title, decision_date, body_text}. In
-    directory mode the file stem is the memo id and the first non-empty
-    line is taken as the title.
+    JSONL rows carry {memo_id, title, decision_date, body_text}, decoded by
+    ``artifacts.decode``. In directory mode each ``*.txt`` file is a memo:
+    the file stem is its id and its first non-empty line its title.
+    ``digest`` (a hashlib object), when given, is updated with the bytes
+    read: the JSONL file's, or per text file, in name order, its name, a
+    NUL, its bytes and a NUL.
     """
     path = Path(path)
     memos: list[Memo] = []
-    seen: set[str] = set()
-
     if path.is_dir():
         for file in sorted(path.glob("*.txt")):
-            body = file.read_text(encoding="utf-8")
+            data = file.read_bytes()
+            if digest is not None:
+                digest.update(file.name.encode("utf-8") + b"\0" + data + b"\0")
+            try:
+                body = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{file}: not UTF-8 text: {exc}") from exc
             title = next((ln.strip() for ln in body.splitlines() if ln.strip()), "")
             memos.append(Memo(memo_id=file.stem, title=title, body_text=body))
     elif path.is_file():
-        for where, row in jsonl_rows(path, CorpusError):
-            memo_id = row.get("memo_id")
-            if not memo_id or not isinstance(memo_id, str):
-                raise CorpusError(f"{where}: missing memo_id")
-            memos.append(
-                Memo(
-                    memo_id=memo_id,
-                    title=str(row.get("title") or ""),
-                    decision_date=_parse_date(row.get("decision_date")),
-                    body_text=str(row.get("body_text") or ""),
-                )
-            )
+        seen: set[str] = set()
+        for where, memo in decoded_rows(path, Memo, CorpusError, digest):
+            if not memo.memo_id:
+                raise CorpusError(f"{where}: memo_id must be a non-empty string")
+            if memo.memo_id in seen:
+                raise CorpusError(f"{where}: duplicate memo_id {memo.memo_id!r} in corpus")
+            seen.add(memo.memo_id)
+            memos.append(memo)
     else:
         raise CorpusError(f"corpus path does not exist: {path}")
-
-    for memo in memos:
-        if memo.memo_id in seen:
-            raise CorpusError(f"duplicate memo_id {memo.memo_id!r} in corpus")
-        seen.add(memo.memo_id)
     return memos

@@ -23,7 +23,6 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, TypeVar
@@ -54,11 +53,6 @@ ARTICLES = Artifact(
     biblio.ArticleRecord,
     omit_none=("volume", "pages"),
     load=_parsed(lambda path, digest, config: biblio.read_records(path, digest, exact=True)),
-)
-# The same file as a search index, which only `resolve` builds.
-ARTICLE_INDEX = replace(
-    ARTICLES,
-    load=_parsed(lambda path, digest, config: biblio.ingest_records(path, digest, exact=True)),
 )
 AWARDS = Artifact(
     "ingest/awards.jsonl",
@@ -97,18 +91,6 @@ FLAGS = Artifact(
 
 def _sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def _sha256_path(path: Path) -> str:
-    if path.is_dir():
-        digest = hashlib.sha256()
-        for file in sorted(p for p in path.rglob("*") if p.is_file()):
-            digest.update(file.relative_to(path).as_posix().encode("utf-8"))
-            digest.update(b"\0")
-            digest.update(file.read_bytes())
-            digest.update(b"\0")
-        return digest.hexdigest()
-    return _sha256_bytes(path.read_bytes())
 
 
 def _json_document(document: dict) -> bytes:
@@ -224,7 +206,8 @@ def _read_aliases(config: PipelineConfig) -> tuple[funding.FunderAliasTable, byt
 
 def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Validate raw inputs and normalize them into workdir artifacts."""
-    memos = corpus.load_corpus(config.corpus_path)
+    corpus_digest, records_digest, awards_digest = (hashlib.sha256() for _ in range(3))
+    memos = corpus.load_corpus(config.corpus_path, corpus_digest)
     fragments: list[corpus.ReferenceFragment] = []
     for memo in sorted(memos, key=lambda m: m.memo_id):
         memo_fragments = corpus.extract_fragments(memo, config.segmenter)
@@ -232,50 +215,51 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
             logger.info("memo %s: no reference fragments found", memo.memo_id)
         fragments.extend(memo_fragments)
 
-    records_digest, awards_digest = hashlib.sha256(), hashlib.sha256()
-    index = biblio.ingest_records(config.records_path, records_digest)
+    records = biblio.read_records(config.records_path, records_digest)
     award_db = funding.load_award_db(config.award_db_path, awards_digest)
     aliases, aliases_bytes = _read_aliases(config)
 
     inputs = {
-        "corpus": _sha256_path(config.corpus_path),
+        "corpus": corpus_digest.hexdigest(),
         "records": records_digest.hexdigest(),
         "award_db": awards_digest.hexdigest(),
     }
     if config.aliases_path is not None:
         inputs["aliases"] = _sha256_bytes(aliases_bytes)
-    records = {r.article_id: r for r in index.records()}
     outputs: Outputs = {
         FRAGMENTS: fragments,
-        ARTICLES: records.values(),
+        ARTICLES: (records[article_id] for article_id in sorted(records)),
         AWARDS: award_db.all_awards(),
         ALIASES.name: aliases_bytes,
-        "index_stats.json": _json_document(
-            {"record_count": len(index), "token_count": index.token_count}
-        ),
     }
     hand_on = {
         FRAGMENTS: fragments,
         ARTICLES: records,
-        ARTICLE_INDEX: index,
         AWARDS: award_db,
         ALIASES: aliases,
     }
     return _write_stage("ingest", config, inputs, outputs, hand_on, upstream)
 
 
-def _resolve(config: PipelineConfig, fragments, index) -> Computed:
+def _resolve(config: PipelineConfig, fragments, records) -> Computed:
+    index = biblio.ingest_records(records)
     remote_client = None
     if config.remote.enabled:
         remote_client = RemoteLookupClient(config.remote, config.cache_dir())
     results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, remote_client)
-    outputs = {RESOLUTION: results, COVERAGE: coverage}
-    return outputs, outputs
+    outputs: Outputs = {
+        RESOLUTION: results,
+        COVERAGE: coverage,
+        "index_stats.json": _json_document(
+            {"record_count": len(index), "token_count": index.token_count}
+        ),
+    }
+    return outputs, {RESOLUTION: results, COVERAGE: coverage}
 
 
 def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Resolve fragments against the article index; emit coverage."""
-    return _run("resolve", (FRAGMENTS, ARTICLE_INDEX), _resolve, config, upstream)
+    """Build the article index, resolve fragments against it; emit coverage."""
+    return _run("resolve", (FRAGMENTS, ARTICLES), _resolve, config, upstream)
 
 
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Computed:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from memomap.biblio import ingest_records
+from memomap.biblio import ingest_records, read_records
 from memomap.funding import AwardDatabase, Award, FunderAliasTable
 
 
@@ -52,7 +52,7 @@ def small_index(tmp_path):
             retracted=True,
         ),
     ]
-    return ingest_records(write_jsonl(tmp_path / "small_index.jsonl", rows))
+    return ingest_records(read_records(write_jsonl(tmp_path / "small_index.jsonl", rows)))
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 import pytest
 
-from memomap.biblio import ingest_records
+from memomap.biblio import ingest_records, read_records
 from memomap.cli import EXIT_OK, main
 from memomap.config import load_config
 from memomap.funding import Award, AwardDatabase, impute_award_year
@@ -144,7 +144,7 @@ def test_criterion_5_resolution_quality(tmp_path):
     with criterion(5, "labeled 200-fragment corpus: precision >= 0.95, recall >= 0.90"):
         records, labeled = build_labeled_corpus()
         assert len(labeled) == 200
-        index = ingest_records(write_jsonl(tmp_path / "records.jsonl", records))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "records.jsonl", records)))
 
         runs = []
         for _ in range(2):
@@ -208,6 +208,8 @@ def test_criterion_7_end_to_end_golden(pipeline_run):
         for name, expected in sorted(golden.items()):
             assert name in produced, f"missing artifact {name}"
             assert produced[name] == expected, f"artifact differs: {name}"
+        artifacts = {name for name in produced if name.rsplit("/", 1)[-1] != "manifest.json"}
+        assert artifacts == set(golden), "produced files are not the golden file set"
 
 
 def test_criterion_8_share_difference_properties():

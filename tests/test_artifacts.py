@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import datetime
 import json
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ class Row:
     flag: bool = False
     items: tuple[Inner, ...] = ()
     tags: tuple[str, ...] = ("default",)
+    when: datetime.date | None = None
 
 
 class TestDecode:
@@ -36,6 +38,24 @@ class TestDecode:
 
     def test_keys_that_are_not_fields_are_ignored(self):
         assert decode(Row, {"count": 1, "ratio": 0.5, "other": [1]}) == Row(1, 0.5, None)
+        nested = {"count": 1, "ratio": 0.5, "items": [{"name": "a", "other": 1}]}
+        assert decode(Row, nested) == Row(1, 0.5, None, items=(Inner("a"),))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"other": [1]}, "other: not a field"),
+            ({"items": [{"name": "a"}, {"name": "b", "other": 1}]}, "items[1].other: not a field"),
+        ],
+    )
+    def test_exact_rejects_keys_that_are_not_fields_at_every_level(self, extra, message):
+        with pytest.raises(DecodeError) as caught:
+            decode(Row, {"count": 1, "ratio": 0.5, **extra}, exact=True)
+        assert str(caught.value) == message
+
+    def test_date_from_iso_string(self):
+        row = decode(Row, {"count": 1, "ratio": 0.5, "when": "2010-05-04"})
+        assert row.when == datetime.date(2010, 5, 4)
 
     @pytest.mark.parametrize(
         "change, message",
@@ -53,6 +73,8 @@ class TestDecode:
             ({"items": [{"name": "a"}, "b"]}, "items[1]: expected a mapping, got 'b'"),
             ({"items": [{"name": 1}]}, "items[0].name: expected a string, got 1"),
             ({"items": [{}]}, "items[0].name: expected a string, got nothing"),
+            ({"when": "2004-13-01"}, "when: expected an ISO date string or null, got '2004-13-01'"),
+            ({"when": 20041101}, "when: expected an ISO date string or null, got 20041101"),
         ],
     )
     def test_wrong_value_names_the_field(self, change, message):

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from memomap import corpus
-from memomap.biblio import IngestError, ingest_records
+from memomap.biblio import IngestError, ingest_records, read_records
 from memomap.config import load_config
 from memomap.resolver import fragment_years
 
@@ -18,13 +18,13 @@ from test_scale_goldens import _gen
 
 class TestIngest:
     def test_empty_source(self, tmp_path):
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", []))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", [])))
         assert len(index) == 0
         assert index.token_count == 0
 
     def test_counts_from_file(self, tmp_path):
         rows = [article_row(str(i), f"Title number {i} alpha beta") for i in range(1, 11)]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         assert len(index) == 10
 
     def test_duplicate_id_names_line(self, tmp_path):
@@ -32,7 +32,7 @@ class TestIngest:
         rows.append(article_row("3", "A repeat"))
         path = write_jsonl(tmp_path / "r.jsonl", rows)
         with pytest.raises(IngestError, match=r"r\.jsonl:7.*'3'"):
-            ingest_records(path)
+            read_records(path)
 
     def test_schema_violation_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
@@ -40,18 +40,18 @@ class TestIngest:
         bad = json.dumps({"article_id": "2", "title": "No authors", "journal": "J"})
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(IngestError, match=r"r\.jsonl:2"):
-            ingest_records(path)
+            read_records(path)
 
     def test_pub_year_range_enforced(self, tmp_path):
         path = write_jsonl(tmp_path / "r.jsonl", [article_row("1", "T", pub_year=1492)])
         with pytest.raises(IngestError, match=r"r\.jsonl:1: pub_year"):
-            ingest_records(path)
+            read_records(path)
 
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text(json.dumps(article_row("1", "ok")) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(IngestError, match=r"r\.jsonl:2"):
-            ingest_records(path)
+            read_records(path)
 
 
 class TestSearch:
@@ -69,7 +69,7 @@ class TestSearch:
             article_row("2000", shared_title, pub_year=2000),
             article_row("2010", shared_title, pub_year=2010),
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         tokens = shared_title.split()
         assert index.search(tokens, year_hint=2009, k=2)[0].article_id == "2010"
         assert index.search(tokens, year_hint=2001, k=2)[0].article_id == "2000"
@@ -80,7 +80,7 @@ class TestSearch:
             article_row("b", shared_title, pub_year=2005),
             article_row("a", shared_title, pub_year=2005),
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         hits = index.search(shared_title.split(), year_hint=2005, k=2)
         assert [h.article_id for h in hits] == ["a", "b"]
 
@@ -90,8 +90,10 @@ class TestSearch:
             article_row("2", "alpha beta gamma epsilon"),
             article_row("3", "alpha beta zeta eta"),
         ]
-        forward = ingest_records(write_jsonl(tmp_path / "forward.jsonl", rows))
-        backward = ingest_records(write_jsonl(tmp_path / "backward.jsonl", rows[::-1]))
+        forward = ingest_records(read_records(write_jsonl(tmp_path / "forward.jsonl", rows)))
+        backward = ingest_records(
+            read_records(write_jsonl(tmp_path / "backward.jsonl", rows[::-1]))
+        )
         tokens = ["alpha", "beta", "gamma", "delta"]
         assert [r.article_id for r in forward.search(tokens, k=3)] == [
             r.article_id for r in backward.search(tokens, k=3)
@@ -109,7 +111,7 @@ class TestSearch:
 
     def test_single_letters_reach_only_authors(self, tmp_path):
         rows = [article_row("1", "A b of x", authors=["Quayle J"], journal="Q J")]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         # 'a', 'b', 'x' are too short for the title field; 'j' matches the author initial.
         assert index.search(["a"], k=3) == []
         assert [r.article_id for r in index.search(["j"], k=3)] == ["1"]
@@ -158,7 +160,7 @@ class TestTopKMatchesFullSort:
     def test_random_indexes(self, tmp_path, seed):
         rng = random.Random(seed)
         rows = self.random_rows(rng, rng.randint(5, 60))
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         query_pool = self.WORDS + ["adams", "chen", "a", "b", "lancet", "med", "nothing"]
         for _ in range(30):
             tokens = rng.sample(query_pool, rng.randint(1, 5))
@@ -176,7 +178,7 @@ class TestTopKMatchesFullSort:
             for i in range(12)
         ]
         rows += [article_row(f"u{i:02d}", "alpha beta", pub_year=2002) for i in range(6)]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         self.check(index, ["alpha", "beta", "gamma"], year_hint, k)
         self.check(index, ["alpha", "beta"], year_hint, k)
 
@@ -202,7 +204,7 @@ class TestTopKMatchesFullSort:
     def test_long_postings(self, tmp_path, seed):
         rng = random.Random(seed)
         rows = self.zipf_rows(rng, 2000 + 300 * seed)
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         stored = {isinstance(p, int) for p in index._postings.values()}
         assert stored == {True, False}  # both bitmap and sparse postings
         records = [tokens_once(r) for r in index.records()]
@@ -224,7 +226,7 @@ class TestTopKMatchesFullSort:
     def test_benchmark_fragments(self, tmp_path):
         _gen().generate("resolve-zipf", 11, tmp_path, "smoke")
         config = load_config(tmp_path / "config.yaml")
-        index = ingest_records(config.records_path)
+        index = ingest_records(read_records(config.records_path))
         records = [tokens_once(r) for r in index.records()]
         fragments = [
             fragment

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from memomap.biblio import ingest_records
+from memomap.biblio import ingest_records, read_records
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -71,7 +71,7 @@ class TestExtract:
     def make_record(self, tmp_path):
         def make(tags):
             rows = [article_row("10", "T", grant_tags=tags)]
-            return ingest_records(write_jsonl(tmp_path / "r.jsonl", rows)).get("10")
+            return ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows))).get("10")
 
         return make
 
@@ -130,7 +130,7 @@ class TestMerge:
                 grant_tags=[{"award_text": "R01 CA031770-01", "funder_text": "NCI"}],
             )
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         drafts = extract_article_awards(index.get("1001"), aliases)
         drafts += lookup_awards_citing("1001", award_db)
         merged = merge_drafts(drafts)
@@ -214,7 +214,7 @@ class TestBuildLinks:
                 grant_tags=[{"award_text": "EY999", "funder_text": "Acme Trust"}],
             ),
         ]
-        index = ingest_records(write_jsonl(tmp_path / "articles.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "articles.jsonl", rows)))
         return [index.get(a) for a in ("1001", "1002", "1003")]
 
     def test_links_carry_imputed_year_and_org(self, aliases, award_db, articles):
@@ -247,7 +247,7 @@ class TestBuildLinks:
                 ],
             )
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         links = build_links([index.get("2001")], award_db, aliases)
         by_core = {l.core_project_number: l for l in links}
         assert sorted(by_core) == ["R01CA031770", "U01ZZ000001"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import hashlib
 import json
 import re
 import shutil
@@ -176,6 +177,11 @@ class TestStages:
             ),
             ("ingest/articles.jsonl", "link", lambda data: b'{"added": 1, ' + data[1:]),
             ("ingest/awards.jsonl", "stats", lambda data: b'{"added": 1, ' + data[1:]),
+            (
+                "ingest/articles.jsonl",
+                "link",
+                lambda data: data.replace(b'"grant_tags": [{', b'"grant_tags": [{"added": 1, ', 1),
+            ),
         ],
         ids=[
             "truncated-fragments",
@@ -188,6 +194,7 @@ class TestStages:
             "link-extra-field",
             "articles-extra-field",
             "awards-extra-field",
+            "articles-nested-extra-field",
         ],
     )
     def test_malformed_artifact_is_dependency_error(
@@ -225,8 +232,8 @@ class TestLoadOnce:
     def test_index_from_raw_records_equals_index_from_artifact(self, workspace):
         run_all(load_config(workspace / "config.yaml"))
         ingest_dir = workspace / "out" / "ingest"
-        raw = biblio.ingest_records(workspace / "articles.jsonl")
-        loaded = biblio.ingest_records(ingest_dir / "articles.jsonl")
+        raw = biblio.ingest_records(biblio.read_records(workspace / "articles.jsonl"))
+        loaded = biblio.ingest_records(biblio.read_records(ingest_dir / "articles.jsonl"))
         assert list(raw.records()) == list(loaded.records())
         fragments = [
             json.loads(line)["normalized_text"]
@@ -287,7 +294,13 @@ class TestSingleStageLoads:
     def test_each_input_opened_once(self, primed, monkeypatch):
         out = primed.workdir
         reads = count_reads(monkeypatch, out)
-        for stage, run in (("link", run_link), ("stats", run_stats), ("report", run_report)):
+        stages = (
+            ("resolve", run_resolve),
+            ("link", run_link),
+            ("stats", run_stats),
+            ("report", run_report),
+        )
+        for stage, run in stages:
             reads.clear()
             run(primed)
             opened = dict(reads)
@@ -323,12 +336,56 @@ class TestSingleStageLoads:
             assert all(l.article_id in cited for l in links)
 
 
+def use_directory_corpus(workspace: Path, memos: dict[str, bytes]) -> Path:
+    """Point the config's corpus at a directory holding ``memos`` as ``<id>.txt`` files."""
+    corpus_dir = workspace / "memos"
+    corpus_dir.mkdir()
+    for memo_id, body in memos.items():
+        (corpus_dir / f"{memo_id}.txt").write_bytes(body)
+    path = workspace / "config.yaml"
+    data = yaml.safe_load(path.read_text())
+    data["paths"]["corpus"] = "memos"
+    path.write_text(yaml.safe_dump(data))
+    return corpus_dir
+
+
 class TestIngestLoads:
     def test_alias_table_opened_once(self, workspace, monkeypatch):
         config = load_config(workspace / "config.yaml")
         reads = count_reads(monkeypatch, workspace)
         run_ingest(config)
         assert reads[workspace / "aliases.csv"] == 1
+
+    def test_corpus_file_opened_once(self, workspace, monkeypatch):
+        config = load_config(workspace / "config.yaml")
+        reads = count_reads(monkeypatch, workspace)
+        run_ingest(config)
+        assert reads[workspace / "memos.jsonl"] == 1
+
+    def test_corpus_directory_read_once_and_hashed(self, workspace, monkeypatch):
+        memos = {"CAG-2": b"Second\n", "CAG-1": b"First\n"}
+        corpus_dir = use_directory_corpus(workspace, memos)
+        (corpus_dir / "notes.md").write_bytes(b"not a memo\n")
+        config = load_config(workspace / "config.yaml")
+        reads = count_reads(monkeypatch, corpus_dir)
+        run_ingest(config)
+        assert dict(reads) == {corpus_dir / f"{m}.txt": 1 for m in memos}
+        # Each .txt file framed as name, NUL, bytes, NUL, in name order.
+        framed = b"".join(f"{m}.txt".encode() + b"\0" + memos[m] + b"\0" for m in sorted(memos))
+        manifest = json.loads((config.workdir / "ingest" / "manifest.json").read_bytes())
+        assert manifest["inputs"]["corpus"] == hashlib.sha256(framed).hexdigest()
+
+    def test_ingest_builds_no_index(self, workspace, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ingest must not build the inverted index")
+
+        monkeypatch.setattr(biblio, "ingest_records", forbidden)
+        monkeypatch.setattr(biblio.BiblioIndex, "__init__", forbidden)
+        run_ingest(load_config(workspace / "config.yaml"))
+        produced = read_tree(workspace / "out")
+        for name, expected in sorted(read_tree(FIXTURES / "golden").items()):
+            if name.startswith("ingest/"):
+                assert produced[name] == expected, f"artifact differs: {name}"
 
 
 class TestHandOff:
@@ -428,6 +485,9 @@ class TestCliErrors:
             ("articles.jsonl", "volume", 12),
             ("awards.jsonl", "funder_code", None),
             ("awards.jsonl", "org_id", 44387102),
+            ("memos.jsonl", "body_text", 12345),
+            ("memos.jsonl", "title", None),
+            ("memos.jsonl", "decision_date", "2004-13-01"),
         ],
     )
     def test_input_field_of_wrong_type(self, workspace, caplog, name, field, value):
@@ -438,6 +498,19 @@ class TestCliErrors:
         path.write_text(json.dumps(row) + "\n" + rest, encoding="utf-8")
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
         assert f"{path}:1: {field}" in caplog.text
+
+    def test_duplicate_memo_id_names_line(self, workspace, caplog):
+        memos = workspace / "memos.jsonl"
+        first = memos.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+        with memos.open("a", encoding="utf-8") as fh:
+            fh.write(first)
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert f"{memos}:4: duplicate memo_id" in caplog.text
+
+    def test_memo_file_not_utf8_is_input_error(self, workspace, caplog):
+        corpus_dir = use_directory_corpus(workspace, {"CAG-1": b"Title\n\xff\xfe References\n"})
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert f"{corpus_dir / 'CAG-1.txt'}: not UTF-8" in caplog.text
 
 
 class TestConfig:
@@ -483,16 +556,8 @@ class TestConfig:
         assert config.to_canonical_dict() == config.to_canonical_dict()
 
     def test_directory_corpus_accepted(self, workspace):
-        corpus_dir = workspace / "memos"
-        corpus_dir.mkdir()
-        (corpus_dir / "CAG-1.txt").write_text(
-            "Title\nReferences\n1. A citation long enough to keep around for the split.\n",
-            encoding="utf-8",
-        )
-        path = workspace / "config.yaml"
-        data = yaml.safe_load(path.read_text())
-        data["paths"]["corpus"] = "memos"
-        path.write_text(yaml.safe_dump(data))
-        assert main(["ingest", "--config", str(path)]) == EXIT_OK
+        body = b"Title\nReferences\n1. A citation long enough to keep around for the split.\n"
+        use_directory_corpus(workspace, {"CAG-1": body})
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_OK
         fragments = (workspace / "out" / "ingest" / "fragments.jsonl").read_text()
         assert "CAG-1" in fragments

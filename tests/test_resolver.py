@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from memomap.biblio import ingest_records
+from memomap.biblio import ingest_records, read_records
 from memomap.corpus import ReferenceFragment, normalize_fragment
 from memomap.pipeline import RESOLUTION
 from memomap.remote import RemoteUnavailableError
@@ -65,13 +65,13 @@ class TestScore:
                 pub_year=2014,
             )
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         frag = fragment("Antibiotic stewardship reduces resistance rates")
         assert score_candidate(frag, index.get("50")) == pytest.approx(0.6)
 
     def test_year_within_one_gets_half_credit(self, tmp_path):
         rows = [article_row("60", "unique sentinel phrase", pub_year=2005)]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         base = score_candidate(fragment("unique sentinel phrase"), index.get("60"))
         near = score_candidate(fragment("unique sentinel phrase 2006"), index.get("60"))
         exact = score_candidate(fragment("unique sentinel phrase 2005"), index.get("60"))
@@ -114,7 +114,7 @@ class TestResolveFragment:
             article_row("71", shared + " alpha", authors=["Nguyen PT"], pub_year=2015),
             article_row("72", shared + " omega", authors=["Nguyen PT"], pub_year=2015),
         ]
-        index = ingest_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
         frag = fragment(f"Nguyen PT. {shared} alpha. J Test Med. 2015.")
         best = score_candidate(frag, index.get("71"))
         second = score_candidate(frag, index.get("72"))
