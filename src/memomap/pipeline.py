@@ -85,7 +85,7 @@ KLD = Artifact(
     ("memo_id", "kld_f=kld_funders", "kld_ro=kld_orgs", "n_f=n_entities_f", "n_ro=n_entities_ro"),
 )
 FLAGS = Artifact(
-    "report/retraction_flags.csv", report.RetractionFlag, ("memo_id", "article_id", "note")
+    "resolve/retraction_flags.csv", report.RetractionFlag, ("memo_id", "article_id", "note")
 )
 
 
@@ -250,6 +250,7 @@ def _resolve(config: PipelineConfig, fragments, records) -> Computed:
     outputs: Outputs = {
         RESOLUTION: results,
         COVERAGE: coverage,
+        FLAGS: report.flag_retracted(results, records),
         "index_stats.json": _json_document(
             {"record_count": len(index), "token_count": index.token_count}
         ),
@@ -258,7 +259,7 @@ def _resolve(config: PipelineConfig, fragments, records) -> Computed:
 
 
 def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Build the article index, resolve fragments against it; emit coverage."""
+    """Build the article index, resolve fragments against it; emit coverage and retractions."""
     return _run("resolve", (FRAGMENTS, ARTICLES), _resolve, config, upstream)
 
 
@@ -377,10 +378,9 @@ def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> di
 
 
 def _report(
-    config: PipelineConfig, links, resolution, coverage, records, tests_funders, tests_orgs, memo_id
+    config: PipelineConfig, links, resolution, coverage, tests_funders, tests_orgs, memo_id
 ) -> Computed:
     funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
-    flags = report.flag_retracted(resolution, records)
     scatter_csv, summary_csv = report.coverage_report(coverage)
 
     rows_by_memo = _group(resolution, lambda r: r.memo_id)
@@ -393,7 +393,6 @@ def _report(
     outputs: Outputs = {
         "funder_table.csv": funder_table.encode("utf-8"),
         "recipient_table.csv": recipient_table.encode("utf-8"),
-        FLAGS: flags,
         "coverage_scatter.csv": scatter_csv.encode("utf-8"),
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
@@ -412,8 +411,8 @@ def _report(
 def run_report(
     config: PipelineConfig, memo_id: str | None = None, *, upstream: Upstream | None = None
 ) -> dict[str, Path]:
-    """Tables, per-memo flow diagrams, retraction flags, coverage report."""
-    inputs = (LINKS, RESOLUTION, COVERAGE, ARTICLES, TESTS_FUNDERS, TESTS_ORGS)
+    """Tables, per-memo flow diagrams, coverage report."""
+    inputs = (LINKS, RESOLUTION, COVERAGE, TESTS_FUNDERS, TESTS_ORGS)
     return _run("report", inputs, _report, config, upstream, memo_id)
 
 

@@ -2,7 +2,8 @@
 
 Responses are cached on disk keyed by query hash, requests go through a
 rate-limit gate, and offline mode answers from the cache only. An id is
-returned only when the service reports exactly one match.
+returned only when the service reports exactly one match. An answer whose
+``ids`` is present but not a list of non-empty strings is a miss.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ class RemoteConfig:
 
 def query_hash(query: str) -> str:
     return hashlib.sha256(query.encode("utf-8")).hexdigest()
+
+
+_MALFORMED = "is not a JSON object with a list of string ids, treated as a miss"
+
+
+def _well_formed(payload: object) -> bool:
+    """Whether ``payload`` is an object whose ``ids``, if any, are non-empty strings in a list."""
+    if not isinstance(payload, dict):
+        return False
+    ids = payload.get("ids", [])
+    return isinstance(ids, list) and all(isinstance(i, str) and i for i in ids)
 
 
 def _default_fetch(url: str, params: dict) -> dict:
@@ -71,7 +83,7 @@ class RemoteLookupClient:
         """The cached payload, or None on a miss.
 
         An entry that is not a JSON object (for example a file truncated by
-        an interrupted write) counts as a miss.
+        an interrupted write), or whose ``ids`` are malformed, counts as a miss.
         """
         path = self._cache_path(query)
         if not path.exists():
@@ -80,8 +92,8 @@ class RemoteLookupClient:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):
             payload = None
-        if not isinstance(payload, dict):
-            logger.warning("remote cache entry %s is not a JSON object, treated as a miss", path)
+        if not _well_formed(payload):
+            logger.warning("remote cache entry %s %s", path, _MALFORMED)
             return None
         return payload
 
@@ -128,9 +140,9 @@ class RemoteLookupClient:
     def lookup(self, fragment_text: str) -> str | None:
         """Return the article id for a fragment, or None.
 
-        None covers ambiguous multi-match responses, empty responses, and
-        offline cache misses; transport failure past the retry cap raises
-        RemoteUnavailableError.
+        None covers ambiguous multi-match responses, empty responses,
+        malformed answers (not cached) and offline cache misses; transport
+        failure past the retry cap raises RemoteUnavailableError.
         """
         payload = self._read_cache(fragment_text)
         if payload is None:
@@ -138,8 +150,9 @@ class RemoteLookupClient:
                 logger.info("offline mode: remote cache miss, skipping lookup")
                 return None
             payload = self._request(fragment_text)
+            if not _well_formed(payload):
+                logger.warning("remote answer for %r %s", fragment_text, _MALFORMED)
+                return None
             self._write_cache(fragment_text, payload)
-        ids = payload.get("ids") or []
-        if len(ids) == 1:
-            return str(ids[0])
-        return None
+        ids = payload.get("ids", [])
+        return ids[0] if len(ids) == 1 else None

@@ -9,6 +9,7 @@ Walsh-average order statistics at signed-rank quantiles.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import statistics
@@ -154,15 +155,16 @@ def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
     return ranks, tie_sizes
 
 
-def _signed_rank_counts(n: int) -> list[int]:
-    """counts[w] = number of rank subsets of {1..n} summing to w."""
+@functools.cache
+def _signed_rank_counts(n: int) -> tuple[int, ...]:
+    """counts[w] = number of rank subsets of {1..n} summing to w; built once per n."""
     counts = [1]
     for rank in range(1, n + 1):
         grown = counts + [0] * rank
         for w in range(len(counts) - 1, -1, -1):
             grown[w + rank] += counts[w]
         counts = grown
-    return counts
+    return tuple(counts)
 
 
 def wilcoxon_signed_rank(xs: Sequence[float], mu: float = 0.0, method: str = "auto") -> float:

@@ -22,6 +22,9 @@ from memomap import biblio, funding, report
 from memomap.config import ConfigError, load_config
 from memomap.resolver import fragment_years
 from memomap.pipeline import (
+    ARTICLES,
+    FLAGS,
+    RESOLUTION,
     StageDependencyError,
     run_all,
     run_ingest,
@@ -290,6 +293,27 @@ class TestSingleStageLoads:
         for name, expected in sorted(read_tree(FIXTURES / "golden").items()):
             if name.startswith(("link/", "report/")):
                 assert produced[name] == expected, f"artifact differs: {name}"
+
+    @pytest.mark.parametrize("memo_id", [None, "CAG-00202R"])
+    def test_report_reads_no_article_record(self, primed, monkeypatch, memo_id):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("report must not decode the article records")
+
+        monkeypatch.setattr(biblio, "read_records", forbidden)
+        reads = count_reads(monkeypatch, primed.workdir)
+        run_report(primed, memo_id)
+        assert reads and not [p for p in reads if p.is_relative_to(primed.workdir / "ingest")]
+
+    def test_resolve_flags_its_own_retracted_results(self, primed):
+        shutil.rmtree(primed.workdir / "resolve")
+        run_resolve(primed)
+        manifest = json.loads((primed.workdir / "resolve" / "manifest.json").read_bytes())
+        assert "retraction_flags.csv" in manifest["outputs"]
+        expected = report.flag_retracted(
+            RESOLUTION.read(primed).objects, ARTICLES.read(primed).objects
+        )
+        assert len(expected) == 3
+        assert FLAGS.read(primed).objects == expected
 
     def test_each_input_opened_once(self, primed, monkeypatch):
         out = primed.workdir

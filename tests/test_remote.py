@@ -138,3 +138,47 @@ def test_online_corrupt_entry_is_refetched_and_rewritten(tmp_path):
     assert len(transport.calls) == 1
     assert json.loads(path.read_text(encoding="utf-8")) == {"ids": ["7"]}
     assert sorted(p.name for p in path.parent.iterdir()) == [path.name]  # no temporary left
+
+
+@pytest.mark.parametrize(
+    "payload, fetched",
+    [
+        ({"ids": [None]}, False),
+        ({"ids": "7"}, False),
+        ({"ids": [""]}, False),
+        ({"ids": [True]}, False),
+        ({"ids": [{"a": 1}]}, False),
+        ({"ids": [None]}, True),
+    ],
+    ids=["null", "string", "empty-string", "bool", "object", "fetched-null"],
+)
+def test_malformed_ids_are_a_warned_miss(tmp_path, caplog, payload, fetched):
+    if fetched:
+        client = make_client(tmp_path, FakeTransport({"q": payload}))
+        named = "'q'"
+    else:
+        named = corrupt_entry(tmp_path, "q", json.dumps(payload)).name
+        client = make_client(tmp_path, FakeTransport(), offline=True)
+    with caplog.at_level(logging.WARNING):
+        assert client.lookup("q") is None
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and named in warnings[0]
+    if fetched:
+        assert not client._cache_path("q").exists()  # a malformed answer is not cached
+
+
+@pytest.mark.parametrize("payload", [{}, {"ids": []}])
+def test_absent_or_empty_ids_are_a_silent_miss(tmp_path, caplog, payload):
+    corrupt_entry(tmp_path, "q", json.dumps(payload))
+    client = make_client(tmp_path, FakeTransport(), offline=True)
+    with caplog.at_level(logging.WARNING):
+        assert client.lookup("q") is None
+    assert not [r for r in caplog.records if r.levelno == logging.WARNING]
+
+
+def test_online_entry_with_malformed_ids_is_refetched(tmp_path):
+    path = corrupt_entry(tmp_path, "q", '{"ids": [7]}')
+    transport = FakeTransport({"q": {"ids": ["7"]}})
+    assert make_client(tmp_path, transport).lookup("q") == "7"
+    assert len(transport.calls) == 1
+    assert json.loads(path.read_text(encoding="utf-8")) == {"ids": ["7"]}

@@ -11,7 +11,7 @@ must leave exactly the tree ``all`` wrote.
 
 The same run at the benchmark's full size (seed 11) is pinned in
 ``scale_goldens_full.json``. It takes too long for the test suite, so the
-script checks it, and CI runs that check under ``PYTHONHASHSEED=0``:
+script checks it, and CI runs that check under ``PYTHONHASHSEED`` 0 and 1:
 
     PYTHONPATH=src python tests/test_scale_goldens.py --size full --check
 
