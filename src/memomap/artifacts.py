@@ -14,10 +14,13 @@ An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, less those declared in
 ``omit_none`` when they are None; reading one back also rejects a key that
 is not a field, since this program wrote the file. A CSV row is the
-declared columns, each an attribute of the row object. Writing and reading
+declared columns, each an attribute of the row object; reading one back
+decodes its field columns, a string field's cell as it is and any other
+cell as a JSON scalar, so ``1_0`` is no integer. Writing and reading
 both stream the file line by line and return the sha256 of its bytes, which
 the stage manifest records; reading also returns the objects. ``jsonl_rows``
-and ``csv_rows`` also read the raw inputs, raising the caller's error class.
+and ``csv_rows`` also read the raw inputs, raising the caller's error class
+(an ``InputError`` for a raw input).
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from typing import TypeVar, get_args, get_origin, get_type_hints
 
 if TYPE_CHECKING:
     from .config import PipelineConfig
+
+
+class InputError(Exception):
+    """A raw input (corpus, records, awards, aliases) or a statistic's input is invalid."""
 
 
 class StageDependencyError(Exception):
@@ -104,7 +111,7 @@ def decode(row_type: type[_T], mapping: Mapping[str, Any], exact: bool = False) 
     fit, or with ``exact`` (here and in nested rows) a key that is not a field."""
     names, plan = _plan(row_type, exact)
     if exact and not names.issuperset(mapping):
-        raise DecodeError(f"{min(mapping.keys() - names)}: not a field")
+        raise DecodeError(f"{min(mapping.keys() - names, key=str)}: not a field")
     kw = {}
     for name, accepts, check, absent in plan:
         value = mapping.get(name, absent)
@@ -239,8 +246,8 @@ class Artifact:
     def read(self, config: PipelineConfig) -> Loaded:
         """Parse the artifact from the working directory, hashing what it reads.
 
-        A missing file or a malformed row raises StageDependencyError, the
-        latter naming ``file:line``.
+        A missing file, a malformed row or a loader's InputError raises
+        StageDependencyError, a malformed row naming its ``file:line``.
         """
         path = config.workdir / self.path
         if not path.is_file():
@@ -248,7 +255,10 @@ class Artifact:
             raise StageDependencyError(f"missing artifact {path}; run stage '{stage}' first")
         digest = hashlib.sha256()
         if self.load is not None:
-            objects = self.load(path, digest, config)
+            try:
+                objects = self.load(path, digest, config)
+            except InputError as exc:  # a bad copy in the workdir is a bad upstream stage
+                raise StageDependencyError(str(exc)) from exc
         elif self.columns:
             objects = self._parse_csv(path, digest)
         else:  # a program-written JSONL file: a key that is no field means a foreign file
@@ -259,8 +269,10 @@ class Artifact:
     def _parse_csv(self, path: Path, digest: Any) -> list:
         columns = self._columns()
         header = [column for column, _ in columns]
-        # Columns that are fields (not derived properties) rebuild the row.
-        types = get_type_hints(self.row_type)
+        # Columns that are fields (not derived properties) rebuild the row through
+        # decode: a str field takes its cell as it is, any other the cell read as JSON.
+        hints = get_type_hints(self.row_type)
+        cells = [(i, a, hints[a] is str) for i, (_, a) in enumerate(columns) if a in hints]
         rows = csv_rows(path, StageDependencyError, digest)
         where, first = next(rows, (f"{path}:1", None))
         if first != header:
@@ -270,10 +282,17 @@ class Artifact:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, expected {len(header)}")
-                cells = zip(columns, row)
-                objects.append(
-                    self.row_type(**{a: types[a](cell) for (_, a), cell in cells if a in types})
-                )
-            except (TypeError, ValueError) as exc:
+                mapping = {attr: row[i] if text else _json_cell(row[i]) for i, attr, text in cells}
+                objects.append(decode(self.row_type, mapping))
+            except ValueError as exc:  # DecodeError and a row type's own checks included
                 raise StageDependencyError(f"{where}: {exc}") from exc
         return objects
+
+
+def _json_cell(cell: str) -> Any:
+    """A CSV cell read as a JSON scalar; a cell that is no JSON stays text, which
+    ``decode`` rejects for any field but a string."""
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell

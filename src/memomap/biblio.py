@@ -8,11 +8,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .artifacts import decoded_rows
+from .artifacts import InputError, decoded_rows
 from .corpus import normalize_fragment
 
 
-class IngestError(Exception):
+class IngestError(InputError):
     """Records file violates the article schema."""
 
 
@@ -77,7 +77,6 @@ class BiblioIndex:
     """
 
     def __init__(self, records: Mapping[str, ArticleRecord]) -> None:
-        self._records = records
         self._ordered = [records[article_id] for article_id in sorted(records)]
         positions: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for i, record in enumerate(self._ordered):
@@ -90,17 +89,11 @@ class BiblioIndex:
         }
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ordered)
 
     @property
     def token_count(self) -> int:
         return len(self._postings)
-
-    def get(self, article_id: str) -> ArticleRecord | None:
-        return self._records.get(article_id)
-
-    def records(self) -> Iterable[ArticleRecord]:
-        return iter(self._ordered)
 
     def search(
         self,

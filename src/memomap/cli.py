@@ -7,13 +7,9 @@ import logging
 import sys
 
 from . import pipeline
-from .artifacts import StageDependencyError
-from .biblio import IngestError
+from .artifacts import InputError, StageDependencyError
 from .config import ConfigError, load_config
-from .corpus import CorpusError
-from .funding import FundingError
 from .remote import RemoteUnavailableError
-from .stats import StatsError
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -62,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         logger.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    except (CorpusError, IngestError, FundingError, StatsError) as exc:
+    except InputError as exc:
         logger.error("input error: %s", exc)
         return EXIT_INPUT
     except StageDependencyError as exc:

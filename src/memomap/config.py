@@ -1,11 +1,13 @@
 """Pipeline configuration: one YAML file owns everything that affects results.
 
-Each section is a dataclass that declares its keys' types and defaults.
+Each section is a dataclass that declares its keys' types and defaults. A
+section or a key that nothing declares is an error, so a misspelling cannot
+silently leave a default in force.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, get_args, get_type_hints
 
@@ -102,16 +104,25 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
+    read: set[str] = set()
 
-    def section(name: str, row_type: type) -> Any:
-        """Section ``name`` as ``row_type``; an absent or null section takes every default."""
+    def section(name: str, row_type: type, beside: type | None = None) -> Any:
+        """Section ``name`` as ``row_type``; an absent or null section takes every default.
+
+        A key that is a field neither of ``row_type`` nor of ``beside``, which
+        is read from the same section, is an error.
+        """
+        read.add(name)
         raw = data.get(name)
         if raw is None:
             raw = {}
         elif not isinstance(raw, dict):
             raise ConfigError(f"{path}: config section {name!r} must be a mapping")
+        if beside is not None:
+            declared = {f.name for f in fields(beside)}
+            raw = {key: value for key, value in raw.items() if key not in declared}
         try:
-            return decode(row_type, raw)
+            return decode(row_type, raw, exact=True)
         except DecodeError as exc:
             raise ConfigError(f"{path}: {name}.{exc}") from exc
         except CorpusError as exc:
@@ -119,7 +130,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     base = path.parent
     paths = section("paths", _Paths)
-    cache_dir = section("remote", _RemoteCache).cache_dir
+    cache_dir = section("remote", _RemoteCache, beside=RemoteConfig).cache_dir
     config = PipelineConfig(
         corpus_path=base / paths.corpus,
         records_path=base / paths.records,
@@ -128,12 +139,15 @@ def load_config(path: str | Path) -> PipelineConfig:
         aliases_path=base / paths.aliases if paths.aliases else None,
         segmenter=section("corpus", SegmenterConfig),
         resolver=section("resolver", ResolverConfig),
-        remote=section("remote", RemoteConfig),
+        remote=section("remote", RemoteConfig, beside=_RemoteCache),
         remote_cache_dir=base / cache_dir if cache_dir else None,
         on_unmapped=section("funding", _Funding).on_unmapped,
         stats=section("stats", StatsOptions),
         top_k=section("report", _Report).top_k,
     )
+    unknown = data.keys() - read
+    if unknown:
+        raise ConfigError(f"{path}: {min(unknown, key=str)}: not a config section")
     validate_config(config)
     return config
 

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .artifacts import decoded_rows
+from .artifacts import InputError, decoded_rows
 
 
-class CorpusError(Exception):
+class CorpusError(InputError):
     """Malformed corpus input or segmenter configuration."""
 
 

@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .artifacts import csv_rows, decoded_rows
+from .artifacts import InputError, csv_rows, decoded_rows
 from .biblio import ArticleRecord
 
 logger = logging.getLogger(__name__)
@@ -26,7 +26,7 @@ _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
 _WS_RE = re.compile(r"\s+")
 
 
-class FundingError(Exception):
+class FundingError(InputError):
     """Malformed award database, alias table, or award identifier."""
 
 
@@ -230,18 +230,6 @@ def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
             award.full_project_number,
         ),
     )
-
-
-def impute_award_year(
-    core_project_number: str, pub_year: int, award_db: AwardDatabase
-) -> tuple[str | None, int]:
-    """Full number and fiscal year of the award ``_closest`` picks among those
-    of the core number; without any, (None, the year before publication)."""
-    records = award_db.records_for_core(core_project_number)
-    if not records:
-        return None, pub_year - 1
-    best = _closest(records, pub_year)
-    return best.full_project_number, best.fiscal_year
 
 
 def merge_drafts(drafts: Iterable[ArticleAwardLink]) -> list[ArticleAwardLink]:

@@ -31,38 +31,27 @@ from . import biblio, corpus, funding, report, resolver, stats
 from .artifacts import Artifact, Loaded, StageDependencyError
 from .config import PipelineConfig
 from .remote import RemoteLookupClient
-from .stats import DegenerateSampleError, InsufficientDataError
 
 logger = logging.getLogger(__name__)
 
-def _parsed(parse: Callable[[Path, Any, PipelineConfig], Any]) -> Callable[..., Any]:
-    """An artifact loader from a raw-input parser, whose errors are dependency errors here."""
 
-    def load(path: Path, digest: Any, config: PipelineConfig) -> Any:
-        try:
-            return parse(path, digest, config)
-        except (biblio.IngestError, funding.FundingError) as exc:
-            raise StageDependencyError(str(exc)) from exc
-
-    return load
-
-
+# The loaders look the parsers up on each call, so a wrapper bound in their place runs.
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
 ARTICLES = Artifact(
     "ingest/articles.jsonl",
     biblio.ArticleRecord,
     omit_none=("volume", "pages"),
-    load=_parsed(lambda path, digest, config: biblio.read_records(path, digest, exact=True)),
+    load=lambda path, digest, config: biblio.read_records(path, digest, exact=True),
 )
 AWARDS = Artifact(
     "ingest/awards.jsonl",
     funding.Award,
     omit_none=("org_id", "org_name"),
-    load=_parsed(lambda path, digest, config: funding.load_award_db(path, digest, exact=True)),
+    load=lambda path, digest, config: funding.load_award_db(path, digest, exact=True),
 )
 ALIASES = Artifact(
     "ingest/aliases.csv",
-    load=_parsed(lambda path, digest, cfg: funding.load_aliases(path, cfg.on_unmapped, digest)),
+    load=lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
 )
 RESOLUTION = Artifact(
     "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
@@ -357,7 +346,7 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
             "ci_hi": paired.ci_hi,
             "p_value": paired.p_value,
         }
-    except (DegenerateSampleError, InsufficientDataError, stats.StatsError) as exc:
+    except stats.StatsError as exc:  # a degenerate or too small sample included
         logger.warning("paired concentration comparison unavailable: %s", exc)
         comparison = {"n": len(kld_rows), "error": str(exc)}
 

@@ -9,6 +9,7 @@ bit. Floats appear only at emission time, as correctly rounded quotients.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
@@ -315,6 +316,38 @@ def _format(value: float | None, spec: str) -> str:
     return "" if value is None else format(value, spec)
 
 
+_TABLE_HEADER = "entity,label,n_awards,pct_awards,n_obs,median_diff,ci_lo,ci_hi,p_value".split(",")
+
+
+def _stat_cells(stat: StatResult | None) -> list[str]:
+    if stat is None:
+        return ["", "", "", "", ""]
+    return [
+        str(stat.n),
+        _format(stat.median_diff, ".6g"),
+        _format(stat.ci_lo, ".6g"),
+        _format(stat.ci_hi, ".6g"),
+        _format(stat.p_value, ".3g"),
+    ]
+
+
+def _entity_table(
+    entities: list[str], labels: Mapping[str, str], results: Mapping[str, StatResult]
+) -> str:
+    """One row per entity, sorted: its label (default: itself), count, percent of
+    all ``entities`` and test result, if any."""
+    counts = Counter(entities)
+    rows = [_TABLE_HEADER]
+    for entity in sorted(counts):
+        count = counts[entity]
+        share = f"{share_of_total(count, len(entities)):.2f}"
+        rows.append(
+            [entity, labels.get(entity, entity), str(count), share]
+            + _stat_cells(results.get(entity))
+        )
+    return csv_text(rows)
+
+
 def emit_tables(
     links: Iterable[ArticleAwardLink],
     funder_stats: Iterable[StatResult],
@@ -328,59 +361,15 @@ def emit_tables(
     comparable identity such as unknown orgs) keep blank test columns.
     """
     links = list(links)
-    total = len(links)
-    funder_by_entity = {s.entity: s for s in funder_stats}
-    org_by_entity = {s.entity: s for s in org_stats}
-
-    header = [
-        "entity",
-        "label",
-        "n_awards",
-        "pct_awards",
-        "n_obs",
-        "median_diff",
-        "ci_lo",
-        "ci_hi",
-        "p_value",
-    ]
-
-    def stat_cells(stat: StatResult | None) -> list[str]:
-        if stat is None:
-            return ["", "", "", "", ""]
-        return [
-            str(stat.n),
-            _format(stat.median_diff, ".6g"),
-            _format(stat.ci_lo, ".6g"),
-            _format(stat.ci_hi, ".6g"),
-            _format(stat.p_value, ".3g"),
-        ]
-
-    funder_counts: dict[str, int] = {}
-    for link in links:
-        funder_counts[link.funder_code] = funder_counts.get(link.funder_code, 0) + 1
-    funder_rows = [header]
-    for funder in sorted(funder_counts):
-        count = funder_counts[funder]
-        funder_rows.append(
-            [funder, funder, str(count), f"{share_of_total(count, total):.2f}"]
-            + stat_cells(funder_by_entity.get(funder))
-        )
-
-    org_counts: dict[str, int] = {}
-    for link in links:
-        org = link.org_id if link.org_id is not None else "UNKNOWN"
-        org_counts[org] = org_counts.get(org, 0) + 1
-    org_labels = _org_labels(links)
-    org_labels.setdefault("UNKNOWN", "Unknown")
-    org_rows = [header]
-    for org in sorted(org_counts):
-        count = org_counts[org]
-        org_rows.append(
-            [org, org_labels.get(org, org), str(count), f"{share_of_total(count, total):.2f}"]
-            + stat_cells(org_by_entity.get(org) if org != "UNKNOWN" else None)
-        )
-
-    return csv_text(funder_rows), csv_text(org_rows)
+    funder_table = _entity_table(
+        [link.funder_code for link in links], {}, {s.entity: s for s in funder_stats}
+    )
+    recipient_table = _entity_table(
+        [link.org_id if link.org_id is not None else "UNKNOWN" for link in links],
+        {"UNKNOWN": "Unknown", **_org_labels(links)},
+        {s.entity: s for s in org_stats if s.entity != "UNKNOWN"},
+    )
+    return funder_table, recipient_table
 
 
 def flag_retracted(

@@ -48,6 +48,13 @@ class CoverageStats:
     fragment_count: int
     linked_count: int
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.linked_count <= self.fragment_count or self.fragment_count < 1:
+            raise ValueError(
+                f"fragment_count {self.fragment_count} and linked_count {self.linked_count}: "
+                "need 1 <= fragment_count and 0 <= linked_count <= fragment_count"
+            )
+
     @property
     def linked_pct(self) -> float:
         return 100.0 * self.linked_count / self.fragment_count
@@ -185,8 +192,8 @@ def resolve_corpus(
 def coverage_summary(coverage: Iterable[CoverageStats]) -> dict:
     """Median and interquartile range of linked_pct across memos.
 
-    Memos with zero fragments never reach this point (resolve_corpus emits
-    coverage rows only for memos with fragments).
+    Memos with zero fragments never reach this point: ``CoverageStats``
+    holds at least one fragment.
     """
     pcts = sorted(c.linked_pct for c in coverage)
     if not pcts:

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, Sequence, TypeVar
 
+from .artifacts import InputError
+
 logger = logging.getLogger(__name__)
 
 EXACT_MAX_N = 20
@@ -26,7 +28,7 @@ EXACT_MAX_N = 20
 _H = TypeVar("_H", bound=Hashable)
 
 
-class StatsError(Exception):
+class StatsError(InputError):
     """Invalid statistical input (bad proportions, empty pool, bad level)."""
 
 

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from memomap.biblio import ingest_records, read_records
-from memomap.funding import AwardDatabase, Award, FunderAliasTable
+from memomap.biblio import ArticleRecord, GrantTag, ingest_records, read_records
+from memomap.funding import AwardDatabase, Award, FunderAliasTable, build_links
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -26,8 +26,16 @@ def article_row(article_id: str, title: str, **kwargs) -> dict:
     return row
 
 
+def imputed_award(awards: list[Award], core: str, pub_year: int) -> tuple[str | None, int]:
+    """The full project number and year ``build_links`` imputes for the one link
+    of an article published in ``pub_year`` whose one grant tag names ``core``."""
+    record = ArticleRecord("A1", "T", (), "J", pub_year, grant_tags=(GrantTag(core, "NCI"),))
+    [link] = build_links([record], AwardDatabase(awards), FunderAliasTable({"NCI": "NCI"}))
+    return link.imputed_full_project, link.imputed_year
+
+
 @pytest.fixture
-def small_index(tmp_path):
+def small_records(tmp_path):
     rows = [
         article_row(
             "1001",
@@ -52,7 +60,12 @@ def small_index(tmp_path):
             retracted=True,
         ),
     ]
-    return ingest_records(read_records(write_jsonl(tmp_path / "small_index.jsonl", rows)))
+    return read_records(write_jsonl(tmp_path / "small_records.jsonl", rows))
+
+
+@pytest.fixture
+def small_index(small_records):
+    return ingest_records(small_records)
 
 
 @pytest.fixture

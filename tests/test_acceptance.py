@@ -17,13 +17,13 @@ import pytest
 from memomap.biblio import ingest_records, read_records
 from memomap.cli import EXIT_OK, main
 from memomap.config import load_config
-from memomap.funding import Award, AwardDatabase, impute_award_year
+from memomap.funding import Award
 from memomap.pipeline import LINKS, RESOLUTION
 from memomap.report import build_flow_graph
 from memomap.resolver import resolve_fragment
 from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
 
-from conftest import write_jsonl
+from conftest import imputed_award, write_jsonl
 from oracles import enumeration_p, oracle_impute
 from synth import build_labeled_corpus
 from test_pipeline import FIXTURES, INPUT_FILES, read_tree
@@ -133,9 +133,8 @@ def test_criterion_4_year_imputation():
                 )
                 for i in range(n_projects)
             ]
-            db = AwardDatabase(records)
-            got = impute_award_year("CORE", pub_year, db)
-            assert got == oracle_impute(pub_year, db.records_for_core("CORE"))
+            got = imputed_award(records, "CORE", pub_year)
+            assert got == oracle_impute(pub_year, records)
             if not records:
                 assert got == (None, pub_year - 1)
 

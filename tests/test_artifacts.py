@@ -3,11 +3,14 @@ from __future__ import annotations
 import datetime
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
 from memomap.artifacts import DecodeError, decode
 from memomap.biblio import ArticleRecord
+from memomap.pipeline import COVERAGE
+from memomap.resolver import CoverageStats
 
 
 @dataclass(frozen=True)
@@ -100,3 +103,11 @@ class TestDecode:
         assert record.authors == ("Smith JA",) and record.grant_tags[0].funder_text == "NCI"
         # As the artifact writer serializes it: tuples as lists, nested rows as objects.
         assert decode(ArticleRecord, json.loads(json.dumps(vars(record), default=vars))) == record
+
+
+def test_csv_string_field_keeps_its_cell(tmp_path):
+    # Cells of non-string fields are read as JSON; a string field's cell never is.
+    rows = [CoverageStats("0123", 2, 1), CoverageStats("true", 1, 1), CoverageStats("null", 3, 0)]
+    (tmp_path / "resolve").mkdir()
+    COVERAGE.write(rows, tmp_path / COVERAGE.path)
+    assert COVERAGE.read(SimpleNamespace(workdir=tmp_path)).objects == rows

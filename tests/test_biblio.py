@@ -55,8 +55,8 @@ class TestIngest:
 
 
 class TestSearch:
-    def test_self_retrieval(self, small_index):
-        record = small_index.get("1001")
+    def test_self_retrieval(self, small_records, small_index):
+        record = small_records["1001"]
         hits = small_index.search(record.title_tokens(), k=5)
         assert hits[0].article_id == "1001"
 
@@ -152,21 +152,22 @@ class TestTopKMatchesFullSort:
             )
         return rows
 
-    def check(self, index, tokens, year_hint, k):
+    def check(self, index, records, tokens, year_hint, k):
         got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
-        assert got == oracle_search(index.records(), tokens, year_hint, k)
+        assert got == oracle_search(records.values(), tokens, year_hint, k)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_indexes(self, tmp_path, seed):
         rng = random.Random(seed)
         rows = self.random_rows(rng, rng.randint(5, 60))
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(records)
         query_pool = self.WORDS + ["adams", "chen", "a", "b", "lancet", "med", "nothing"]
         for _ in range(30):
             tokens = rng.sample(query_pool, rng.randint(1, 5))
             year_hint = rng.choice([None, 2000, 2003, 2010])
             for k in (1, 2, 5, 10, len(index), len(index) + 7):
-                self.check(index, tokens, year_hint, k)
+                self.check(index, records, tokens, year_hint, k)
 
     @pytest.mark.parametrize("year_hint", [None, 2002])
     @pytest.mark.parametrize("k", [1, 4, 9, 40])
@@ -178,9 +179,10 @@ class TestTopKMatchesFullSort:
             for i in range(12)
         ]
         rows += [article_row(f"u{i:02d}", "alpha beta", pub_year=2002) for i in range(6)]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
-        self.check(index, ["alpha", "beta", "gamma"], year_hint, k)
-        self.check(index, ["alpha", "beta"], year_hint, k)
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(records)
+        self.check(index, records, ["alpha", "beta", "gamma"], year_hint, k)
+        self.check(index, records, ["alpha", "beta"], year_hint, k)
 
     ZIPF_WORDS = [f"w{rank:03d}" for rank in range(400)]
 
@@ -204,10 +206,11 @@ class TestTopKMatchesFullSort:
     def test_long_postings(self, tmp_path, seed):
         rng = random.Random(seed)
         rows = self.zipf_rows(rng, 2000 + 300 * seed)
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+        mapping = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(mapping)
         stored = {isinstance(p, int) for p in index._postings.values()}
         assert stored == {True, False}  # both bitmap and sparse postings
-        records = [tokens_once(r) for r in index.records()]
+        records = [tokens_once(mapping[article_id]) for article_id in sorted(mapping)]
         by_id = {r.article_id: r for r in records}
         top_shared = 0
         for _ in range(40):
@@ -226,8 +229,9 @@ class TestTopKMatchesFullSort:
     def test_benchmark_fragments(self, tmp_path):
         _gen().generate("resolve-zipf", 11, tmp_path, "smoke")
         config = load_config(tmp_path / "config.yaml")
-        index = ingest_records(read_records(config.records_path))
-        records = [tokens_once(r) for r in index.records()]
+        mapping = read_records(config.records_path)
+        index = ingest_records(mapping)
+        records = [tokens_once(r) for r in mapping.values()]
         fragments = [
             fragment
             for memo in corpus.load_corpus(config.corpus_path)

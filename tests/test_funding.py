@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from memomap.biblio import ingest_records, read_records
+from memomap.biblio import read_records
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -17,14 +17,13 @@ from memomap.funding import (
     UnmappedFunderError,
     build_links,
     extract_article_awards,
-    impute_award_year,
     load_award_db,
     lookup_awards_citing,
     merge_drafts,
     parse_core_project,
 )
 
-from conftest import article_row, write_jsonl
+from conftest import article_row, imputed_award, write_jsonl
 from oracles import oracle_impute
 
 
@@ -71,7 +70,7 @@ class TestExtract:
     def make_record(self, tmp_path):
         def make(tags):
             rows = [article_row("10", "T", grant_tags=tags)]
-            return ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows))).get("10")
+            return read_records(write_jsonl(tmp_path / "r.jsonl", rows))["10"]
 
         return make
 
@@ -130,8 +129,8 @@ class TestMerge:
                 grant_tags=[{"award_text": "R01 CA031770-01", "funder_text": "NCI"}],
             )
         ]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
-        drafts = extract_article_awards(index.get("1001"), aliases)
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        drafts = extract_article_awards(records["1001"], aliases)
         drafts += lookup_awards_citing("1001", award_db)
         merged = merge_drafts(drafts)
         assert len(merged) == 2  # CA core collapsed, HL core from the db side
@@ -147,53 +146,45 @@ class TestMerge:
 
 
 class TestImputeYear:
-    def db_with_years(self, years):
-        return AwardDatabase(
-            [
-                Award(f"R01XX000001-{i:02d}", "R01XX000001", "NCI", year)
-                for i, year in enumerate(sorted(years), start=1)
-            ]
-        )
+    """The award behind a link, as ``build_links`` imputes it."""
+
+    def awards_with_years(self, years):
+        return [
+            Award(f"R01XX000001-{i:02d}", "R01XX000001", "NCI", year)
+            for i, year in enumerate(sorted(years), start=1)
+        ]
 
     def test_closest_to_one_before_publication(self):
-        db = self.db_with_years([2001, 2003, 2004, 2006])
-        full, year = impute_award_year("R01XX000001", 2005, db)
-        assert year == 2004
-        assert full == "R01XX000001-03"
+        awards = self.awards_with_years([2001, 2003, 2004, 2006])
+        assert imputed_award(awards, "R01XX000001", 2005) == ("R01XX000001-03", 2004)
 
     def test_absent_core_falls_back_to_prior_year(self):
-        db = self.db_with_years([2001])
-        assert impute_award_year("R99ZZ999999", 1990, db) == (None, 1989)
+        awards = self.awards_with_years([2001])
+        assert imputed_award(awards, "R99ZZ999999", 1990) == (None, 1989)
 
     def test_tie_prefers_larger_difference(self):
         # d in {2, 0} ties at |d-1| = 1; the earlier (pre-publication) year wins.
-        db = self.db_with_years([2003, 2005])
-        _, year = impute_award_year("R01XX000001", 2005, db)
+        awards = self.awards_with_years([2003, 2005])
+        _, year = imputed_award(awards, "R01XX000001", 2005)
         assert year == 2003
 
     def test_remaining_tie_breaks_on_project_number(self):
-        db = AwardDatabase(
-            [
-                Award("R01XX000001-05", "R01XX000001", "NCI", 2004),
-                Award("R01XX000001-02", "R01XX000001", "NCI", 2004),
-            ]
-        )
-        full, year = impute_award_year("R01XX000001", 2005, db)
-        assert (full, year) == ("R01XX000001-02", 2004)
+        awards = [
+            Award("R01XX000001-05", "R01XX000001", "NCI", 2004),
+            Award("R01XX000001-02", "R01XX000001", "NCI", 2004),
+        ]
+        assert imputed_award(awards, "R01XX000001", 2005) == ("R01XX000001-02", 2004)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(42)
         for _ in range(300):
             pub_year = rng.randint(1990, 2020)
             years = [rng.randint(1985, 2022) for _ in range(rng.randint(1, 8))]
-            records = [
+            awards = [
                 Award(f"R01AB0000{i:02d}-01", "CORE", "NCI", year)
                 for i, year in enumerate(years)
             ]
-            db = AwardDatabase(records)
-            assert impute_award_year("CORE", pub_year, db) == oracle_impute(
-                pub_year, db.records_for_core("CORE")
-            )
+            assert imputed_award(awards, "CORE", pub_year) == oracle_impute(pub_year, awards)
 
 
 class TestBuildLinks:
@@ -214,8 +205,8 @@ class TestBuildLinks:
                 grant_tags=[{"award_text": "EY999", "funder_text": "Acme Trust"}],
             ),
         ]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "articles.jsonl", rows)))
-        return [index.get(a) for a in ("1001", "1002", "1003")]
+        records = read_records(write_jsonl(tmp_path / "articles.jsonl", rows))
+        return [records[a] for a in ("1001", "1002", "1003")]
 
     def test_links_carry_imputed_year_and_org(self, aliases, award_db, articles):
         links = build_links(articles, award_db, aliases)
@@ -247,8 +238,8 @@ class TestBuildLinks:
                 ],
             )
         ]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
-        links = build_links([index.get("2001")], award_db, aliases)
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        links = build_links([records["2001"]], award_db, aliases)
         by_core = {l.core_project_number: l for l in links}
         assert sorted(by_core) == ["R01CA031770", "U01ZZ000001"]
 

@@ -19,7 +19,12 @@ from memomap.cli import (
     main,
 )
 from memomap import biblio, funding, report
+from memomap.artifacts import InputError
+from memomap.biblio import IngestError
 from memomap.config import ConfigError, load_config
+from memomap.corpus import CorpusError
+from memomap.funding import FundingError
+from memomap.stats import StatsError
 from memomap.resolver import fragment_years
 from memomap.pipeline import (
     ARTICLES,
@@ -181,6 +186,12 @@ class TestStages:
             ("ingest/articles.jsonl", "link", lambda data: b'{"added": 1, ' + data[1:]),
             ("ingest/awards.jsonl", "stats", lambda data: b'{"added": 1, ' + data[1:]),
             (
+                "ingest/awards.jsonl",
+                "link",
+                lambda data: re.sub(rb'"fiscal_year": (\d+)', rb'"fiscal_year": "\1"', data, 1),
+            ),
+            ("ingest/awards.jsonl", "link", lambda data: data + data.split(b"\n", 1)[0] + b"\n"),
+            (
                 "ingest/articles.jsonl",
                 "link",
                 lambda data: data.replace(b'"grant_tags": [{', b'"grant_tags": [{"added": 1, ', 1),
@@ -197,6 +208,8 @@ class TestStages:
             "link-extra-field",
             "articles-extra-field",
             "awards-extra-field",
+            "awards-year-as-string",
+            "awards-duplicate-row",
             "articles-nested-extra-field",
         ],
     )
@@ -211,6 +224,37 @@ class TestStages:
         path.write_bytes(corrupt(data))
         assert main([command, "--config", config]) == EXIT_DEPENDENCY
         assert f"{path}:" in caplog.text
+
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (b"1_6,14", "fragment_count: expected an integer, got '1_6'"),
+            (b"16.0,14", "fragment_count: expected an integer, got 16.0"),
+            (b"16,", "linked_count: expected an integer, got ''"),
+            (b'"""16""",14', "fragment_count: expected an integer, got '16'"),
+            (b"0,0", "fragment_count 0 and linked_count 0"),
+            (b"16,17", "fragment_count 16 and linked_count 17"),
+            (b"16,-1", "fragment_count 16 and linked_count -1"),
+        ],
+        ids=[
+            "underscore",
+            "float",
+            "empty",
+            "json-string",
+            "zero-fragments",
+            "over-linked",
+            "negative",
+        ],
+    )
+    def test_bad_coverage_row_names_line(self, workspace, caplog, cells, message):
+        config = str(workspace / "config.yaml")
+        assert main(["all", "--config", config]) == EXIT_OK
+        path = workspace / "out" / "resolve" / "coverage.csv"
+        data = path.read_bytes()
+        assert b"\nCAG-00101N,16,14," in data
+        path.write_bytes(data.replace(b"\nCAG-00101N,16,14,", b"\nCAG-00101N," + cells + b",", 1))
+        assert main(["report", "--config", config]) == EXIT_DEPENDENCY
+        assert f"{path}:2: {message}" in caplog.text
 
 
 class TestLoadOnce:
@@ -235,9 +279,11 @@ class TestLoadOnce:
     def test_index_from_raw_records_equals_index_from_artifact(self, workspace):
         run_all(load_config(workspace / "config.yaml"))
         ingest_dir = workspace / "out" / "ingest"
-        raw = biblio.ingest_records(biblio.read_records(workspace / "articles.jsonl"))
-        loaded = biblio.ingest_records(biblio.read_records(ingest_dir / "articles.jsonl"))
-        assert list(raw.records()) == list(loaded.records())
+        raw_records = biblio.read_records(workspace / "articles.jsonl")
+        loaded_records = biblio.read_records(ingest_dir / "articles.jsonl")
+        assert raw_records == loaded_records
+        raw = biblio.ingest_records(raw_records)
+        loaded = biblio.ingest_records(loaded_records)
         fragments = [
             json.loads(line)["normalized_text"]
             for line in (ingest_dir / "fragments.jsonl").read_text(encoding="utf-8").splitlines()
@@ -472,6 +518,47 @@ class TestCliErrors:
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
         assert f"section {section!r}" in caplog.text
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("paths", "work_dir"),
+            ("corpus", "min_fragment_char"),
+            ("resolver", "treshold"),
+            ("remote", "enabeld"),
+            ("remote", "cachedir"),
+            ("funding", "on_unmaped"),
+            ("stats", "min_ob"),
+            ("report", "topk"),
+        ],
+    )
+    def test_misspelled_key_is_config_error(self, workspace, caplog, section, key):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data.setdefault(section, {})[key] = 1
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}.{key}: not a field" in caplog.text
+
+    @pytest.mark.parametrize(
+        "section", ["path", "corpsu", "reslover", "remtoe", "fundng", "stat", "reports"]
+    )
+    def test_misspelled_section_is_config_error(self, workspace, caplog, section):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data[section] = {}
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}: not a config section" in caplog.text
+        assert not (workspace / "out").exists()
+
+    def test_remote_section_takes_cache_dir_beside_client_keys(self, workspace):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["remote"] = {"enabled": True, "offline": True, "cache_dir": "answers"}
+        path.write_text(yaml.safe_dump(data))
+        config = load_config(path)
+        assert config.remote.offline and config.cache_dir() == workspace / "answers"
+
     def test_null_section_takes_defaults(self, workspace):
         path = workspace / "config.yaml"
         data = yaml.safe_load(path.read_text())
@@ -522,6 +609,22 @@ class TestCliErrors:
         path.write_text(json.dumps(row) + "\n" + rest, encoding="utf-8")
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
         assert f"{path}:1: {field}" in caplog.text
+
+    @pytest.mark.parametrize(
+        "name, text, error, message",
+        [
+            ("memos.jsonl", "7\n", CorpusError, "expected a JSON object"),
+            ("articles.jsonl", '{"article_id": "x"}\n', IngestError, "title: expected"),
+            ("aliases.csv", "orphan name without code\n", FundingError, "raw_name,canonical_code"),
+            ("awards.jsonl", "", StatsError, "pool award set is empty"),
+        ],
+    )
+    def test_each_input_error_class_exits_3(self, workspace, caplog, name, text, error, message):
+        assert issubclass(error, InputError)
+        (workspace / name).write_text(text, encoding="utf-8")
+        assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        [record] = [r for r in caplog.records if r.msg == "input error: %s"]
+        assert isinstance(record.args[0], error) and message in str(record.args[0])
 
     def test_duplicate_memo_id_names_line(self, workspace, caplog):
         memos = workspace / "memos.jsonl"

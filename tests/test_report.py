@@ -508,10 +508,6 @@ class TestTables:
 
 
 class TestFlags:
-    @pytest.fixture
-    def small_records(self, small_index):
-        return {r.article_id: r for r in small_index.records()}
-
     def test_no_retractions(self, small_records):
         resolution = [resolved("m1", 0, "1001")]
         assert flag_retracted(resolution, small_records) == []

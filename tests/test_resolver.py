@@ -43,17 +43,17 @@ class StubRemote:
 
 
 class TestScore:
-    def test_verbatim_citation_scores_one(self, small_index):
-        record = small_index.get("1001")
+    def test_verbatim_citation_scores_one(self, small_records):
+        record = small_records["1001"]
         frag = fragment(
             "Adams JQ, Brown TL. Cardiac outcomes after elective revascularization. "
             "N Engl J Med. 2004;350(12):1123-1130."
         )
         assert score_candidate(frag, record) == 1.0
 
-    def test_disjoint_scores_zero(self, small_index):
+    def test_disjoint_scores_zero(self, small_records):
         frag = fragment("Totally unrelated words everywhere 1955")
-        assert score_candidate(frag, small_index.get("1002")) == 0.0
+        assert score_candidate(frag, small_records["1002"]) == 0.0
 
     def test_title_only_scores_point_six(self, tmp_path):
         rows = [
@@ -65,21 +65,21 @@ class TestScore:
                 pub_year=2014,
             )
         ]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
         frag = fragment("Antibiotic stewardship reduces resistance rates")
-        assert score_candidate(frag, index.get("50")) == pytest.approx(0.6)
+        assert score_candidate(frag, records["50"]) == pytest.approx(0.6)
 
     def test_year_within_one_gets_half_credit(self, tmp_path):
         rows = [article_row("60", "unique sentinel phrase", pub_year=2005)]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
-        base = score_candidate(fragment("unique sentinel phrase"), index.get("60"))
-        near = score_candidate(fragment("unique sentinel phrase 2006"), index.get("60"))
-        exact = score_candidate(fragment("unique sentinel phrase 2005"), index.get("60"))
+        record = read_records(write_jsonl(tmp_path / "r.jsonl", rows))["60"]
+        base = score_candidate(fragment("unique sentinel phrase"), record)
+        near = score_candidate(fragment("unique sentinel phrase 2006"), record)
+        exact = score_candidate(fragment("unique sentinel phrase 2005"), record)
         assert near - base == pytest.approx(0.05)
         assert exact - base == pytest.approx(0.10)
 
-    def test_token_permutation_invariant(self, small_index):
-        record = small_index.get("1001")
+    def test_token_permutation_invariant(self, small_records):
+        record = small_records["1001"]
         words = "adams brown cardiac outcomes after elective revascularization 2004".split()
         rng = random.Random(5)
         reference = score_candidate(fragment(" ".join(words)), record)
@@ -114,10 +114,11 @@ class TestResolveFragment:
             article_row("71", shared + " alpha", authors=["Nguyen PT"], pub_year=2015),
             article_row("72", shared + " omega", authors=["Nguyen PT"], pub_year=2015),
         ]
-        index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))
+        records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
+        index = ingest_records(records)
         frag = fragment(f"Nguyen PT. {shared} alpha. J Test Med. 2015.")
-        best = score_candidate(frag, index.get("71"))
-        second = score_candidate(frag, index.get("72"))
+        best = score_candidate(frag, records["71"])
+        second = score_candidate(frag, records["72"])
         config = ResolverConfig()
         assert best >= config.threshold
         assert second >= config.threshold
