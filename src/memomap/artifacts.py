@@ -8,19 +8,23 @@ float), ``datetime.date`` from an ISO date string, ``X | None``,
 fields take their defaults (``X | None`` ones without one are None); other
 keys are ignored, or with ``exact`` rejected at every level. A wrong value
 raises DecodeError naming the field, which the caller prefixes with its
-``file:line`` or ``section.``
+``file:line`` or ``section.`` The row is built by its dataclass's
+``__init__``, so ``__post_init__`` checks hold.
 
 An ``Artifact`` names a file under the working directory and the dataclass
-its rows hold. A JSONL row is the dataclass's fields, less those declared in
-``omit_none`` when they are None; reading one back also rejects a key that
-is not a field, since this program wrote the file. A CSV row is the
-declared columns, each an attribute of the row object; reading one back
-decodes its field columns, a string field's cell as it is and any other
-cell as a JSON scalar, so ``1_0`` is no integer. Writing and reading
-both stream the file line by line and return the sha256 of its bytes, which
-the stage manifest records; reading also returns the objects. ``jsonl_rows``
-and ``csv_rows`` also read the raw inputs, raising the caller's error class
-(an ``InputError`` for a raw input).
+its rows hold. A JSONL row is the dataclass's fields, keys sorted, less
+those declared in ``omit_none`` when they are None; reading one back also
+rejects a key that is not a field, since this program wrote the file. A CSV
+row is the declared columns, each an attribute of the row object; reading
+one back decodes its field columns, a string field's cell as it is and any
+other cell as a JSON scalar, so ``1_0`` is no integer. No file may hold the
+non-JSON constants ``NaN``, ``Infinity`` and ``-Infinity``. Writing and
+reading both stream the file line by line and return the sha256 of its
+bytes, which the stage manifest records; reading also returns the objects.
+A ``RawInput`` names a raw input file that a stage after ``ingest`` reads
+again, and reads it only while its sha256 is the one ``ingest`` recorded.
+``jsonl_rows`` and ``csv_rows`` also read the raw inputs, raising the
+caller's error class (an ``InputError`` for a raw input).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import io
 import itertools
 import json
 import types
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, Field, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 from typing import TypeVar, get_args, get_origin, get_type_hints
@@ -72,7 +76,7 @@ def _check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
         return {**accepts, type(None): _KEEP}, f"{expected} or null"
     if origin is tuple and args[1:] == (Ellipsis,):
         of = _check(args[0], exact)
-        return {list: lambda v: tuple([_value(of, x, f"[{i}]") for i, x in enumerate(v)])}, "a list"
+        return {list: functools.partial(_tuple, of, _kept(of[0]))}, "a list"
     if is_dataclass(annotation):
         return {dict: functools.partial(decode, annotation, exact=exact)}, "a mapping"
     raise TypeError(f"no decoder for {annotation!r}")
@@ -93,17 +97,37 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
         raise DecodeError(f"{where}: expected {expected}, got {value!r}") from None
 
 
+def _tuple(of: tuple[dict[type, Any], str], keep: frozenset[type], items: list) -> tuple:
+    if keep.issuperset(map(type, items)):
+        return tuple(items)
+    return tuple([_value(of, x, f"[{i}]") for i, x in enumerate(items)])
+
+
+def _kept(accepts: dict[type, Any]) -> frozenset[type]:
+    return frozenset(t for t, convert in accepts.items() if convert is _KEEP)
+
+
 @functools.cache
 def _plan(row_type: type, exact: bool) -> tuple[frozenset[str], list[tuple]]:
-    """The field names, and per field: name, accepted types, check, and what an
-    absent key gives (MISSING: the default)."""
+    """The field names, and per field in declaration order: name, the value types
+    kept as they are, check, and what an absent key gives: a default kept as it
+    is, the Field when its default must be made, None or _REQUIRED."""
     hints, plan = get_type_hints(row_type), []
     for f in fields(row_type):
         check = _check(hints[f.name], exact)
-        defaulted = f.default is not MISSING or f.default_factory is not MISSING
-        absent = MISSING if defaulted else None if type(None) in check[0] else _REQUIRED
-        plan.append((f.name, check[0], check, absent))
+        keep = _kept(check[0])
+        if f.default is not MISSING and type(f.default) in keep:
+            absent = f.default
+        elif f.default is not MISSING or f.default_factory is not MISSING:
+            absent = f
+        else:
+            absent = None if type(None) in keep else _REQUIRED
+        plan.append((f.name, keep, check, absent))
     return frozenset(step[0] for step in plan), plan
+
+
+def _default(f: Field) -> Any:
+    return f.default if f.default_factory is MISSING else f.default_factory()
 
 
 def decode(row_type: type[_T], mapping: Mapping[str, Any], exact: bool = False) -> _T:
@@ -112,34 +136,62 @@ def decode(row_type: type[_T], mapping: Mapping[str, Any], exact: bool = False) 
     names, plan = _plan(row_type, exact)
     if exact and not names.issuperset(mapping):
         raise DecodeError(f"{min(mapping.keys() - names, key=str)}: not a field")
-    kw = {}
-    for name, accepts, check, absent in plan:
+    values = []
+    for name, keep, check, absent in plan:
         value = mapping.get(name, absent)
-        if value is not MISSING:
-            # Only a list, a nested row, an int for a float or a wrong type goes on.
-            kw[name] = value if accepts.get(type(value)) is _KEEP else _value(check, value, name)
-    return row_type(**kw)
+        if type(value) not in keep:
+            # Only a default to make, a list, a nested row, an int for a float or a wrong type.
+            value = _default(value) if type(value) is Field else _value(check, value, name)
+        values.append(value)
+    # Positional, not keyword, arguments: the dataclass's __init__ still runs its
+    # __post_init__ checks, and the row keeps its compact attribute storage.
+    return row_type(*values)
 
 
 def decoded_rows(
     path: Path, row_type: type[_T], error: type[Exception], digest: Any = None, exact: bool = False
-) -> Iterator[tuple[str, _T]]:
-    """``(path:line, row_type object)`` per row of ``jsonl_rows``; a row that does not
+) -> Iterator[tuple[int, _T]]:
+    """``(line number, row_type object)`` per row of ``jsonl_rows``; a row that does not
     decode, or with ``exact`` has a key that is not a field, raises ``error``."""
-    for where, row in jsonl_rows(path, error, digest):
+    for lineno, row in jsonl_rows(path, error, digest):
         try:
-            yield where, decode(row_type, row, exact)
+            yield lineno, decode(row_type, row, exact)
         except DecodeError as exc:
-            raise error(f"{where}: {exc}") from exc
+            raise error(f"{path}:{lineno}: {exc}") from exc
+
+
+def _reject_constant(name: str) -> Any:
+    raise ValueError(f"{name} is not a JSON value")
+
+
+# json.loads' decoder but for NaN, Infinity and -Infinity, which no file may hold.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_SCAN = _DECODER.scan_once
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _parse_json(text: str) -> Any:
+    """``json.loads(text)``, leading and trailing whitespace and errors alike, through
+    the scanner directly; a non-JSON constant raises ValueError."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    try:
+        value, end = _SCAN(text, _SPACE(text, 0).end())
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", text, exc.value) from None
+    end = _SPACE(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return value
 
 
 def jsonl_rows(
     path: Path, error: type[Exception], digest: Any = None
-) -> Iterator[tuple[str, dict]]:
-    """``(path:line, object)`` for each non-blank line.
+) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line.
 
-    A line that is not a JSON object raises ``error``. ``digest`` (a hashlib
-    object), when given, is updated with every line read.
+    A line that is not a JSON object raises ``error`` naming ``path:line``.
+    ``digest`` (a hashlib object), when given, is updated with every line read.
     """
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -147,14 +199,13 @@ def jsonl_rows(
                 digest.update(line)
             if not line.strip():
                 continue
-            where = f"{path}:{lineno}"
             try:
-                row = json.loads(line.decode("utf-8"))
+                row = _parse_json(line.decode("utf-8"))
             except ValueError as exc:  # UnicodeDecodeError included
-                raise error(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(row, dict):
-                raise error(f"{where}: expected a JSON object, got {type(row).__name__}")
-            yield where, row
+                raise error(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            if type(row) is not dict:
+                raise error(f"{path}:{lineno}: expected a JSON object, got {type(row).__name__}")
+            yield lineno, row
 
 
 def _decoded(fh: IO[bytes], digest: Any) -> Iterator[str]:
@@ -166,13 +217,13 @@ def _decoded(fh: IO[bytes], digest: Any) -> Iterator[str]:
 
 def csv_rows(
     path: Path, error: type[Exception], digest: Any = None
-) -> Iterator[tuple[str, list[str]]]:
-    """``(path:line, cells)`` for each row; text that is not UTF-8 raises ``error``."""
+) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, cells)`` for each row; text that is not UTF-8 raises ``error``."""
     with path.open("rb") as fh:
         reader = csv.reader(_decoded(fh, digest))
         try:
             for row in reader:
-                yield f"{path}:{reader.line_num}", row
+                yield reader.line_num, row
         except UnicodeDecodeError as exc:
             raise error(f"{path}:{reader.line_num + 1}: {exc}") from exc
 
@@ -183,8 +234,19 @@ def csv_text(rows: Iterable[Iterable[Any]]) -> str:
     return buffer.getvalue()
 
 
-# Nested dataclasses (an article's grant tags) serialize as their fields.
-_JSON = json.JSONEncoder(sort_keys=True, default=vars)
+@functools.cache
+def _json_keys(row_type: type) -> tuple[str, ...]:
+    """A row type's field names in the sorted order of its JSON objects' keys."""
+    return tuple(sorted(f.name for f in fields(row_type)))
+
+
+def _sorted_fields(row: Any) -> dict[str, Any]:
+    values = vars(row)
+    return {key: values[key] for key in _json_keys(type(row))}
+
+
+# Nested dataclasses serialize as their fields, in sorted order like the row's own.
+_JSON = json.JSONEncoder(default=_sorted_fields)
 
 
 class _HashingSink:
@@ -200,9 +262,9 @@ class _HashingSink:
 
 
 class Loaded(NamedTuple):
-    """An artifact's objects and the sha256 of their bytes on disk."""
+    """An artifact's or raw input's objects and the sha256 of their bytes on disk."""
 
-    artifact: Artifact
+    artifact: Artifact | RawInput
     objects: Any
     digest: str
 
@@ -237,10 +299,11 @@ class Artifact:
                 body = ([getattr(row, attr) for _, attr in columns] for row in rows)
                 csv.writer(sink, lineterminator="\n").writerows(itertools.chain([header], body))
             else:
-                omit = self.omit_none
+                keys, omit = _json_keys(self.row_type), self.omit_none
                 for row in rows:
-                    fields = {k: v for k, v in vars(row).items() if v is not None or k not in omit}
-                    sink.write(_JSON.encode(fields) + "\n")
+                    values = vars(row)
+                    kept = {k: values[k] for k in keys if values[k] is not None or k not in omit}
+                    sink.write(_JSON.encode(kept) + "\n")
         return digest.hexdigest()
 
     def read(self, config: PipelineConfig) -> Loaded:
@@ -274,25 +337,66 @@ class Artifact:
         hints = get_type_hints(self.row_type)
         cells = [(i, a, hints[a] is str) for i, (_, a) in enumerate(columns) if a in hints]
         rows = csv_rows(path, StageDependencyError, digest)
-        where, first = next(rows, (f"{path}:1", None))
+        line, first = next(rows, (1, None))
         if first != header:
-            raise StageDependencyError(f"{where}: header is not {','.join(header)}")
+            raise StageDependencyError(f"{path}:{line}: header is not {','.join(header)}")
         objects = []
-        for where, row in rows:
+        for line, row in rows:
             try:
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, expected {len(header)}")
                 mapping = {attr: row[i] if text else _json_cell(row[i]) for i, attr, text in cells}
                 objects.append(decode(self.row_type, mapping))
             except ValueError as exc:  # DecodeError and a row type's own checks included
-                raise StageDependencyError(f"{where}: {exc}") from exc
+                raise StageDependencyError(f"{path}:{line}: {exc}") from exc
         return objects
 
 
 def _json_cell(cell: str) -> Any:
-    """A CSV cell read as a JSON scalar; a cell that is no JSON stays text, which
-    ``decode`` rejects for any field but a string."""
+    """A CSV cell read as a JSON scalar; a cell that is no JSON, NaN and Infinity
+    included, stays text, which ``decode`` rejects for any field but a string."""
     try:
-        return json.loads(cell)
+        return _parse_json(cell)
     except ValueError:
         return cell
+
+
+class RawInput(NamedTuple):
+    """A raw input file that the config names and a stage after ``ingest`` reads again.
+
+    ``key`` names it in the manifests' inputs; ``ingest`` records its sha256
+    there. A stage run on its own parses and hashes the file in one read,
+    and a digest other than the one ``ingest`` recorded means the file
+    changed since: a stale input, which wins over any parse error the change
+    causes.
+    """
+
+    key: str
+    config_path: str  # the PipelineConfig attribute that holds the file's path
+    load: Callable[[Path, Any], Any]  # (path, sha256 to update) -> objects
+
+    def read(self, config: PipelineConfig, ingested: Mapping[str, Any]) -> Loaded:
+        """The objects, if the file still has the digest ``ingested[key]``."""
+        path = getattr(config, self.config_path)
+        digest = hashlib.sha256()
+        try:
+            objects = self.load(path, digest)
+        except InputError:
+            self._check(path, _file_sha256(path), ingested)
+            raise
+        self._check(path, digest.hexdigest(), ingested)
+        return Loaded(self, objects, digest.hexdigest())
+
+    def _check(self, path: Path, digest: str, ingested: Mapping[str, Any]) -> None:
+        if digest != ingested.get(self.key):
+            raise StageDependencyError(
+                f"{path}: changed since stage 'ingest' read it; run stage 'ingest' again"
+            )
+
+
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(functools.partial(fh.read, 1 << 16), b""):
+            digest.update(block)
+    return digest.hexdigest()

@@ -173,25 +173,23 @@ def _positions(bitmap: int) -> list[int]:
     return found
 
 
-def read_records(
-    path: str | Path, digest: Any = None, exact: bool = False
-) -> dict[str, ArticleRecord]:
+def read_records(path: str | Path, digest: Any = None) -> dict[str, ArticleRecord]:
     """Parse a records JSONL file into records by id, in file order.
 
-    Schema violations and duplicate ids raise IngestError naming the line,
-    and so does, with ``exact`` (a file this program wrote), a key that is
-    not a field. ``digest`` (a hashlib object), when given, is updated with
-    the file's bytes.
+    Schema violations and duplicate ids raise IngestError naming the line;
+    keys that are not fields are ignored. ``digest`` (a hashlib object),
+    when given, is updated with the file's bytes.
     """
+    path = Path(path)
     records: dict[str, ArticleRecord] = {}
-    for where, record in decoded_rows(Path(path), ArticleRecord, IngestError, digest, exact):
+    for line, record in decoded_rows(path, ArticleRecord, IngestError, digest):
         if not record.article_id:
-            raise IngestError(f"{where}: article_id must be a non-empty string")
+            raise IngestError(f"{path}:{line}: article_id must be a non-empty string")
         year = record.pub_year
         if year is not None and not MIN_YEAR <= year <= MAX_YEAR:
-            raise IngestError(f"{where}: pub_year {year!r} outside [{MIN_YEAR}, {MAX_YEAR}]")
+            raise IngestError(f"{path}:{line}: pub_year {year!r} outside [{MIN_YEAR}, {MAX_YEAR}]")
         if record.article_id in records:
-            raise IngestError(f"{where}: duplicate article_id {record.article_id!r}")
+            raise IngestError(f"{path}:{line}: duplicate article_id {record.article_id!r}")
         records[record.article_id] = record
     return records
 

@@ -189,11 +189,11 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
             memos.append(Memo(memo_id=file.stem, title=title, body_text=body))
     elif path.is_file():
         seen: set[str] = set()
-        for where, memo in decoded_rows(path, Memo, CorpusError, digest):
+        for line, memo in decoded_rows(path, Memo, CorpusError, digest):
             if not memo.memo_id:
-                raise CorpusError(f"{where}: memo_id must be a non-empty string")
+                raise CorpusError(f"{path}:{line}: memo_id must be a non-empty string")
             if memo.memo_id in seen:
-                raise CorpusError(f"{where}: duplicate memo_id {memo.memo_id!r} in corpus")
+                raise CorpusError(f"{path}:{line}: duplicate memo_id {memo.memo_id!r} in corpus")
             seen.add(memo.memo_id)
             memos.append(memo)
     else:

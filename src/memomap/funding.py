@@ -96,13 +96,14 @@ def load_aliases(
     ``digest`` (a hashlib object), when given, is updated with the file's bytes.
     """
     mapping: dict[str, str] = {}
-    for index, (where, row) in enumerate(csv_rows(Path(path), FundingError, digest)):
+    path = Path(path)
+    for index, (line, row) in enumerate(csv_rows(path, FundingError, digest)):
         if not row or row[0].startswith("#"):
             continue
         if index == 0 and [c.strip().lower() for c in row[:2]] == ["raw_name", "canonical_code"]:
             continue
         if len(row) < 2 or not row[0].strip() or not row[1].strip():
-            raise FundingError(f"{where}: alias rows need raw_name,canonical_code")
+            raise FundingError(f"{path}:{line}: alias rows need raw_name,canonical_code")
         mapping[row[0].strip()] = row[1].strip()
     return FunderAliasTable(mapping, on_unmapped=on_unmapped)
 
@@ -151,22 +152,25 @@ class AwardDatabase:
         return self._by_article.get(article_id, ())
 
 
-def load_award_db(path: str | Path, digest: Any = None, exact: bool = False) -> AwardDatabase:
+def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
     """Award records from a JSONL file.
 
     Schema violations and duplicate full numbers raise FundingError naming
-    the line, and so does, with ``exact`` (a file this program wrote), a key
-    that is not a field. ``digest`` (a hashlib object), when given, is
-    updated with the file's bytes.
+    the line; keys that are not fields are ignored. A file without awards
+    raises FundingError naming it: the statistics need the pool. ``digest``
+    (a hashlib object), when given, is updated with the file's bytes.
     """
+    path = Path(path)
     awards: dict[str, Award] = {}
-    for where, award in decoded_rows(Path(path), Award, FundingError, digest, exact):
+    for line, award in decoded_rows(path, Award, FundingError, digest):
         full, core = award.full_project_number, award.core_project_number
         if not (full == core or full.startswith(core + "-")):
-            raise FundingError(f"{where}: full number {full!r} does not extend core {core!r}")
+            raise FundingError(f"{path}:{line}: full number {full!r} does not extend core {core!r}")
         if full in awards:
-            raise FundingError(f"{where}: duplicate full_project_number {full!r}")
+            raise FundingError(f"{path}:{line}: duplicate full_project_number {full!r}")
         awards[full] = award
+    if not awards:
+        raise FundingError(f"{path}: no award rows; the award pool must not be empty")
     return AwardDatabase(awards.values())
 
 

@@ -2,11 +2,14 @@
 
 Each stage artifact is declared once below: its path under the working
 directory, its row type, and its CSV columns or the JSONL fields left out
-when None. Every stage after ``ingest`` is a ``run_*`` function that names
-the artifacts it reads and a compute function, which maps their objects to
+when None. So is each raw input that a later stage reads again: the article
+records and the award database, which ``ingest`` checks and hashes but does
+not copy. Every stage after ``ingest`` is a ``run_*`` function that names
+the inputs it reads and a compute function, which maps their objects to
 the files the stage writes and the objects it hands on, and reads and writes
 no stage file itself. One runner, ``_run``, does the rest: a single-stage
-command reads the inputs through the artifact layer, while ``run_all`` hands
+command reads the inputs through the artifact layer, a raw input only while
+its digest is the one in ``ingest``'s manifest, while ``run_all`` hands
 each stage's objects and output digests to the next stage and reads back
 nothing it wrote. ``ingest`` reads the raw inputs the config names, then
 finishes like every other stage in ``_write_stage``: it writes the files
@@ -28,7 +31,7 @@ from types import SimpleNamespace
 from typing import Any, Callable, Iterable, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
-from .artifacts import Artifact, Loaded, StageDependencyError
+from .artifacts import Artifact, Loaded, RawInput, StageDependencyError
 from .config import PipelineConfig
 from .remote import RemoteLookupClient
 
@@ -36,19 +39,11 @@ logger = logging.getLogger(__name__)
 
 
 # The loaders look the parsers up on each call, so a wrapper bound in their place runs.
+RECORDS = RawInput("records", "records_path", lambda path, digest: biblio.read_records(path, digest))
+AWARD_DB = RawInput(
+    "award_db", "award_db_path", lambda path, digest: funding.load_award_db(path, digest)
+)
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
-ARTICLES = Artifact(
-    "ingest/articles.jsonl",
-    biblio.ArticleRecord,
-    omit_none=("volume", "pages"),
-    load=lambda path, digest, config: biblio.read_records(path, digest, exact=True),
-)
-AWARDS = Artifact(
-    "ingest/awards.jsonl",
-    funding.Award,
-    omit_none=("org_id", "org_name"),
-    load=lambda path, digest, config: funding.load_award_db(path, digest, exact=True),
-)
 ALIASES = Artifact(
     "ingest/aliases.csv",
     load=lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
@@ -103,14 +98,15 @@ def _group(items: Iterable[_T], key: Callable[[_T], _K]) -> dict[_K, list[_T]]:
     return groups
 
 
-# What `run_all` hands from stage to stage: each artifact's objects and digest.
+# What `run_all` hands from stage to stage: each input's objects and digest.
 # A stage given one takes its inputs from it and adds its outputs; a stage
-# run on its own reads its inputs from the working directory.
-Upstream = dict[Artifact, Loaded]
+# run on its own reads its inputs from the working directory and the raw files.
+Input = Artifact | RawInput
+Upstream = dict[Input, Loaded]
 # A stage's files: an Artifact key holds the rows to write, a name holds bytes.
 Outputs = dict[Artifact | str, Any]
 # What a stage computes: its files, and the objects it hands on to `run_all`.
-Computed = tuple[Outputs, dict[Artifact, Any]]
+Computed = tuple[Outputs, dict[Input, Any]]
 
 
 def _write_stage(
@@ -118,12 +114,12 @@ def _write_stage(
     config: PipelineConfig,
     inputs: dict[str, str],
     outputs: Outputs,
-    hand_on: dict[Artifact, Any],
+    hand_on: dict[Input, Any],
     upstream: Upstream | None,
 ) -> dict[str, Path]:
     """Write a stage's artifacts and manifest, remove its other files, hand on.
 
-    ``inputs`` maps each upstream path to the sha256 of its bytes.
+    ``inputs`` maps each upstream path or raw input key to the sha256 of its bytes.
     ``hand_on`` holds the objects that the later stages of ``run_all`` take
     from ``upstream`` instead of reading the files back; they equal what the
     files read back into. Returns the written paths, manifest included.
@@ -158,13 +154,48 @@ def _write_stage(
                 os.remove(os.path.join(root, name))
     logger.info("stage %s: wrote %d artifacts to %s", stage, len(outputs), stage_dir)
     if upstream is not None:
-        upstream.update({a: Loaded(a, objs, digests[a.name]) for a, objs in hand_on.items()})
+        for item, objects in hand_on.items():
+            digest = digests[item.name] if isinstance(item, Artifact) else inputs[item.key]
+            upstream[item] = Loaded(item, objects, digest)
     return written
+
+
+def _key(item: Input) -> str:
+    """An input's key in the manifests: an artifact's path, a raw input's name."""
+    return item.path if isinstance(item, Artifact) else item.key
+
+
+def _ingested(config: PipelineConfig) -> dict[str, Any]:
+    """The raw input digests that ``ingest`` recorded in its manifest."""
+    path = config.workdir / "ingest" / "manifest.json"
+    if not path.is_file():
+        raise StageDependencyError(f"missing manifest {path}; run stage 'ingest' first")
+    try:
+        inputs = json.loads(path.read_bytes())["inputs"]
+    except (ValueError, KeyError, TypeError):
+        inputs = None
+    if not isinstance(inputs, dict):
+        raise StageDependencyError(f"{path}: not a stage manifest")
+    return inputs
+
+
+def _read(config: PipelineConfig, inputs: tuple[Input, ...]) -> list[Loaded]:
+    """Each input read from disk in order, raw inputs checked against the digests in
+    ``ingest``'s manifest, which is read at the first of them."""
+    loaded: list[Loaded] = []
+    ingested = None
+    for item in inputs:
+        if isinstance(item, Artifact):
+            loaded.append(item.read(config))
+        else:
+            ingested = ingested if ingested is not None else _ingested(config)
+            loaded.append(item.read(config, ingested))
+    return loaded
 
 
 def _run(
     stage: str,
-    inputs: tuple[Artifact, ...],
+    inputs: tuple[Input, ...],
     compute: Callable[..., Computed],
     config: PipelineConfig,
     upstream: Upstream | None,
@@ -176,9 +207,9 @@ def _run(
     the order declared. It neither reads nor writes a stage file; this
     runner does both for it.
     """
-    loaded = [upstream[a] if upstream is not None else a.read(config) for a in inputs]
+    loaded = [upstream[i] for i in inputs] if upstream is not None else _read(config, inputs)
     outputs, hand_on = compute(config, *(item.objects for item in loaded), *extra)
-    digests = {item.artifact.path: item.digest for item in loaded}
+    digests = {_key(item.artifact): item.digest for item in loaded}
     return _write_stage(stage, config, digests, outputs, hand_on, upstream)
 
 
@@ -194,7 +225,7 @@ def _read_aliases(config: PipelineConfig) -> tuple[funding.FunderAliasTable, byt
 
 
 def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Validate raw inputs and normalize them into workdir artifacts."""
+    """Validate raw inputs, record their digests and extract the reference fragments."""
     corpus_digest, records_digest, awards_digest = (hashlib.sha256() for _ in range(3))
     memos = corpus.load_corpus(config.corpus_path, corpus_digest)
     fragments: list[corpus.ReferenceFragment] = []
@@ -210,23 +241,13 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
 
     inputs = {
         "corpus": corpus_digest.hexdigest(),
-        "records": records_digest.hexdigest(),
-        "award_db": awards_digest.hexdigest(),
+        RECORDS.key: records_digest.hexdigest(),
+        AWARD_DB.key: awards_digest.hexdigest(),
     }
     if config.aliases_path is not None:
         inputs["aliases"] = _sha256_bytes(aliases_bytes)
-    outputs: Outputs = {
-        FRAGMENTS: fragments,
-        ARTICLES: (records[article_id] for article_id in sorted(records)),
-        AWARDS: award_db.all_awards(),
-        ALIASES.name: aliases_bytes,
-    }
-    hand_on = {
-        FRAGMENTS: fragments,
-        ARTICLES: records,
-        AWARDS: award_db,
-        ALIASES: aliases,
-    }
+    outputs: Outputs = {FRAGMENTS: fragments, ALIASES.name: aliases_bytes}
+    hand_on = {FRAGMENTS: fragments, RECORDS: records, AWARD_DB: award_db, ALIASES: aliases}
     return _write_stage("ingest", config, inputs, outputs, hand_on, upstream)
 
 
@@ -249,7 +270,7 @@ def _resolve(config: PipelineConfig, fragments, records) -> Computed:
 
 def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Build the article index, resolve fragments against it; emit coverage and retractions."""
-    return _run("resolve", (FRAGMENTS, ARTICLES), _resolve, config, upstream)
+    return _run("resolve", (FRAGMENTS, RECORDS), _resolve, config, upstream)
 
 
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Computed:
@@ -261,7 +282,7 @@ def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Compu
 
 def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Two-direction article-award linkage for every resolved article."""
-    return _run("link", (RESOLUTION, ARTICLES, AWARDS, ALIASES), _link, config, upstream)
+    return _run("link", (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link, config, upstream)
 
 
 def _memo_entity_lists(
@@ -363,7 +384,7 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
 
 def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Share differences, signed-rank tests, and concentration measures."""
-    return _run("stats", (LINKS, AWARDS, RESOLUTION), _stats, config, upstream)
+    return _run("stats", (LINKS, AWARD_DB, RESOLUTION), _stats, config, upstream)
 
 
 def _report(

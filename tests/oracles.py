@@ -6,16 +6,25 @@ selection rule as explicit filter passes, the search oracle scores every
 record against the query and sorts them all, and the flow-graph and
 entity-weight oracles sum ``Fraction``s over every link and resolution row,
 as the first implementation did, and read a graph's integer weights as the
-``Fraction``s they stand for.
+``Fraction``s they stand for. The codec oracle decodes a row with a loop
+over a per-field plan and the row type's keyword ``__init__``, and writes a
+JSONL row with ``sort_keys``, as ``artifacts`` did before it built rows
+positionally and sorted each row type's keys once.
 """
 
 from __future__ import annotations
 
+import datetime
+import functools
 import itertools
 import json
 import math
+import types
+from dataclasses import MISSING, fields, is_dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
+
+from memomap.artifacts import DecodeError
 
 from memomap.biblio import ArticleRecord
 from memomap.funding import ArticleAwardLink, Award
@@ -253,3 +262,71 @@ def oracle_memo_proportions(article_entities: Iterable[Iterable[str]]) -> list[f
     if counted == 0:
         return None
     return [float(weights[e] / counted) for e in sorted(weights)]
+
+
+_KEEP, _REQUIRED = object(), object()
+_SCALARS = {str: "a string", bool: "true or false", int: "an integer", float: "a number"}
+
+
+def _oracle_check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
+    origin, args = get_origin(annotation), get_args(annotation)
+    if annotation in _SCALARS:
+        accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
+        return accepts, _SCALARS[annotation]
+    if annotation is datetime.date:
+        return {str: datetime.date.fromisoformat}, "an ISO date string"
+    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
+        accepts, expected = _oracle_check(args[0], exact)
+        return {**accepts, type(None): _KEEP}, f"{expected} or null"
+    if origin is tuple and args[1:] == (Ellipsis,):
+        of = _oracle_check(args[0], exact)
+        return {
+            list: lambda v: tuple([_oracle_value(of, x, f"[{i}]") for i, x in enumerate(v)])
+        }, "a list"
+    if is_dataclass(annotation):
+        return {dict: functools.partial(oracle_decode, annotation, exact=exact)}, "a mapping"
+    raise TypeError(f"no decoder for {annotation!r}")
+
+
+def _oracle_value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
+    accepts, expected = check
+    convert = accepts.get(type(value))
+    if convert is None:
+        got = "nothing" if value is _REQUIRED else repr(value)
+        raise DecodeError(f"{where}: expected {expected}, got {got}")
+    try:
+        return value if convert is _KEEP else convert(value)
+    except DecodeError as exc:
+        raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
+    except ValueError:
+        raise DecodeError(f"{where}: expected {expected}, got {value!r}") from None
+
+
+def oracle_decode(row_type: type, mapping: Mapping[str, Any], exact: bool = False) -> Any:
+    """``row_type(**kw)`` from ``mapping``, each present or required field checked in turn."""
+    hints = get_type_hints(row_type)
+    names = {f.name for f in fields(row_type)}
+    if exact and not names.issuperset(mapping):
+        raise DecodeError(f"{min(mapping.keys() - names, key=str)}: not a field")
+    kw = {}
+    for f in fields(row_type):
+        check = _oracle_check(hints[f.name], exact)
+        defaulted = f.default is not MISSING or f.default_factory is not MISSING
+        absent = MISSING if defaulted else None if type(None) in check[0] else _REQUIRED
+        value = mapping.get(f.name, absent)
+        if value is not MISSING:
+            kw[f.name] = _oracle_value(check, value, f.name)
+    return row_type(**kw)
+
+
+_ORACLE_JSON = json.JSONEncoder(sort_keys=True, default=vars)
+
+
+def oracle_jsonl(rows: Iterable[Any], omit_none: Iterable[str] = ()) -> bytes:
+    """JSONL rows with every object's keys sorted, nested rows as their fields."""
+    omit = set(omit_none)
+    return b"".join(
+        (_ORACLE_JSON.encode({k: v for k, v in vars(row).items() if v is not None or k not in omit})
+         + "\n").encode("utf-8")
+        for row in rows
+    )

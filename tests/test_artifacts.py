@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
+from typing import Any, get_args, get_origin, get_type_hints
 
 import pytest
 
-from memomap.artifacts import DecodeError, decode
+from memomap import biblio, config, corpus, funding, pipeline, remote, resolver
+from memomap.artifacts import Artifact, DecodeError, decode, jsonl_rows
 from memomap.biblio import ArticleRecord
 from memomap.pipeline import COVERAGE
 from memomap.resolver import CoverageStats
+from oracles import oracle_decode, oracle_jsonl
 
 
 @dataclass(frozen=True)
@@ -111,3 +116,177 @@ def test_csv_string_field_keeps_its_cell(tmp_path):
     (tmp_path / "resolve").mkdir()
     COVERAGE.write(rows, tmp_path / COVERAGE.path)
     assert COVERAGE.read(SimpleNamespace(workdir=tmp_path)).objects == rows
+
+
+@dataclass(frozen=True)
+class Made:
+    tags: tuple[str, ...] = field(default_factory=lambda: ("made",))
+    when: datetime.date = datetime.date(2000, 1, 1)
+    count: int = 0
+    label: str | None = None
+
+
+ARTIFACT_ROWS = sorted(
+    {a.row_type for a in vars(pipeline).values() if isinstance(a, Artifact) and a.row_type},
+    key=lambda t: t.__name__,
+)
+RAW_ROWS = [corpus.Memo, biblio.ArticleRecord, biblio.GrantTag, funding.Award]
+CONFIG_ROWS = [
+    config._Paths,
+    config._RemoteCache,
+    config._Funding,
+    config._Report,
+    config.StatsOptions,
+    corpus.SegmenterConfig,
+    resolver.ResolverConfig,
+    remote.RemoteConfig,
+]
+ROW_TYPES = ARTIFACT_ROWS + RAW_ROWS + CONFIG_ROWS + [Row, Inner, Made]
+# The row types that can be written as JSON: a date field has no JSON form.
+JSON_ROW_TYPES = [
+    t for t in ROW_TYPES
+    if not any(datetime.date in (h, *get_args(h)) for h in get_type_hints(t).values())
+]
+# Values put in each field in turn: wrong types, an int for a float, a bool for
+# an int, zero counts, dates, lists and mappings, non-ASCII text.
+CANDIDATES = [
+    None, True, False, 0, 1, -1, 1.5, 2.0,
+    "x", "Zoë – café", "2004-13-01", "2010-05-04",
+    [], ["x"], [1], [None], [{"award_text": "R01", "funder_text": "NCI"}], [{"name": 1}],
+    {}, {"name": "a"}, {"name": "a", "other": 1},
+]
+
+
+def sample(annotation: Any) -> Any:
+    """A valid JSON value for ``annotation``, its text non-ASCII."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if annotation is str:
+        return "Zoë – café"
+    if annotation in (bool, int, float):
+        return {bool: True, int: 7, float: 0.25}[annotation]
+    if annotation is datetime.date:
+        return "2004-11-22"
+    if origin is types.UnionType:
+        return sample(args[0])
+    if origin is tuple:
+        return [sample(args[0]), sample(args[0])]
+    assert is_dataclass(annotation), annotation
+    hints = get_type_hints(annotation)
+    return {f.name: sample(hints[f.name]) for f in fields(annotation)}
+
+
+def mappings(row_type: type) -> list[dict]:
+    full = sample(row_type)
+    cases = [full, {}, {**full, "other": 1}]
+    for name in full:
+        cases.append({k: v for k, v in full.items() if k != name})
+        cases += [{**full, name: value} for value in CANDIDATES]
+        if isinstance(full[name], list) and isinstance(full[name][0], dict):
+            cases.append({**full, name: [full[name][0], {**full[name][0], "other": 1}]})
+    return cases
+
+
+def outcome(decoder, row_type: type, mapping: dict, exact: bool) -> tuple:
+    """What decoding gives: the row, with its fields' types, repr and hash, or the error."""
+    try:
+        row = decoder(row_type, mapping, exact)
+    except Exception as exc:  # DecodeError and a row type's own checks alike
+        return ("error", type(exc), str(exc))
+    state = [(k, type(v), v) for k, v in vars(row).items()]
+    return ("row", row, state, repr(row), hash(row))
+
+
+class TestCodecOracle:
+    @pytest.mark.parametrize("row_type", ROW_TYPES, ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_decode_matches_keyword_init_decoder(self, row_type, exact):
+        for mapping in mappings(row_type):
+            expected = outcome(oracle_decode, row_type, mapping, exact)
+            assert outcome(decode, row_type, mapping, exact) == expected, mapping
+
+    def test_cases_cover_defaults_factories_and_post_init(self):
+        assert decode(Made, {}) == Made() and decode(Made, {}).tags == ("made",)
+        assert decode(Made, {"when": "2001-02-03"}).when == datetime.date(2001, 2, 3)
+        with pytest.raises(ValueError, match="fragment_count 0 and linked_count 0"):
+            decode(CoverageStats, {"memo_id": "m", "fragment_count": 0, "linked_count": 0})
+        assert type(decode(resolver.ResolverConfig, {"threshold": 1}).threshold) is float
+        with pytest.raises(DecodeError, match="^k: expected an integer, got True$"):
+            decode(resolver.ResolverConfig, {"k": True})
+
+    @pytest.mark.parametrize("row_type", ROW_TYPES, ids=lambda t: t.__name__)
+    def test_rows_stay_frozen(self, row_type):
+        row = decode(row_type, sample(row_type))
+        name = fields(row_type)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(row, name, getattr(row, name))
+
+    @pytest.mark.parametrize("row_type", JSON_ROW_TYPES, ids=lambda t: t.__name__)
+    def test_jsonl_bytes_match_sorted_keys_writer(self, row_type, tmp_path):
+        hints = get_type_hints(row_type)
+        optional = tuple(n for n, h in hints.items() if type(None) in get_args(h))
+        full = sample(row_type)
+        rows = [decode(row_type, full), decode(row_type, {**full, **dict.fromkeys(optional)})]
+        for omit in ((), optional):
+            artifact = Artifact("stage/rows.jsonl", row_type, omit_none=omit)
+            (tmp_path / "stage").mkdir(exist_ok=True)
+            artifact.write(rows, tmp_path / artifact.path)
+            assert (tmp_path / artifact.path).read_bytes() == oracle_jsonl(rows, omit)
+            assert artifact.read(SimpleNamespace(workdir=tmp_path)).objects == rows
+
+    @pytest.mark.parametrize(
+        "artifact",
+        [a for a in vars(pipeline).values() if isinstance(a, Artifact) and a.omit_none],
+        ids=lambda a: a.path,
+    )
+    def test_pipeline_jsonl_artifacts_match_sorted_keys_writer(self, artifact, tmp_path):
+        hints = get_type_hints(artifact.row_type)
+        full = sample(artifact.row_type)
+        nulls = {n: None for n, h in hints.items() if type(None) in get_args(h)}
+        rows = [decode(artifact.row_type, full), decode(artifact.row_type, {**full, **nulls})]
+        (tmp_path / artifact.path).parent.mkdir()
+        artifact.write(rows, tmp_path / artifact.path)
+        assert (tmp_path / artifact.path).read_bytes() == oracle_jsonl(rows, artifact.omit_none)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"a": 1}',
+        '  {"a": [1, 2.5, "é"]}  ',
+        '\t{"a": {"b": null}}\r',
+        '{"a": 1} x',
+        '{"a": 1}{}',
+        '{"a": }',
+        "{",
+        '"text"',
+        "[1]",
+        "\ufeff{}",
+        "{}\x0b",
+        '{"a": 1e400}',
+        '{"a": "\\ud800"}',
+    ],
+)
+def test_jsonl_line_parses_as_json_loads(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(line.encode("utf-8") + b"\n")
+    try:
+        loaded = json.loads(line + "\n")
+    except ValueError as exc:
+        expected = f"{path}:1: invalid JSON: {exc}"
+    else:
+        expected = None if type(loaded) is dict else "expected a JSON object"
+    try:
+        rows = list(jsonl_rows(path, ValueError))
+    except ValueError as exc:
+        assert expected is not None and expected in str(exc)
+    else:
+        assert expected is None and rows == [(1, loaded)]
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_json_constants_rejected(tmp_path, constant):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(f'{{"a": [1, {constant}]}}\n', encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        list(jsonl_rows(path, ValueError))
+    assert str(caught.value) == f"{path}:1: invalid JSON: {constant} is not a JSON value"

@@ -24,10 +24,8 @@ from memomap.biblio import IngestError
 from memomap.config import ConfigError, load_config
 from memomap.corpus import CorpusError
 from memomap.funding import FundingError
-from memomap.stats import StatsError
 from memomap.resolver import fragment_years
 from memomap.pipeline import (
-    ARTICLES,
     FLAGS,
     RESOLUTION,
     StageDependencyError,
@@ -38,6 +36,7 @@ from memomap.pipeline import (
     run_resolve,
     run_stats,
 )
+from oracles import oracle_search
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
 INPUT_FILES = ("memos.jsonl", "articles.jsonl", "awards.jsonl", "aliases.csv", "config.yaml")
@@ -156,45 +155,57 @@ class TestStages:
         assert "sankey/CAG-00202R.json" in manifest["outputs"]
         assert set(read_tree(report_dir)) == set(manifest["outputs"]) | {"manifest.json"}
 
+    # Paths under the fixture directory: stage artifacts under out/, and the raw
+    # article and award files, which a stage after ingest reads again.
     @pytest.mark.parametrize(
-        "artifact, command, corrupt",
+        "target, command, corrupt",
         [
-            ("ingest/fragments.jsonl", "resolve", lambda data: data[:-10]),
+            ("out/ingest/fragments.jsonl", "resolve", lambda data: data[:-10]),
             (
-                "link/links.jsonl",
+                "out/link/links.jsonl",
                 "stats",
                 lambda data: data.replace(b'"article_id": "8000001", ', b"", 1),
             ),
             (
-                "stats/tests_funders.csv",
+                "out/stats/tests_funders.csv",
                 "report",
                 lambda data: data.replace(b"\nNCI,5,", b"\nNCI,five,", 1),
             ),
-            ("ingest/articles.jsonl", "link", truncate_first_line),
-            ("ingest/awards.jsonl", "stats", truncate_first_line),
-            ("ingest/aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
+            ("articles.jsonl", "link", truncate_first_line),
+            ("awards.jsonl", "stats", truncate_first_line),
+            ("out/ingest/aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
             (
-                "link/links.jsonl",
+                "out/link/links.jsonl",
                 "stats",
                 lambda data: re.sub(rb'"imputed_year": (\d+)', rb'"imputed_year": "\1"', data, 1),
             ),
             (
-                "link/links.jsonl",
+                "out/link/links.jsonl",
                 "stats",
                 lambda data: data.replace(b'{"article_id"', b'{"added": 1, "article_id"', 1),
             ),
-            ("ingest/articles.jsonl", "link", lambda data: b'{"added": 1, ' + data[1:]),
-            ("ingest/awards.jsonl", "stats", lambda data: b'{"added": 1, ' + data[1:]),
+            ("articles.jsonl", "link", lambda data: b'{"added": 1, ' + data[1:]),
+            ("awards.jsonl", "stats", lambda data: b'{"added": 1, ' + data[1:]),
             (
-                "ingest/awards.jsonl",
+                "awards.jsonl",
                 "link",
                 lambda data: re.sub(rb'"fiscal_year": (\d+)', rb'"fiscal_year": "\1"', data, 1),
             ),
-            ("ingest/awards.jsonl", "link", lambda data: data + data.split(b"\n", 1)[0] + b"\n"),
+            ("awards.jsonl", "link", lambda data: data + data.split(b"\n", 1)[0] + b"\n"),
             (
-                "ingest/articles.jsonl",
+                "articles.jsonl",
                 "link",
                 lambda data: data.replace(b'"grant_tags": [{', b'"grant_tags": [{"added": 1, ', 1),
+            ),
+            (
+                "articles.jsonl",
+                "resolve",
+                lambda data: data.replace(b'"Circulation"', b'"Circulation Res"', 1),
+            ),
+            (
+                "awards.jsonl",
+                "stats",
+                lambda data: data.replace(b'"Duke University"', b'"Duke Univ."', 1),
             ),
         ],
         ids=[
@@ -211,19 +222,47 @@ class TestStages:
             "awards-year-as-string",
             "awards-duplicate-row",
             "articles-nested-extra-field",
+            "articles-edited-still-valid",
+            "awards-edited-still-valid",
         ],
     )
     def test_malformed_artifact_is_dependency_error(
-        self, workspace, caplog, artifact, command, corrupt
+        self, workspace, caplog, target, command, corrupt
     ):
         config = str(workspace / "config.yaml")
         assert main(["all", "--config", config]) == EXIT_OK
-        path = workspace / "out" / artifact
+        path = workspace / target
         data = path.read_bytes()
         assert corrupt(data) != data
         path.write_bytes(corrupt(data))
         assert main([command, "--config", config]) == EXIT_DEPENDENCY
         assert f"{path}:" in caplog.text
+
+    @pytest.mark.parametrize("command", ["resolve", "link", "stats"])
+    def test_missing_ingest_manifest_is_dependency_error(self, workspace, caplog, command):
+        # The stages that read a raw input again check it against ingest's digest.
+        config = str(workspace / "config.yaml")
+        assert main(["all", "--config", config]) == EXIT_OK
+        manifest = workspace / "out" / "ingest" / "manifest.json"
+        manifest.unlink()
+        assert main([command, "--config", config]) == EXIT_DEPENDENCY
+        assert f"missing manifest {manifest}" in caplog.text
+
+    @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
+    def test_non_json_constant_in_artifact_exits_4(self, workspace, caplog, constant):
+        config = str(workspace / "config.yaml")
+        assert main(["all", "--config", config]) == EXIT_OK
+        path = workspace / "out" / "stats" / "tests_funders.csv"
+        data = path.read_bytes()
+        assert data.endswith(b",0.75\nNIA,5,0.0,-50.0,16.66666666666667,1.0\n")
+        path.write_bytes(data.replace(b",0.75\n", b"," + constant + b"\n"))
+        assert main(["report", "--config", config]) == EXIT_DEPENDENCY
+        assert f"{path}:3: p_value: expected a number, got {constant.decode()!r}" in caplog.text
+        links = workspace / "out" / "link" / "links.jsonl"
+        data = links.read_bytes()
+        links.write_bytes(data.replace(b'"imputed_year": 1996', b'"imputed_year": ' + constant, 1))
+        assert main(["stats", "--config", config]) == EXIT_DEPENDENCY
+        assert f"{links}:1: invalid JSON: {constant.decode()} is not a JSON value" in caplog.text
 
     @pytest.mark.parametrize(
         "cells, message",
@@ -276,26 +315,33 @@ class TestLoadOnce:
         for name, expected in sorted(read_tree(FIXTURES / "golden").items()):
             assert produced[name] == expected, f"artifact differs: {name}"
 
-    def test_index_from_raw_records_equals_index_from_artifact(self, workspace):
-        run_all(load_config(workspace / "config.yaml"))
-        ingest_dir = workspace / "out" / "ingest"
-        raw_records = biblio.read_records(workspace / "articles.jsonl")
-        loaded_records = biblio.read_records(ingest_dir / "articles.jsonl")
-        assert raw_records == loaded_records
-        raw = biblio.ingest_records(raw_records)
-        loaded = biblio.ingest_records(loaded_records)
+    def test_single_stage_resolve_indexes_the_records_all_hands_on(self, workspace, monkeypatch):
+        indexed = []
+        real = biblio.ingest_records
+
+        def spy(records):
+            indexed.append(records)
+            return real(records)
+
+        monkeypatch.setattr(biblio, "ingest_records", spy)
+        config = load_config(workspace / "config.yaml")
+        run_all(config)
+        run_resolve(config)
+        handed_on, read_back = indexed
+        assert handed_on == read_back == biblio.read_records(workspace / "articles.jsonl")
         fragments = [
             json.loads(line)["normalized_text"]
-            for line in (ingest_dir / "fragments.jsonl").read_text(encoding="utf-8").splitlines()
+            for line in (workspace / "out" / "ingest" / "fragments.jsonl").read_text().splitlines()
         ]
         assert fragments
+        index = real(read_back)
         for text in fragments:
             years = fragment_years(text)
             for year_hint in (None, years[0] if years else 2005):
-                for k in (1, 10, len(raw)):
-                    assert raw.search(text.split(), year_hint, k) == loaded.search(
-                        text.split(), year_hint, k
-                    )
+                for k in (1, 10, len(index)):
+                    expected = oracle_search(read_back.values(), text.split(), year_hint, k)
+                    found = index.search(text.split(), year_hint, k)
+                    assert [r.article_id for r in found] == expected
 
     def test_rewritten_articles_are_reloaded(self, workspace):
         config = load_config(workspace / "config.yaml")
@@ -306,13 +352,14 @@ class TestLoadOnce:
             for line in resolution_path.read_text(encoding="utf-8").splitlines()
         } - {None}
         assert resolved
-        articles_path = workspace / "out" / "ingest" / "articles.jsonl"
+        articles_path = workspace / "articles.jsonl"
         kept = [
             line
             for line in articles_path.read_text(encoding="utf-8").splitlines(keepends=True)
             if json.loads(line)["article_id"] not in resolved
         ]
         articles_path.write_text("".join(kept), encoding="utf-8")
+        run_ingest(config)
         run_resolve(config)
         rows = [json.loads(line) for line in resolution_path.read_text(encoding="utf-8").splitlines()]
         assert rows and all(row.get("article_id") not in resolved for row in rows)
@@ -356,14 +403,16 @@ class TestSingleStageLoads:
         manifest = json.loads((primed.workdir / "resolve" / "manifest.json").read_bytes())
         assert "retraction_flags.csv" in manifest["outputs"]
         expected = report.flag_retracted(
-            RESOLUTION.read(primed).objects, ARTICLES.read(primed).objects
+            RESOLUTION.read(primed).objects, biblio.read_records(primed.records_path)
         )
         assert len(expected) == 3
         assert FLAGS.read(primed).objects == expected
 
     def test_each_input_opened_once(self, primed, monkeypatch):
+        # Each upstream artifact and raw input once, ingest's manifest at most once.
         out = primed.workdir
-        reads = count_reads(monkeypatch, out)
+        raw = {"records": primed.records_path, "award_db": primed.award_db_path}
+        reads = count_reads(monkeypatch, out.parent)
         stages = (
             ("resolve", run_resolve),
             ("link", run_link),
@@ -374,8 +423,9 @@ class TestSingleStageLoads:
             reads.clear()
             run(primed)
             opened = dict(reads)
+            assert opened.pop(out / "ingest" / "manifest.json", 0) <= 1, stage
             manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
-            assert opened == {out / name: 1 for name in manifest["inputs"]}, stage
+            assert opened == {raw.get(name, out / name): 1 for name in manifest["inputs"]}, stage
 
     def test_report_passes_each_memo_only_its_rows_and_links(self, primed, monkeypatch):
         calls = []
@@ -616,7 +666,7 @@ class TestCliErrors:
             ("memos.jsonl", "7\n", CorpusError, "expected a JSON object"),
             ("articles.jsonl", '{"article_id": "x"}\n', IngestError, "title: expected"),
             ("aliases.csv", "orphan name without code\n", FundingError, "raw_name,canonical_code"),
-            ("awards.jsonl", "", StatsError, "pool award set is empty"),
+            ("awards.jsonl", "", FundingError, "awards.jsonl: no award rows"),
         ],
     )
     def test_each_input_error_class_exits_3(self, workspace, caplog, name, text, error, message):
@@ -625,6 +675,20 @@ class TestCliErrors:
         assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
         [record] = [r for r in caplog.records if r.msg == "input error: %s"]
         assert isinstance(record.args[0], error) and message in str(record.args[0])
+        assert not (workspace / "out" / "resolve").exists()  # every one stops in ingest
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "name, field", [("articles.jsonl", "pub_year"), ("awards.jsonl", "fiscal_year")]
+    )
+    def test_non_json_constant_in_input_exits_3(self, workspace, caplog, name, field, constant):
+        path = workspace / name
+        first, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        edited = re.sub(f'"{field}": \\d+', f'"{field}": {constant}', first)
+        assert edited != first
+        path.write_text(edited + "\n" + rest, encoding="utf-8")
+        assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert f"{path}:1: invalid JSON: {constant} is not a JSON value" in caplog.text
 
     def test_duplicate_memo_id_names_line(self, workspace, caplog):
         memos = workspace / "memos.jsonl"
