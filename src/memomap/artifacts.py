@@ -98,6 +98,7 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
 
 
 def _tuple(of: tuple[dict[type, Any], str], keep: frozenset[type], items: list) -> tuple:
+    """``items`` as a tuple: as they are when each is of a kept type, else each checked."""
     if keep.issuperset(map(type, items)):
         return tuple(items)
     return tuple([_value(of, x, f"[{i}]") for i, x in enumerate(items)])

@@ -168,15 +168,12 @@ def _key(item: Input) -> str:
 def _ingested(config: PipelineConfig) -> dict[str, Any]:
     """The raw input digests that ``ingest`` recorded in its manifest."""
     path = config.workdir / "ingest" / "manifest.json"
-    if not path.is_file():
-        raise StageDependencyError(f"missing manifest {path}; run stage 'ingest' first")
     try:
-        inputs = json.loads(path.read_bytes())["inputs"]
-    except (ValueError, KeyError, TypeError):
-        inputs = None
-    if not isinstance(inputs, dict):
-        raise StageDependencyError(f"{path}: not a stage manifest")
-    return inputs
+        return dict(json.loads(path.read_bytes())["inputs"])
+    except FileNotFoundError:
+        raise StageDependencyError(f"missing manifest {path}; run stage 'ingest' first") from None
+    except (ValueError, KeyError, TypeError):  # not JSON, or no inputs mapping
+        raise StageDependencyError(f"{path}: not a stage manifest") from None
 
 
 def _read(config: PipelineConfig, inputs: tuple[Input, ...]) -> list[Loaded]:

@@ -239,14 +239,24 @@ class TestStages:
         assert f"{path}:" in caplog.text
 
     @pytest.mark.parametrize("command", ["resolve", "link", "stats"])
-    def test_missing_ingest_manifest_is_dependency_error(self, workspace, caplog, command):
+    @pytest.mark.parametrize(
+        "replacement, message",
+        [(None, "missing manifest {}"), (b'{"inputs": [1]}\n', "{}: not a stage manifest")],
+        ids=["missing", "no-inputs-mapping"],
+    )
+    def test_missing_ingest_manifest_is_dependency_error(
+        self, workspace, caplog, command, replacement, message
+    ):
         # The stages that read a raw input again check it against ingest's digest.
         config = str(workspace / "config.yaml")
         assert main(["all", "--config", config]) == EXIT_OK
         manifest = workspace / "out" / "ingest" / "manifest.json"
-        manifest.unlink()
+        if replacement is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(replacement)
         assert main([command, "--config", config]) == EXIT_DEPENDENCY
-        assert f"missing manifest {manifest}" in caplog.text
+        assert message.format(manifest) in caplog.text
 
     @pytest.mark.parametrize("constant", [b"NaN", b"Infinity", b"-Infinity"])
     def test_non_json_constant_in_artifact_exits_4(self, workspace, caplog, constant):
