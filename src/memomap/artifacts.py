@@ -21,8 +21,9 @@ other cell as a JSON scalar, so ``1_0`` is no integer. No file may hold the
 non-JSON constants ``NaN``, ``Infinity`` and ``-Infinity``. Writing and
 reading both stream the file line by line and return the sha256 of its
 bytes, which the stage manifest records; reading also returns the objects.
-A ``RawInput`` names a raw input file that a stage after ``ingest`` reads
-again, and reads it only while its sha256 is the one ``ingest`` recorded.
+A ``RawInput`` names a raw input file that the config names; ``ingest``
+parses and hashes it, and a stage after ``ingest`` reads it again only while
+its sha256 is the one ``ingest`` recorded.
 ``jsonl_rows`` and ``csv_rows`` also read the raw inputs, raising the
 caller's error class (an ``InputError`` for a raw input).
 """
@@ -275,11 +276,9 @@ class Artifact:
     """A stage output: where it lives and how its rows map to objects."""
 
     path: str  # "<stage>/<file>" under the working directory
-    row_type: type | None = None
+    row_type: type
     columns: tuple[str, ...] = ()  # CSV: "column", or "column=attribute" when they differ
     omit_none: tuple[str, ...] = ()  # JSONL: fields written only when not None
-    # Replaces the row reader: (path, sha256 to update, config) -> objects.
-    load: Callable[[Path, Any, PipelineConfig], Any] | None = None
 
     @property
     def name(self) -> str:
@@ -310,20 +309,15 @@ class Artifact:
     def read(self, config: PipelineConfig) -> Loaded:
         """Parse the artifact from the working directory, hashing what it reads.
 
-        A missing file, a malformed row or a loader's InputError raises
-        StageDependencyError, a malformed row naming its ``file:line``.
+        A missing file or a malformed row raises StageDependencyError, a
+        malformed row naming its ``file:line``.
         """
         path = config.workdir / self.path
         if not path.is_file():
             stage = self.path.split("/", 1)[0]
             raise StageDependencyError(f"missing artifact {path}; run stage '{stage}' first")
         digest = hashlib.sha256()
-        if self.load is not None:
-            try:
-                objects = self.load(path, digest, config)
-            except InputError as exc:  # a bad copy in the workdir is a bad upstream stage
-                raise StageDependencyError(str(exc)) from exc
-        elif self.columns:
+        if self.columns:
             objects = self._parse_csv(path, digest)
         else:  # a program-written JSONL file: a key that is no field means a foreign file
             rows = decoded_rows(path, self.row_type, StageDependencyError, digest, exact=True)
@@ -363,30 +357,35 @@ def _json_cell(cell: str) -> Any:
 
 
 class RawInput(NamedTuple):
-    """A raw input file that the config names and a stage after ``ingest`` reads again.
+    """A raw input file that the config names, parsed by ``ingest`` and read again later.
 
     ``key`` names it in the manifests' inputs; ``ingest`` records its sha256
-    there. A stage run on its own parses and hashes the file in one read,
-    and a digest other than the one ``ingest`` recorded means the file
-    changed since: a stale input, which wins over any parse error the change
-    causes.
+    there. Every read parses and hashes the file in one pass. For a stage
+    after ``ingest``, a digest other than the one ``ingest`` recorded means
+    the file changed since: a stale input, which wins over any parse error
+    the change causes.
     """
 
     key: str
     config_path: str  # the PipelineConfig attribute that holds the file's path
-    load: Callable[[Path, Any], Any]  # (path, sha256 to update) -> objects
+    load: Callable[[Path, Any, PipelineConfig], Any]  # (path, sha256 to update, config) -> objects
+
+    def parse(self, config: PipelineConfig) -> Loaded:
+        """The objects and the file's digest; a malformed file raises InputError."""
+        digest = hashlib.sha256()
+        objects = self.load(getattr(config, self.config_path), digest, config)
+        return Loaded(self, objects, digest.hexdigest())
 
     def read(self, config: PipelineConfig, ingested: Mapping[str, Any]) -> Loaded:
         """The objects, if the file still has the digest ``ingested[key]``."""
         path = getattr(config, self.config_path)
-        digest = hashlib.sha256()
         try:
-            objects = self.load(path, digest)
+            loaded = self.parse(config)
         except InputError:
             self._check(path, _file_sha256(path), ingested)
             raise
-        self._check(path, digest.hexdigest(), ingested)
-        return Loaded(self, objects, digest.hexdigest())
+        self._check(path, loaded.digest, ingested)
+        return loaded
 
     def _check(self, path: Path, digest: str, ingested: Mapping[str, Any]) -> None:
         if digest != ingested.get(self.key):

@@ -15,6 +15,7 @@ import yaml
 
 from .artifacts import DecodeError, decode
 from .corpus import CorpusError, SegmenterConfig
+from .funding import DEFAULT_ALIASES
 from .remote import RemoteConfig
 from .resolver import ResolverConfig
 
@@ -37,7 +38,7 @@ class _Paths:
     records: str
     award_db: str
     workdir: str
-    aliases: str | None = None  # None = packaged default table
+    aliases: str | None = None  # None = funding.DEFAULT_ALIASES
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class PipelineConfig:
     records_path: Path
     award_db_path: Path
     workdir: Path
-    aliases_path: Path | None
+    aliases_path: Path
     segmenter: SegmenterConfig
     resolver: ResolverConfig
     remote: RemoteConfig
@@ -91,9 +92,9 @@ class PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse and validate a pipeline config file.
 
-    Referenced input paths are resolved relative to the config file's
-    directory and must exist; result-affecting options live here, never on
-    the command line.
+    Input paths are resolved relative to the config file's directory and must
+    exist; an absent ``paths.aliases`` is ``funding.DEFAULT_ALIASES``. Options
+    that affect results live here, never on the command line.
     """
     path = Path(path)
     if not path.is_file():
@@ -136,7 +137,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         records_path=base / paths.records,
         award_db_path=base / paths.award_db,
         workdir=base / paths.workdir,
-        aliases_path=base / paths.aliases if paths.aliases else None,
+        aliases_path=base / paths.aliases if paths.aliases else DEFAULT_ALIASES,
         segmenter=section("corpus", SegmenterConfig),
         resolver=section("resolver", ResolverConfig),
         remote=section("remote", RemoteConfig, beside=_RemoteCache),
@@ -171,12 +172,14 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("report.top_k must be >= 1")
     if config.remote.enabled and not config.remote.offline and not config.remote.base_url:
         raise ConfigError("remote.enabled requires remote.base_url (or offline mode)")
+    if not config.corpus_path.exists():  # a JSONL file or a directory of .txt files
+        raise ConfigError(f"paths.corpus does not exist: {config.corpus_path}")
     for label, p in (
-        ("paths.corpus", config.corpus_path),
         ("paths.records", config.records_path),
         ("paths.award_db", config.award_db_path),
+        ("paths.aliases", config.aliases_path),
     ):
-        if not p.exists():
-            raise ConfigError(f"{label} does not exist: {p}")
-    if config.aliases_path is not None and not config.aliases_path.is_file():
-        raise ConfigError(f"paths.aliases does not exist: {config.aliases_path}")
+        if not p.is_file():
+            raise ConfigError(f"{label} is not a file: {p}")
+    if config.workdir.exists() and not config.workdir.is_dir():
+        raise ConfigError(f"paths.workdir is not a directory: {config.workdir}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -17,6 +16,8 @@ logger = logging.getLogger(__name__)
 UNMAPPED = "UNMAPPED"
 SOURCE_ARTICLE = "article_metadata"
 SOURCE_AWARD_DB = "award_database"
+# The funder alias table shipped with the package, used when the config names none.
+DEFAULT_ALIASES = Path(__file__).parent / "data" / "funder_aliases.csv"
 
 # Retired funder codes folded into their successor.
 _FUNDER_MERGES = {"NCRR": "NCATS"}
@@ -108,13 +109,6 @@ def load_aliases(
     return FunderAliasTable(mapping, on_unmapped=on_unmapped)
 
 
-def load_default_aliases(on_unmapped: str = "warn", digest: Any = None) -> FunderAliasTable:
-    """Alias table bundled with the package (editable seed list)."""
-    ref = resources.files("memomap.data").joinpath("funder_aliases.csv")
-    with resources.as_file(ref) as path:
-        return load_aliases(path, on_unmapped, digest)
-
-
 def parse_core_project(award_text: str) -> str:
     """Reduce an award identifier to its core project number.
 
@@ -126,18 +120,14 @@ def parse_core_project(award_text: str) -> str:
 
 
 class AwardDatabase:
-    """Awards sorted by full project number and indexed, once, by core number
-    and by cited article; lookups return the stored sequences, not copies."""
+    """Awards sorted by full project number (unique: ``load_award_db`` checks) and indexed,
+    once, by core number and by cited article; lookups return the stored sequences."""
 
     def __init__(self, awards: Iterable[Award]) -> None:
         self._awards = sorted(awards, key=lambda award: award.full_project_number)
         self._by_core: dict[str, list[Award]] = {}
         self._by_article: dict[str, list[Award]] = {}
-        previous = None
         for award in self._awards:
-            if award.full_project_number == previous:
-                raise FundingError(f"duplicate full_project_number {previous!r}")
-            previous = award.full_project_number
             self._by_core.setdefault(award.core_project_number, []).append(award)
             for article_id in award.cited_article_ids:
                 self._by_article.setdefault(article_id, []).append(award)

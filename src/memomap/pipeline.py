@@ -3,21 +3,22 @@
 Each stage artifact is declared once below: its path under the working
 directory, its row type, and its CSV columns or the JSONL fields left out
 when None. So is each raw input that a later stage reads again: the article
-records and the award database, which ``ingest`` checks and hashes but does
-not copy. Every stage after ``ingest`` is a ``run_*`` function that names
-the inputs it reads and a compute function, which maps their objects to
-the files the stage writes and the objects it hands on, and reads and writes
-no stage file itself. One runner, ``_run``, does the rest: a single-stage
-command reads the inputs through the artifact layer, a raw input only while
-its digest is the one in ``ingest``'s manifest, while ``run_all`` hands
-each stage's objects and output digests to the next stage and reads back
-nothing it wrote. ``ingest`` reads the raw inputs the config names, then
-finishes like every other stage in ``_write_stage``: it writes the files
-under ``workdir/<stage>/``, removes the files there that it did not write,
-records a manifest of the config hash and the sha256 of each input and
-output, and hands the objects on. The config hash leaves out every path and
-outputs carry no timestamps, so re-running an unchanged stage reproduces
-every byte, however the config file's path is spelled.
+records, the award database and the funder alias table, which ``ingest``
+checks and hashes but does not copy. Every stage after ``ingest`` is a
+``run_*`` function that names the inputs it reads and a compute function,
+which maps their objects to the files the stage writes and the objects it
+hands on, and reads and writes no stage file itself. One runner, ``_run``,
+does the rest: a single-stage command reads the inputs through the artifact
+layer, a raw input only while its digest is the one in ``ingest``'s
+manifest, while ``run_all`` hands each stage's objects and output digests to
+the next stage and reads back nothing it wrote. ``ingest`` reads the raw
+inputs the config names, then finishes like every other stage in
+``_write_stage``: it writes the files under ``workdir/<stage>/``, removes
+the files there that it did not write, records a manifest of the config hash
+and the sha256 of each input and output, and hands the objects on. The
+config hash leaves out every path and outputs carry no timestamps, so
+re-running an unchanged stage reproduces every byte, however the config
+file's path is spelled.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import json
 import logging
 import os
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Any, Callable, Iterable, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
@@ -39,15 +39,18 @@ logger = logging.getLogger(__name__)
 
 
 # The loaders look the parsers up on each call, so a wrapper bound in their place runs.
-RECORDS = RawInput("records", "records_path", lambda path, digest: biblio.read_records(path, digest))
+RECORDS = RawInput(
+    "records", "records_path", lambda path, digest, config: biblio.read_records(path, digest)
+)
 AWARD_DB = RawInput(
-    "award_db", "award_db_path", lambda path, digest: funding.load_award_db(path, digest)
+    "award_db", "award_db_path", lambda path, digest, config: funding.load_award_db(path, digest)
+)
+ALIASES = RawInput(
+    "aliases",
+    "aliases_path",
+    lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
 )
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
-ALIASES = Artifact(
-    "ingest/aliases.csv",
-    load=lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
-)
 RESOLUTION = Artifact(
     "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
 )
@@ -210,20 +213,9 @@ def _run(
     return _write_stage(stage, config, digests, outputs, hand_on, upstream)
 
 
-def _read_aliases(config: PipelineConfig) -> tuple[funding.FunderAliasTable, bytes]:
-    """The alias table and its file's bytes, parsed and kept from one read."""
-    lines: list[bytes] = []
-    keep = SimpleNamespace(update=lines.append)  # fed each line as it is read
-    if config.aliases_path is None:
-        table = funding.load_default_aliases(config.on_unmapped, keep)
-    else:
-        table = funding.load_aliases(config.aliases_path, config.on_unmapped, keep)
-    return table, b"".join(lines)
-
-
 def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Validate raw inputs, record their digests and extract the reference fragments."""
-    corpus_digest, records_digest, awards_digest = (hashlib.sha256() for _ in range(3))
+    corpus_digest = hashlib.sha256()
     memos = corpus.load_corpus(config.corpus_path, corpus_digest)
     fragments: list[corpus.ReferenceFragment] = []
     for memo in sorted(memos, key=lambda m: m.memo_id):
@@ -232,20 +224,10 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
             logger.info("memo %s: no reference fragments found", memo.memo_id)
         fragments.extend(memo_fragments)
 
-    records = biblio.read_records(config.records_path, records_digest)
-    award_db = funding.load_award_db(config.award_db_path, awards_digest)
-    aliases, aliases_bytes = _read_aliases(config)
-
-    inputs = {
-        "corpus": corpus_digest.hexdigest(),
-        RECORDS.key: records_digest.hexdigest(),
-        AWARD_DB.key: awards_digest.hexdigest(),
-    }
-    if config.aliases_path is not None:
-        inputs["aliases"] = _sha256_bytes(aliases_bytes)
-    outputs: Outputs = {FRAGMENTS: fragments, ALIASES.name: aliases_bytes}
-    hand_on = {FRAGMENTS: fragments, RECORDS: records, AWARD_DB: award_db, ALIASES: aliases}
-    return _write_stage("ingest", config, inputs, outputs, hand_on, upstream)
+    raw = [item.parse(config) for item in (RECORDS, AWARD_DB, ALIASES)]
+    inputs = {"corpus": corpus_digest.hexdigest(), **{r.artifact.key: r.digest for r in raw}}
+    hand_on = {FRAGMENTS: fragments, **{r.artifact: r.objects for r in raw}}
+    return _write_stage("ingest", config, inputs, {FRAGMENTS: fragments}, hand_on, upstream)
 
 
 def _resolve(config: PipelineConfig, fragments, records) -> Computed:

@@ -11,7 +11,6 @@ from memomap.funding import (
     SOURCE_AWARD_DB,
     UNMAPPED,
     Award,
-    AwardDatabase,
     FunderAliasTable,
     FundingError,
     UnmappedFunderError,
@@ -291,14 +290,17 @@ class TestAwardDb:
         with pytest.raises(FundingError, match="does not extend core"):
             load_award_db(path)
 
-    def test_duplicate_full_number_rejected(self):
-        with pytest.raises(FundingError, match="duplicate"):
-            AwardDatabase(
-                [
-                    Award("R01CA9-01", "R01CA9", "NCI", 2000),
-                    Award("R01CA9-01", "R01CA9", "NCI", 2001),
-                ]
-            )
+    def test_duplicate_full_number_rejected(self, tmp_path):
+        row = {"full_project_number": "R01CA9-01", "core_project_number": "R01CA9"}
+        path = write_jsonl(
+            tmp_path / "a.jsonl",
+            [
+                {**row, "funder_code": "NCI", "fiscal_year": 2000},
+                {**row, "funder_code": "NCI", "fiscal_year": 2001},
+            ],
+        )
+        with pytest.raises(FundingError, match=r"a\.jsonl:2: duplicate full_project_number"):
+            load_award_db(path)
 
     def test_missing_field_names_line(self, tmp_path):
         path = write_jsonl(

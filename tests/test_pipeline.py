@@ -156,7 +156,7 @@ class TestStages:
         assert set(read_tree(report_dir)) == set(manifest["outputs"]) | {"manifest.json"}
 
     # Paths under the fixture directory: stage artifacts under out/, and the raw
-    # article and award files, which a stage after ingest reads again.
+    # article, award and alias files, which a stage after ingest reads again.
     @pytest.mark.parametrize(
         "target, command, corrupt",
         [
@@ -173,7 +173,7 @@ class TestStages:
             ),
             ("articles.jsonl", "link", truncate_first_line),
             ("awards.jsonl", "stats", truncate_first_line),
-            ("out/ingest/aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
+            ("aliases.csv", "link", lambda data: data + b"orphan name without code\n"),
             (
                 "out/link/links.jsonl",
                 "stats",
@@ -421,7 +421,11 @@ class TestSingleStageLoads:
     def test_each_input_opened_once(self, primed, monkeypatch):
         # Each upstream artifact and raw input once, ingest's manifest at most once.
         out = primed.workdir
-        raw = {"records": primed.records_path, "award_db": primed.award_db_path}
+        raw = {
+            "records": primed.records_path,
+            "award_db": primed.award_db_path,
+            "aliases": primed.aliases_path,
+        }
         reads = count_reads(monkeypatch, out.parent)
         stages = (
             ("resolve", run_resolve),
@@ -530,6 +534,27 @@ class TestHandOff:
         for run in (run_ingest, run_resolve, run_link, run_stats, run_report):
             run(config)
         assert read_tree(config.workdir) == handed_on
+
+
+class TestBundledAliases:
+    def test_config_without_aliases_reads_the_bundled_table(self, workspace):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        del data["paths"]["aliases"]
+        path.write_text(yaml.safe_dump(data))
+        assert load_config(path).aliases_path == funding.DEFAULT_ALIASES
+        assert main(["all", "--config", str(path)]) == EXIT_OK
+        out = workspace / "out"
+        bundled = hashlib.sha256(funding.DEFAULT_ALIASES.read_bytes()).hexdigest()
+        for stage in ("ingest", "link"):
+            manifest = json.loads((out / stage / "manifest.json").read_bytes())
+            assert manifest["inputs"]["aliases"] == bundled, stage
+        links_path = out / "link" / "links.jsonl"
+        links = links_path.read_bytes()
+        assert links
+        links_path.unlink()
+        assert main(["link", "--config", str(path)]) == EXIT_OK
+        assert links_path.read_bytes() == links
 
 
 class TestCliErrors:
@@ -751,6 +776,23 @@ class TestConfig:
         path.write_text(yaml.safe_dump(data))
         with pytest.raises(ConfigError, match=f"remote.{key}"):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "name, make, key",
+        [
+            ("articles.jsonl", Path.mkdir, "paths.records"),
+            ("awards.jsonl", Path.mkdir, "paths.award_db"),
+            ("aliases.csv", Path.mkdir, "paths.aliases"),
+            ("out", Path.touch, "paths.workdir"),
+        ],
+        ids=["records-directory", "award-db-directory", "aliases-directory", "workdir-file"],
+    )
+    def test_path_of_wrong_kind_is_config_error(self, workspace, caplog, name, make, key):
+        target = workspace / name
+        target.unlink(missing_ok=True)
+        make(target)
+        assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_CONFIG
+        assert f"{key} is not a" in caplog.text
 
     def test_canonical_dict_is_stable(self, workspace):
         config = load_config(workspace / "config.yaml")
