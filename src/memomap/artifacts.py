@@ -18,9 +18,11 @@ rejects a key that is not a field, since this program wrote the file. A CSV
 row is the declared columns, each an attribute of the row object; reading
 one back decodes its field columns, a string field's cell as it is and any
 other cell as a JSON scalar, so ``1_0`` is no integer. No file may hold the
-non-JSON constants ``NaN``, ``Infinity`` and ``-Infinity``. Writing and
-reading both stream the file line by line and return the sha256 of its
-bytes, which the stage manifest records; reading also returns the objects.
+non-JSON constants ``NaN``, ``Infinity`` and ``-Infinity``. The write side
+only encodes: ``Artifact.encode`` yields a file's bytes, a CSV file whole and
+a JSONL file one line at a time, and the stage writer hashes each chunk as it
+writes it. Reading streams the file line by line and returns the objects and
+the sha256 of its bytes, which the stage manifest records.
 A ``RawInput`` names a raw input file that the config names; ``ingest``
 parses and hashes it, and a stage after ``ingest`` reads it again only while
 its sha256 is the one ``ingest`` recorded.
@@ -251,18 +253,6 @@ def _sorted_fields(row: Any) -> dict[str, Any]:
 _JSON = json.JSONEncoder(default=_sorted_fields)
 
 
-class _HashingSink:
-    """Text in, UTF-8 bytes out to a binary file, each write added to a sha256."""
-
-    def __init__(self, fh: IO[bytes], digest: Any) -> None:
-        self._fh, self._digest = fh, digest
-
-    def write(self, text: str) -> None:
-        data = text.encode("utf-8")
-        self._digest.update(data)
-        self._fh.write(data)
-
-
 class Loaded(NamedTuple):
     """An artifact's or raw input's objects and the sha256 of their bytes on disk."""
 
@@ -288,23 +278,19 @@ class Artifact:
     def _columns(self) -> list[tuple[str, str]]:
         return [(c.split("=")[0], c.split("=")[-1]) for c in self.columns]
 
-    def write(self, rows: Iterable[Any], path: Path) -> str:
-        """Write ``rows`` to ``path`` line by line; returns the sha256 of the bytes."""
-        digest = hashlib.sha256()
-        with path.open("wb") as fh:
-            sink = _HashingSink(fh, digest)
-            if self.columns:
-                columns = self._columns()
-                header = [column for column, _ in columns]
-                body = ([getattr(row, attr) for _, attr in columns] for row in rows)
-                csv.writer(sink, lineterminator="\n").writerows(itertools.chain([header], body))
-            else:
-                keys, omit = _json_keys(self.row_type), self.omit_none
-                for row in rows:
-                    values = vars(row)
-                    kept = {k: values[k] for k in keys if values[k] is not None or k not in omit}
-                    sink.write(_JSON.encode(kept) + "\n")
-        return digest.hexdigest()
+    def encode(self, rows: Iterable[Any]) -> Iterator[bytes]:
+        """The file's UTF-8 bytes for ``rows``: a CSV file whole, a JSONL file line by line."""
+        if self.columns:
+            columns = self._columns()
+            header = [column for column, _ in columns]
+            body = ([getattr(row, attr) for _, attr in columns] for row in rows)
+            yield csv_text(itertools.chain([header], body)).encode("utf-8")
+        else:
+            keys, omit = _json_keys(self.row_type), self.omit_none
+            for row in rows:
+                values = vars(row)
+                kept = {k: values[k] for k in keys if values[k] is not None or k not in omit}
+                yield (_JSON.encode(kept) + "\n").encode("utf-8")
 
     def read(self, config: PipelineConfig) -> Loaded:
         """Parse the artifact from the working directory, hashing what it reads.
@@ -363,7 +349,8 @@ class RawInput(NamedTuple):
     there. Every read parses and hashes the file in one pass. For a stage
     after ``ingest``, a digest other than the one ``ingest`` recorded means
     the file changed since: a stale input, which wins over any parse error
-    the change causes.
+    the change causes. The memo corpus is a raw input too, but only
+    ``ingest`` reads it, so ``read`` never runs for it.
     """
 
     key: str
@@ -382,7 +369,7 @@ class RawInput(NamedTuple):
         try:
             loaded = self.parse(config)
         except InputError:
-            self._check(path, _file_sha256(path), ingested)
+            self._check(path, hashlib.sha256(path.read_bytes()).hexdigest(), ingested)
             raise
         self._check(path, loaded.digest, ingested)
         return loaded
@@ -392,11 +379,3 @@ class RawInput(NamedTuple):
             raise StageDependencyError(
                 f"{path}: changed since stage 'ingest' read it; run stage 'ingest' again"
             )
-
-
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(functools.partial(fh.read, 1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()

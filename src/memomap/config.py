@@ -31,9 +31,16 @@ class StatsOptions:
     min_obs: int = 5
 
 
-# Sections with no dataclass of their own elsewhere; paths are relative to the config file.
+class _PathSection:  # paths relative to the config file; "" would name its directory
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) == "":
+                raise DecodeError(f"{f.name}: expected a path, got ''")
+
+
+# Sections with no dataclass of their own elsewhere.
 @dataclass(frozen=True)
-class _Paths:
+class _Paths(_PathSection):
     corpus: str
     records: str
     award_db: str
@@ -42,7 +49,7 @@ class _Paths:
 
 
 @dataclass(frozen=True)
-class _RemoteCache:  # read from the "remote" section beside RemoteConfig
+class _RemoteCache(_PathSection):  # read from the "remote" section beside RemoteConfig
     cache_dir: str | None = None  # None = <workdir>/remote_cache
 
 

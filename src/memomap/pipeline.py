@@ -2,20 +2,21 @@
 
 Each stage artifact is declared once below: its path under the working
 directory, its row type, and its CSV columns or the JSONL fields left out
-when None. So is each raw input that a later stage reads again: the article
-records, the award database and the funder alias table, which ``ingest``
-checks and hashes but does not copy. Every stage after ``ingest`` is a
-``run_*`` function that names the inputs it reads and a compute function,
-which maps their objects to the files the stage writes and the objects it
-hands on, and reads and writes no stage file itself. One runner, ``_run``,
-does the rest: a single-stage command reads the inputs through the artifact
-layer, a raw input only while its digest is the one in ``ingest``'s
-manifest, while ``run_all`` hands each stage's objects and output digests to
-the next stage and reads back nothing it wrote. ``ingest`` reads the raw
-inputs the config names, then finishes like every other stage in
-``_write_stage``: it writes the files under ``workdir/<stage>/``, removes
-the files there that it did not write, records a manifest of the config hash
-and the sha256 of each input and output, and hands the objects on. The
+when None. So is each raw input: the memo corpus, which only ``ingest``
+reads, and the article records, the award database and the funder alias
+table, which ``ingest`` checks and hashes but does not copy and later stages
+read again. Every stage after ``ingest`` is a ``run_*`` function that names
+the inputs it reads and a compute function, which maps their objects to the
+files the stage writes and reads and writes no stage file itself. One
+runner, ``_run``, does the rest: a single-stage command reads the inputs
+through the artifact layer, a raw input only while its digest is the one in
+``ingest``'s manifest. ``ingest`` parses the raw inputs, then finishes like
+every other stage in ``_write_stage``: it writes the files under
+``workdir/<stage>/``, hashing each chunk as it writes it, removes the files
+there that it did not write, and records a manifest of the config hash and
+the sha256 of each input and output. One hand-on rule holds for every
+stage: under ``run_all`` it hands on every input it got and every artifact
+it wrote, as objects and digest, so no later stage reads back a file. The
 config hash leaves out every path and outputs carry no timestamps, so
 re-running an unchanged stage reproduces every byte, however the config
 file's path is spelled.
@@ -39,6 +40,9 @@ logger = logging.getLogger(__name__)
 
 
 # The loaders look the parsers up on each call, so a wrapper bound in their place runs.
+CORPUS = RawInput(
+    "corpus", "corpus_path", lambda path, digest, config: corpus.load_corpus(path, digest)
+)
 RECORDS = RawInput(
     "records", "records_path", lambda path, digest, config: biblio.read_records(path, digest)
 )
@@ -76,17 +80,13 @@ FLAGS = Artifact(
 )
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _json_document(document: dict) -> bytes:
     return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _config_hash(config: PipelineConfig) -> str:
     canonical = json.dumps(config.to_canonical_dict(), sort_keys=True)
-    return _sha256_bytes(canonical.encode("utf-8"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 _T = TypeVar("_T")
@@ -102,30 +102,28 @@ def _group(items: Iterable[_T], key: Callable[[_T], _K]) -> dict[_K, list[_T]]:
 
 
 # What `run_all` hands from stage to stage: each input's objects and digest.
-# A stage given one takes its inputs from it and adds its outputs; a stage
-# run on its own reads its inputs from the working directory and the raw files.
+# A stage given one takes its inputs from it and puts there every input it
+# got and every artifact it wrote; a stage run on its own reads its inputs
+# from the working directory and the raw files.
 Input = Artifact | RawInput
 Upstream = dict[Input, Loaded]
 # A stage's files: an Artifact key holds the rows to write, a name holds bytes.
 Outputs = dict[Artifact | str, Any]
-# What a stage computes: its files, and the objects it hands on to `run_all`.
-Computed = tuple[Outputs, dict[Input, Any]]
 
 
 def _write_stage(
     stage: str,
     config: PipelineConfig,
-    inputs: dict[str, str],
+    loaded: list[Loaded],
     outputs: Outputs,
-    hand_on: dict[Input, Any],
     upstream: Upstream | None,
 ) -> dict[str, Path]:
-    """Write a stage's artifacts and manifest, remove its other files, hand on.
+    """Write a stage's files and manifest, remove its other files, hand on.
 
-    ``inputs`` maps each upstream path or raw input key to the sha256 of its bytes.
-    ``hand_on`` holds the objects that the later stages of ``run_all`` take
-    from ``upstream`` instead of reading the files back; they equal what the
-    files read back into. Returns the written paths, manifest included.
+    ``loaded`` holds the stage's inputs, whose digests the manifest records.
+    With ``upstream`` (``run_all``), every input and every artifact written
+    is handed on there, as objects equal to what the files read back into.
+    Returns the written paths, manifest included.
     """
     stage_dir = config.workdir / stage
     written: dict[str, Path] = {}
@@ -134,15 +132,16 @@ def _write_stage(
         name = key.name if isinstance(key, Artifact) else key
         path = written[name] = stage_dir / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(key, Artifact):
-            digests[name] = key.write(value, path)
-        else:
-            path.write_bytes(value)
-            digests[name] = _sha256_bytes(value)
+        digest = hashlib.sha256()
+        with path.open("wb") as fh:
+            for chunk in key.encode(value) if isinstance(key, Artifact) else [value]:
+                digest.update(chunk)
+                fh.write(chunk)
+        digests[name] = digest.hexdigest()
     manifest = {
         "stage": stage,
         "config_hash": _config_hash(config),
-        "inputs": dict(sorted(inputs.items())),
+        "inputs": dict(sorted((_key(item.artifact), item.digest) for item in loaded)),
         "outputs": digests,
     }
     manifest_path = stage_dir / "manifest.json"
@@ -157,9 +156,10 @@ def _write_stage(
                 os.remove(os.path.join(root, name))
     logger.info("stage %s: wrote %d artifacts to %s", stage, len(outputs), stage_dir)
     if upstream is not None:
-        for item, objects in hand_on.items():
-            digest = digests[item.name] if isinstance(item, Artifact) else inputs[item.key]
-            upstream[item] = Loaded(item, objects, digest)
+        upstream.update((item.artifact, item) for item in loaded)
+        for key, value in outputs.items():
+            if isinstance(key, Artifact):
+                upstream[key] = Loaded(key, value, digests[key.name])
     return written
 
 
@@ -196,7 +196,7 @@ def _read(config: PipelineConfig, inputs: tuple[Input, ...]) -> list[Loaded]:
 def _run(
     stage: str,
     inputs: tuple[Input, ...],
-    compute: Callable[..., Computed],
+    compute: Callable[..., Outputs],
     config: PipelineConfig,
     upstream: Upstream | None,
     *extra: Any,
@@ -208,35 +208,29 @@ def _run(
     runner does both for it.
     """
     loaded = [upstream[i] for i in inputs] if upstream is not None else _read(config, inputs)
-    outputs, hand_on = compute(config, *(item.objects for item in loaded), *extra)
-    digests = {_key(item.artifact): item.digest for item in loaded}
-    return _write_stage(stage, config, digests, outputs, hand_on, upstream)
+    outputs = compute(config, *(item.objects for item in loaded), *extra)
+    return _write_stage(stage, config, loaded, outputs, upstream)
 
 
 def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Validate raw inputs, record their digests and extract the reference fragments."""
-    corpus_digest = hashlib.sha256()
-    memos = corpus.load_corpus(config.corpus_path, corpus_digest)
+    raw = [item.parse(config) for item in (CORPUS, RECORDS, AWARD_DB, ALIASES)]
     fragments: list[corpus.ReferenceFragment] = []
-    for memo in sorted(memos, key=lambda m: m.memo_id):
+    for memo in sorted(raw[0].objects, key=lambda m: m.memo_id):
         memo_fragments = corpus.extract_fragments(memo, config.segmenter)
         if not memo_fragments:
             logger.info("memo %s: no reference fragments found", memo.memo_id)
         fragments.extend(memo_fragments)
-
-    raw = [item.parse(config) for item in (RECORDS, AWARD_DB, ALIASES)]
-    inputs = {"corpus": corpus_digest.hexdigest(), **{r.artifact.key: r.digest for r in raw}}
-    hand_on = {FRAGMENTS: fragments, **{r.artifact: r.objects for r in raw}}
-    return _write_stage("ingest", config, inputs, {FRAGMENTS: fragments}, hand_on, upstream)
+    return _write_stage("ingest", config, raw, {FRAGMENTS: fragments}, upstream)
 
 
-def _resolve(config: PipelineConfig, fragments, records) -> Computed:
+def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
     index = biblio.ingest_records(records)
     remote_client = None
     if config.remote.enabled:
         remote_client = RemoteLookupClient(config.remote, config.cache_dir())
     results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, remote_client)
-    outputs: Outputs = {
+    return {
         RESOLUTION: results,
         COVERAGE: coverage,
         FLAGS: report.flag_retracted(results, records),
@@ -244,7 +238,6 @@ def _resolve(config: PipelineConfig, fragments, records) -> Computed:
             {"record_count": len(index), "token_count": index.token_count}
         ),
     }
-    return outputs, {RESOLUTION: results, COVERAGE: coverage}
 
 
 def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
@@ -252,11 +245,10 @@ def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> 
     return _run("resolve", (FRAGMENTS, RECORDS), _resolve, config, upstream)
 
 
-def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Computed:
+def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
     resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
     cited = [records[a] for a in resolved_ids if a in records]
-    outputs = {LINKS: funding.build_links(cited, awards, aliases)}
-    return outputs, outputs
+    return {LINKS: funding.build_links(cited, awards, aliases)}
 
 
 def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
@@ -292,7 +284,7 @@ def _memo_entity_lists(
     return out
 
 
-def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
+def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
     options = config.stats
 
     def shares_and_tests(memo_pairs: list, pool_pairs: list) -> tuple[list, list]:
@@ -350,7 +342,7 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
         logger.warning("paired concentration comparison unavailable: %s", exc)
         comparison = {"n": len(kld_rows), "error": str(exc)}
 
-    outputs: Outputs = {
+    return {
         SHARES_FUNDERS: funder_shares,
         SHARES_ORGS: org_shares,
         TESTS_FUNDERS: funder_results,
@@ -358,7 +350,6 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Computed:
         KLD: kld_rows,
         "kld_comparison.json": _json_document(comparison),
     }
-    return outputs, {TESTS_FUNDERS: funder_results, TESTS_ORGS: org_results}
 
 
 def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
@@ -368,7 +359,7 @@ def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> di
 
 def _report(
     config: PipelineConfig, links, resolution, coverage, tests_funders, tests_orgs, memo_id
-) -> Computed:
+) -> Outputs:
     funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
     scatter_csv, summary_csv = report.coverage_report(coverage)
 
@@ -393,8 +384,7 @@ def _report(
         graph = report.build_flow_graph(mid, memo_links, rows, top_k=config.top_k)
         outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
         outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
-
-    return outputs, {}
+    return outputs
 
 
 def run_report(

@@ -13,7 +13,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
-from .biblio import ArticleRecord, BiblioIndex
+from .biblio import MAX_YEAR, MIN_YEAR, ArticleRecord, BiblioIndex
 from .corpus import ReferenceFragment
 from .remote import RemoteLookupClient, RemoteUnavailableError
 
@@ -62,7 +62,7 @@ class CoverageStats:
 
 def fragment_years(normalized_text: str) -> list[int]:
     """All plausible 4-digit publication years in a normalized fragment."""
-    return [int(y) for y in _YEAR_RE.findall(normalized_text) if 1800 <= int(y) <= 2100]
+    return [int(y) for y in _YEAR_RE.findall(normalized_text) if MIN_YEAR <= int(y) <= MAX_YEAR]
 
 
 def _overlap(fragment_tokens: frozenset[str], record_tokens: frozenset[str]) -> float:

@@ -148,8 +148,8 @@ def test_criterion_5_resolution_quality(tmp_path):
         runs = []
         for _ in range(2):
             results = [resolve_fragment(frag, index) for frag, _ in labeled]
-            runs.append(RESOLUTION.write(results, tmp_path / "resolution.jsonl"))
-        assert runs[0] == runs[1]
+            runs.append(b"".join(RESOLUTION.encode(results)))
+        assert runs[0] and runs[0] == runs[1]
 
         true_positive = false_positive = 0
         n_true = sum(1 for _, expected in labeled if expected is not None)

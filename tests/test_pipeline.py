@@ -18,8 +18,8 @@ from memomap.cli import (
     EXIT_OK,
     main,
 )
-from memomap import biblio, funding, report
-from memomap.artifacts import InputError
+from memomap import biblio, funding, pipeline, report
+from memomap.artifacts import Artifact, InputError
 from memomap.biblio import IngestError
 from memomap.config import ConfigError, load_config
 from memomap.corpus import CorpusError
@@ -535,6 +535,27 @@ class TestHandOff:
             run(config)
         assert read_tree(config.workdir) == handed_on
 
+    def test_handed_on_equals_read_back(self, workspace):
+        # Every input a stage got and every artifact it wrote is handed on, as the
+        # objects and digest that reading the file back gives.
+        config = load_config(workspace / "config.yaml")
+        upstream: dict = {}
+        for run in (run_ingest, run_resolve, run_link, run_stats, run_report):
+            run(config, upstream=upstream)
+        artifacts = [a for a in vars(pipeline).values() if isinstance(a, Artifact)]
+        raw = [pipeline.CORPUS, pipeline.RECORDS, pipeline.AWARD_DB, pipeline.ALIASES]
+        assert len(artifacts) == 10 and set(artifacts + raw) <= upstream.keys()
+
+        def comparable(loaded):
+            # The award database and the alias table have no __eq__: compare their attributes.
+            objects = loaded.objects
+            return loaded.artifact, getattr(objects, "__dict__", objects), loaded.digest
+
+        for artifact in artifacts:
+            assert comparable(upstream[artifact]) == comparable(artifact.read(config)), artifact
+        for item in raw:
+            assert comparable(upstream[item]) == comparable(item.parse(config)), item.key
+
 
 class TestBundledAliases:
     def test_config_without_aliases_reads_the_bundled_table(self, workspace):
@@ -793,6 +814,21 @@ class TestConfig:
         make(target)
         assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_CONFIG
         assert f"{key} is not a" in caplog.text
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("paths", "corpus"), ("paths", "aliases"), ("paths", "workdir"), ("remote", "cache_dir")],
+    )
+    def test_empty_path_is_config_error(self, workspace, caplog, section, key):
+        # An empty path would name the config file's directory: an empty corpus,
+        # the bundled alias table or a workdir beside the inputs.
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data.setdefault(section, {})[key] = ""
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert f"{section}.{key}: expected a path, got ''" in caplog.text
+        assert not (workspace / "out").exists()
 
     def test_canonical_dict_is_stable(self, workspace):
         config = load_config(workspace / "config.yaml")

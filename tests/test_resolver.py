@@ -194,13 +194,13 @@ class TestResolveCorpus:
         _, coverage = resolve_corpus(self.make_fragments(small_index), small_index)
         assert {c.memo_id for c in coverage} == {"m1", "m2"}
 
-    def test_deterministic_bytes(self, small_index, tmp_path):
+    def test_deterministic_bytes(self, small_index):
         frags = self.make_fragments(small_index)
         runs = []
         for _ in range(2):
             results, _ = resolve_corpus(frags, small_index)
-            runs.append(RESOLUTION.write(results, tmp_path / "resolution.jsonl"))
-        assert runs[0] == runs[1]
+            runs.append(b"".join(RESOLUTION.encode(results)))
+        assert runs[0] and runs[0] == runs[1]
 
     def test_threshold_monotonicity(self, small_index):
         frags = self.make_fragments(small_index)
