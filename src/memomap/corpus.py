@@ -168,8 +168,9 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
     """Load memos from a JSONL file or a directory of UTF-8 text files.
 
     JSONL rows carry {memo_id, title, decision_date, body_text}, decoded by
-    ``artifacts.decode``. In directory mode each ``*.txt`` file is a memo:
-    the file stem is its id and its first non-empty line its title.
+    ``artifacts.decode``; a memo_id is non-empty, unique and has no '/' or
+    NUL. In directory mode each ``*.txt`` file is a memo: the file stem is
+    its id and its first non-empty line its title.
     ``digest`` (a hashlib object), when given, is updated with the bytes
     read: the JSONL file's, or per text file, in name order, its name, a
     NUL, its bytes and a NUL.
@@ -192,6 +193,9 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
         for line, memo in decoded_rows(path, Memo, CorpusError, digest):
             if not memo.memo_id:
                 raise CorpusError(f"{path}:{line}: memo_id must be a non-empty string")
+            if "/" in memo.memo_id or "\0" in memo.memo_id:
+                # It names the memo's report files: report/sankey/<memo_id>.json.
+                raise CorpusError(f"{path}:{line}: memo_id {memo.memo_id!r} contains '/' or NUL")
             if memo.memo_id in seen:
                 raise CorpusError(f"{path}:{line}: duplicate memo_id {memo.memo_id!r} in corpus")
             seen.add(memo.memo_id)

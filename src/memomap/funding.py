@@ -1,10 +1,16 @@
-"""Article-award linkage: two-direction lookup, funder aliases, year imputation."""
+"""Article-award linkage, funder aliases and year imputation.
+
+``build_links`` makes each article's links in one pass over its grant tags
+and the award rows citing it; ``source`` records whether a citing award row
+has the link's core (``award_database``) or only a tag does.
+"""
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -119,31 +125,8 @@ def parse_core_project(award_text: str) -> str:
     return _WS_RE.sub("", head).upper()
 
 
-class AwardDatabase:
-    """Awards sorted by full project number (unique: ``load_award_db`` checks) and indexed,
-    once, by core number and by cited article; lookups return the stored sequences."""
-
-    def __init__(self, awards: Iterable[Award]) -> None:
-        self._awards = sorted(awards, key=lambda award: award.full_project_number)
-        self._by_core: dict[str, list[Award]] = {}
-        self._by_article: dict[str, list[Award]] = {}
-        for award in self._awards:
-            self._by_core.setdefault(award.core_project_number, []).append(award)
-            for article_id in award.cited_article_ids:
-                self._by_article.setdefault(article_id, []).append(award)
-
-    def all_awards(self) -> Sequence[Award]:
-        return self._awards
-
-    def records_for_core(self, core: str) -> Sequence[Award]:
-        return self._by_core.get(core, ())
-
-    def awards_citing(self, article_id: str) -> Sequence[Award]:
-        return self._by_article.get(article_id, ())
-
-
-def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
-    """Award records from a JSONL file.
+def load_award_db(path: str | Path, digest: Any = None) -> list[Award]:
+    """Award records from a JSONL file, in file order.
 
     Schema violations and duplicate full numbers raise FundingError naming
     the line; keys that are not fields are ignored. A file without awards
@@ -161,14 +144,18 @@ def load_award_db(path: str | Path, digest: Any = None) -> AwardDatabase:
         awards[full] = award
     if not awards:
         raise FundingError(f"{path}: no award rows; the award pool must not be empty")
-    return AwardDatabase(awards.values())
+    return list(awards.values())
 
 
 def extract_article_awards(
-    record: ArticleRecord, aliases: FunderAliasTable
-) -> list[ArticleAwardLink]:
-    """Link drafts from the award identifiers listed in the article itself."""
-    drafts = []
+    record: ArticleRecord, aliases: FunderAliasTable, unmapped: Counter[str]
+) -> list[tuple[str, str]]:
+    """(core project number, funder code) for each grant tag of the article.
+
+    A tag with empty award text is skipped. An unmapped funder string is
+    counted in ``unmapped``, or raises under the 'fail' policy.
+    """
+    pairs = []
     for tag in record.grant_tags:
         core = parse_core_project(tag.award_text)
         if not core:
@@ -180,33 +167,9 @@ def extract_article_awards(
                 raise UnmappedFunderError(
                     f"article {record.article_id}: unmapped funder {tag.funder_text!r}"
                 )
-            logger.warning(
-                "article %s: unmapped funder %r", record.article_id, tag.funder_text
-            )
-        drafts.append(
-            ArticleAwardLink(
-                article_id=record.article_id,
-                core_project_number=core,
-                funder_code=funder,
-                source=SOURCE_ARTICLE,
-            )
-        )
-    return drafts
-
-
-def lookup_awards_citing(article_id: str, award_db: AwardDatabase) -> list[ArticleAwardLink]:
-    """Link drafts from award records that cite the article."""
-    return [
-        ArticleAwardLink(
-            article_id=article_id,
-            core_project_number=award.core_project_number,
-            funder_code=award.funder_code,
-            source=SOURCE_AWARD_DB,
-            org_id=award.org_id,
-            org_name=award.org_name,
-        )
-        for award in award_db.awards_citing(article_id)
-    ]
+            unmapped[tag.funder_text] += 1
+        pairs.append((core, funder))
+    return pairs
 
 
 def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
@@ -226,52 +189,55 @@ def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
     )
 
 
-def merge_drafts(drafts: Iterable[ArticleAwardLink]) -> list[ArticleAwardLink]:
-    """Collapse drafts to one link per (article, core project number).
-
-    The award-database draft wins when both directions found the same pair,
-    since only the database carries organization identity.
-    """
-    merged: dict[tuple[str, str], ArticleAwardLink] = {}
-    for draft in drafts:
-        key = (draft.article_id, draft.core_project_number)
-        current = merged.get(key)
-        if current is None or (
-            current.source == SOURCE_ARTICLE and draft.source == SOURCE_AWARD_DB
-        ):
-            merged[key] = draft
-    return [merged[key] for key in sorted(merged)]
-
-
 def build_links(
     articles: Iterable[ArticleRecord],
-    award_db: AwardDatabase,
+    awards: Iterable[Award],
     aliases: FunderAliasTable,
 ) -> list[ArticleAwardLink]:
-    """Full two-direction linkage with imputed years and org identity.
+    """One link per (article, core project number), articles in id order.
 
-    Per article: drafts from its own grant tags plus from award records
-    citing it, merged per core number; each link then gets the imputed
-    full project number and year, and org/funder fields of the chosen
-    award record when one exists. Deterministic and idempotent.
+    An article's cores are those of its grant tags and those of the award
+    records citing it, each core once, in sorted order. ``source`` is
+    ``award_database`` when a citing record has the core, ``article_metadata``
+    otherwise. A core with award records takes the full number, fiscal year
+    (None for an undated article), funder and org of the closest one; any
+    other keeps its first tag's funder and imputes the year before
+    publication. Unmapped funder strings are logged in one warning.
     """
+    by_core: dict[str, list[Award]] = {}
+    cited_cores: dict[str, set[str]] = {}
+    for award in awards:
+        by_core.setdefault(award.core_project_number, []).append(award)
+        for article_id in award.cited_article_ids:
+            cited_cores.setdefault(article_id, set()).add(award.core_project_number)
+    unmapped: Counter[str] = Counter()
     links: list[ArticleAwardLink] = []
     for record in sorted(articles, key=lambda r: r.article_id):
-        drafts = extract_article_awards(record, aliases)
-        drafts += lookup_awards_citing(record.article_id, award_db)
-        for link in merge_drafts(drafts):
-            records = award_db.records_for_core(link.core_project_number)
+        article_id, pub_year = record.article_id, record.pub_year
+        cited = cited_cores.get(article_id, set())
+        tag_funders: dict[str, str] = {}
+        for core, funder in extract_article_awards(record, aliases, unmapped):
+            tag_funders.setdefault(core, funder)
+        for core in sorted(cited | tag_funders.keys()):
+            source = SOURCE_AWARD_DB if core in cited else SOURCE_ARTICLE
+            records = by_core.get(core)
             if records:
-                chosen = _closest(records, record.pub_year)
-                link = replace(
-                    link,
-                    imputed_full_project=chosen.full_project_number,
-                    imputed_year=None if record.pub_year is None else chosen.fiscal_year,
-                    funder_code=chosen.funder_code,
-                    org_id=chosen.org_id,
-                    org_name=chosen.org_name,
+                chosen = _closest(records, pub_year)
+                year = None if pub_year is None else chosen.fiscal_year
+                link = ArticleAwardLink(
+                    article_id, core, chosen.funder_code, source,
+                    chosen.full_project_number, year, chosen.org_id, chosen.org_name,
                 )
-            elif record.pub_year is not None:
-                link = replace(link, imputed_year=record.pub_year - 1)
+            else:
+                year = None if pub_year is None else pub_year - 1
+                link = ArticleAwardLink(article_id, core, tag_funders[core], source, None, year)
             links.append(link)
+    if unmapped:
+        counts = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
+        logger.warning(
+            "unmapped funder in %d grant tags, %d distinct: %s",
+            sum(unmapped.values()),
+            len(unmapped),
+            ", ".join(f"{name!r} ({count})" for name, count in counts),
+        )
     return links

@@ -246,13 +246,12 @@ def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> 
 
 
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
-    resolved_ids = sorted({r.article_id for r in resolution if r.article_id is not None})
-    cited = [records[a] for a in resolved_ids if a in records]
+    cited = [records[a] for a in {r.article_id for r in resolution} if a in records]
     return {LINKS: funding.build_links(cited, awards, aliases)}
 
 
 def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Two-direction article-award linkage for every resolved article."""
+    """Article-award linkage for every resolved article."""
     return _run("link", (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link, config, upstream)
 
 
@@ -292,13 +291,12 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
         tests = stats.compute_entity_stats(shares, min_obs=options.min_obs, level=options.ci_level)
         return shares, tests
 
-    pool_awards = awards.all_awards()
     dated = [l for l in links if l.imputed_year is not None]
     funder_shares, funder_results = shares_and_tests(
         [(l.funder_code, l.imputed_year) for l in dated if l.funder_code != funding.UNMAPPED],
-        [(a.funder_code, a.fiscal_year) for a in pool_awards],
+        [(a.funder_code, a.fiscal_year) for a in awards],
     )
-    pool_org_pairs = [(a.org_id, a.fiscal_year) for a in pool_awards if a.org_id is not None]
+    pool_org_pairs = [(a.org_id, a.fiscal_year) for a in awards if a.org_id is not None]
     if pool_org_pairs:
         org_shares, org_results = shares_and_tests(
             [(l.org_id, l.imputed_year) for l in dated if l.org_id is not None], pool_org_pairs

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from memomap.biblio import ArticleRecord, GrantTag, ingest_records, read_records
-from memomap.funding import AwardDatabase, Award, FunderAliasTable, build_links
+from memomap.funding import Award, FunderAliasTable, build_links
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -30,7 +30,7 @@ def imputed_award(awards: list[Award], core: str, pub_year: int) -> tuple[str | 
     """The full project number and year ``build_links`` imputes for the one link
     of an article published in ``pub_year`` whose one grant tag names ``core``."""
     record = ArticleRecord("A1", "T", (), "J", pub_year, grant_tags=(GrantTag(core, "NCI"),))
-    [link] = build_links([record], AwardDatabase(awards), FunderAliasTable({"NCI": "NCI"}))
+    [link] = build_links([record], awards, FunderAliasTable({"NCI": "NCI"}))
     return link.imputed_full_project, link.imputed_year
 
 
@@ -84,13 +84,11 @@ def aliases():
 
 @pytest.fixture
 def award_db():
-    return AwardDatabase(
-        [
-            Award("R01CA031770-01", "R01CA031770", "NCI", 2001, "075700000", "Duke University", ("1001",)),
-            Award("R01CA031770-03", "R01CA031770", "NCI", 2003, "075700000", "Duke University", ()),
-            Award("R01CA031770-04", "R01CA031770", "NCI", 2004, "075700000", "Duke University", ()),
-            Award("R01CA031770-06", "R01CA031770", "NCI", 2006, "075700000", "Duke University", ()),
-            Award("R01HL040050-01", "R01HL040050", "NHLBI", 1998, "049800000", "Mayo Clinic", ("1001", "1002")),
-            Award("K23AG012345-02", "K23AG012345", "NIA", 2010, None, None, ("1003",)),
-        ]
-    )
+    return [
+        Award("R01CA031770-01", "R01CA031770", "NCI", 2001, "075700000", "Duke University", ("1001",)),
+        Award("R01CA031770-03", "R01CA031770", "NCI", 2003, "075700000", "Duke University", ()),
+        Award("R01CA031770-04", "R01CA031770", "NCI", 2004, "075700000", "Duke University", ()),
+        Award("R01CA031770-06", "R01CA031770", "NCI", 2006, "075700000", "Duke University", ()),
+        Award("R01HL040050-01", "R01HL040050", "NHLBI", 1998, "049800000", "Mayo Clinic", ("1001", "1002")),
+        Award("K23AG012345-02", "K23AG012345", "NIA", 2010, None, None, ("1003",)),
+    ]

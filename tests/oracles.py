@@ -2,14 +2,17 @@
 
 These deliberately avoid the package's own code paths: the signed-rank
 oracle walks every sign pattern, the year-imputation oracle applies the
-selection rule as explicit filter passes, the search oracle scores every
-record against the query and sorts them all, and the flow-graph and
-entity-weight oracles sum ``Fraction``s over every link and resolution row,
-as the first implementation did, and read a graph's integer weights as the
-``Fraction``s they stand for. The codec oracle decodes a row with a loop
-over a per-field plan and the row type's keyword ``__init__``, and writes a
-JSONL row with ``sort_keys``, as ``artifacts`` did before it built rows
-positionally and sorted each row type's keys once.
+selection rule as explicit filter passes, the linkage oracle builds
+half-filled draft links from both directions and merges them per core, as
+``funding.build_links`` did before it made each link in one pass, the
+search oracle scores every record against the query and sorts them all,
+and the flow-graph and entity-weight oracles sum ``Fraction``s over every
+link and resolution row, as the first implementation did, and read a
+graph's integer weights as the ``Fraction``s they stand for. The codec
+oracle decodes a row with a loop over a per-field plan and the row type's
+keyword ``__init__``, and writes a JSONL row with ``sort_keys``, as
+``artifacts`` did before it built rows positionally and sorted each row
+type's keys once.
 """
 
 from __future__ import annotations
@@ -20,14 +23,21 @@ import itertools
 import json
 import math
 import types
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from memomap.artifacts import DecodeError
 
 from memomap.biblio import ArticleRecord
-from memomap.funding import ArticleAwardLink, Award
+from memomap.funding import (
+    SOURCE_ARTICLE,
+    SOURCE_AWARD_DB,
+    ArticleAwardLink,
+    Award,
+    FunderAliasTable,
+    parse_core_project,
+)
 from memomap.report import (
     KIND_FUNDER,
     KIND_MEMO,
@@ -68,6 +78,65 @@ def oracle_impute(pub_year: int, records: list[Award]) -> tuple[str | None, int]
     preferred = [r for r in closest if pub_year - r.fiscal_year == largest_d]
     chosen = min(preferred, key=lambda r: r.full_project_number)
     return chosen.full_project_number, chosen.fiscal_year
+
+
+def oracle_links(
+    articles: Iterable[ArticleRecord], awards: Iterable[Award], aliases: FunderAliasTable
+) -> list[ArticleAwardLink]:
+    """Linkage by drafts and merge: per article, a draft per grant tag and per
+    award record citing it; the first draft per core wins, except that an
+    award-database draft replaces an article-metadata one; each merged link
+    then takes the imputed award's number, year, funder and org."""
+    awards = sorted(awards, key=lambda a: a.full_project_number)
+    links = []
+    for record in sorted(articles, key=lambda r: r.article_id):
+        drafts = []
+        for tag in record.grant_tags:
+            core = parse_core_project(tag.award_text)
+            if core:
+                funder = aliases.lookup(tag.funder_text)
+                drafts.append(ArticleAwardLink(record.article_id, core, funder, SOURCE_ARTICLE))
+        for award in awards:
+            for article_id in award.cited_article_ids:
+                if article_id == record.article_id:
+                    drafts.append(
+                        ArticleAwardLink(
+                            article_id,
+                            award.core_project_number,
+                            award.funder_code,
+                            SOURCE_AWARD_DB,
+                            org_id=award.org_id,
+                            org_name=award.org_name,
+                        )
+                    )
+        merged: dict[str, ArticleAwardLink] = {}
+        for draft in drafts:
+            current = merged.get(draft.core_project_number)
+            if current is None or (
+                current.source == SOURCE_ARTICLE and draft.source == SOURCE_AWARD_DB
+            ):
+                merged[draft.core_project_number] = draft
+        for core in sorted(merged):
+            link = merged[core]
+            records = [a for a in awards if a.core_project_number == core]
+            if records:
+                if record.pub_year is None:
+                    full, year = min(a.full_project_number for a in records), None
+                else:
+                    full, year = oracle_impute(record.pub_year, records)
+                [chosen] = [a for a in records if a.full_project_number == full]
+                link = replace(
+                    link,
+                    imputed_full_project=full,
+                    imputed_year=year,
+                    funder_code=chosen.funder_code,
+                    org_id=chosen.org_id,
+                    org_name=chosen.org_name,
+                )
+            elif record.pub_year is not None:
+                link = replace(link, imputed_year=record.pub_year - 1)
+            links.append(link)
+    return links
 
 
 def oracle_search(

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import logging
 import random
+from collections import Counter
 
 import pytest
 
-from memomap.biblio import read_records
+from memomap.biblio import ArticleRecord, GrantTag, read_records
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -17,13 +18,11 @@ from memomap.funding import (
     build_links,
     extract_article_awards,
     load_award_db,
-    lookup_awards_citing,
-    merge_drafts,
     parse_core_project,
 )
 
 from conftest import article_row, imputed_award, write_jsonl
-from oracles import oracle_impute
+from oracles import oracle_impute, oracle_links
 
 
 class TestParseCore:
@@ -75,50 +74,62 @@ class TestExtract:
 
     def test_suffix_stripped_and_funder_mapped(self, aliases, make_record):
         record = make_record([{"award_text": "R01 CA031770-02", "funder_text": "NCI"}])
-        drafts = extract_article_awards(record, aliases)
-        assert len(drafts) == 1
-        assert drafts[0].core_project_number == "R01CA031770"
-        assert drafts[0].funder_code == "NCI"
-        assert drafts[0].source == SOURCE_ARTICLE
-        assert drafts[0].org_id is None
+        assert extract_article_awards(record, aliases, Counter()) == [("R01CA031770", "NCI")]
 
     def test_no_tags_empty(self, aliases, make_record):
-        assert extract_article_awards(make_record([]), aliases) == []
+        assert extract_article_awards(make_record([]), aliases, Counter()) == []
 
-    def test_unmapped_warns_and_continues(self, aliases, caplog, make_record):
-        record = make_record(
-            [
-                {"award_text": "R01CA1-01", "funder_text": "NCI"},
-                {"award_text": "XY99-7", "funder_text": "Mystery Fund"},
-                {"award_text": "K23AG2-02", "funder_text": "NIA"},
-            ]
-        )
+    def test_unmapped_warns_and_continues(self, aliases, caplog):
+        tags = [
+            GrantTag("R01CA1-01", "NCI"),
+            GrantTag("XY99-7", "Mystery Fund"),
+            GrantTag("K23AG2-02", "NIA"),
+            GrantTag("XY98-1", "Acme Trust"),
+        ]
+        records = [
+            ArticleRecord("10", "T", (), "J", 2005, grant_tags=tuple(tags)),
+            ArticleRecord("11", "T", (), "J", 2005, grant_tags=(GrantTag("Q1", "Mystery Fund"),)),
+        ]
         with caplog.at_level(logging.WARNING):
-            drafts = extract_article_awards(record, aliases)
-        assert len(drafts) == 3
-        assert [d.funder_code for d in drafts] == ["NCI", UNMAPPED, "NIA"]
-        assert sum("unmapped funder" in r.message for r in caplog.records) == 1
+            links = build_links(records, [], aliases)
+        assert [(l.core_project_number, l.funder_code) for l in links] == [
+            ("K23AG2", "NIA"),
+            ("R01CA1", "NCI"),
+            ("XY98", UNMAPPED),
+            ("XY99", UNMAPPED),
+            ("Q1", UNMAPPED),
+        ]
+        [line] = [r.getMessage() for r in caplog.records if "unmapped funder" in r.getMessage()]
+        assert line == (
+            "unmapped funder in 3 grant tags, 2 distinct: 'Mystery Fund' (2), 'Acme Trust' (1)"
+        )
 
     def test_unmapped_can_hard_fail(self, make_record):
         strict = FunderAliasTable({"NCI": "NCI"}, on_unmapped="fail")
         record = make_record([{"award_text": "Z01-1", "funder_text": "Mystery Fund"}])
-        with pytest.raises(UnmappedFunderError):
-            extract_article_awards(record, strict)
+        with pytest.raises(UnmappedFunderError, match="article 10: unmapped funder 'Mystery Fund'"):
+            build_links([record], [], strict)
 
 
 class TestLookup:
-    def test_two_award_records_two_drafts(self, award_db):
-        drafts = lookup_awards_citing("1001", award_db)
-        assert len(drafts) == 2
-        assert {d.core_project_number for d in drafts} == {"R01CA031770", "R01HL040050"}
-        assert all(d.source == SOURCE_AWARD_DB for d in drafts)
-        assert {d.org_id for d in drafts} == {"075700000", "049800000"}
+    """Links from the award records citing an article, as ``build_links`` makes them."""
 
-    def test_uncited_article_empty(self, award_db):
-        assert lookup_awards_citing("zzz", award_db) == []
+    def untagged(self, article_id):
+        return ArticleRecord(article_id, "T", (), "J", 2004)
+
+    def test_two_citing_awards_two_links(self, aliases, award_db):
+        links = build_links([self.untagged("1001")], award_db, aliases)
+        assert [l.core_project_number for l in links] == ["R01CA031770", "R01HL040050"]
+        assert all(l.source == SOURCE_AWARD_DB for l in links)
+        assert [l.org_id for l in links] == ["075700000", "049800000"]
+
+    def test_uncited_article_empty(self, aliases, award_db):
+        assert build_links([self.untagged("zzz")], award_db, aliases) == []
 
 
 class TestMerge:
+    """One link per core found in both directions."""
+
     def test_award_db_wins_shared_core(self, tmp_path, aliases, award_db):
         rows = [
             article_row(
@@ -129,19 +140,18 @@ class TestMerge:
             )
         ]
         records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-        drafts = extract_article_awards(records["1001"], aliases)
-        drafts += lookup_awards_citing("1001", award_db)
-        merged = merge_drafts(drafts)
-        assert len(merged) == 2  # CA core collapsed, HL core from the db side
-        ca = next(l for l in merged if l.core_project_number == "R01CA031770")
+        links = build_links([records["1001"]], award_db, aliases)
+        assert len(links) == 2  # CA core collapsed, HL core from the db side
+        ca = next(l for l in links if l.core_project_number == "R01CA031770")
         assert ca.source == SOURCE_AWARD_DB
         assert ca.org_id == "075700000"
 
-    def test_merge_is_idempotent(self, award_db):
-        drafts = lookup_awards_citing("1001", award_db) * 2
-        merged_once = merge_drafts(drafts)
-        merged_twice = merge_drafts(merged_once)
-        assert merged_once == merged_twice
+    def test_award_citing_twice_gives_one_link(self, aliases):
+        award = Award("R01CA9-01", "R01CA9", "NCI", 2003, "075700000", "Duke", ("1", "1"))
+        tags = (GrantTag("R01 CA9-02", "NIA"), GrantTag("R01CA9", "NCI"))
+        record = ArticleRecord("1", "T", (), "J", 2004, grant_tags=tags)
+        [link] = build_links([record], [award], aliases)
+        assert (link.source, link.funder_code, link.org_id) == (SOURCE_AWARD_DB, "NCI", "075700000")
 
 
 class TestImputeYear:
@@ -265,7 +275,7 @@ class TestBuildLinks:
 
     def test_imputed_year_minimizes_oracle_criterion(self, aliases, award_db, articles):
         for link in build_links(articles, award_db, aliases):
-            records = award_db.records_for_core(link.core_project_number)
+            records = [a for a in award_db if a.core_project_number == link.core_project_number]
             if not records:
                 continue
             pub_year = {"1001": 2004, "1002": 2001, "1003": 2012}[link.article_id]
@@ -309,3 +319,81 @@ class TestAwardDb:
         )
         with pytest.raises(FundingError, match=r"a\.jsonl:1"):
             load_award_db(path)
+
+    def test_rows_kept_in_file_order(self, tmp_path):
+        rows = [
+            {"full_project_number": f"R01CA9-0{i}", "core_project_number": "R01CA9",
+             "funder_code": "NCI", "fiscal_year": 2000 + i}
+            for i in (3, 1, 2)
+        ]
+        awards = load_award_db(write_jsonl(tmp_path / "a.jsonl", rows))
+        assert [a.full_project_number for a in awards] == ["R01CA9-03", "R01CA9-01", "R01CA9-02"]
+
+
+class TestOracleLinks:
+    """``build_links`` against the draft-and-merge linkage it replaced."""
+
+    FUNDERS = ("NCI", "NIA", "National Heart Lung and Blood Institute", "Mystery Fund", "Acme")
+
+    def random_case(self, rng):
+        cores = [f"R01XX{n:04d}" for n in range(rng.randint(1, 6))]
+        article_ids = [f"A{n}" for n in range(rng.randint(1, 5))]
+        awards = []
+        for number in range(rng.randint(0, 12)):
+            core = rng.choice(cores)
+            org = rng.choice([None, ("ORG1", "Duke"), ("ORG2", "Mayo")])
+            awards.append(
+                Award(
+                    f"{core}-{number:02d}",
+                    core,
+                    rng.choice(("NCI", "NIA", "NHLBI")),
+                    rng.randint(1995, 2012),
+                    *(org or (None, None)),
+                    tuple(rng.choice(article_ids) for _ in range(rng.randint(0, 3))),
+                )
+            )
+        tag_cores = cores + ["U01ZZ0001", "K23ZZ0002"]  # the last two have no award row
+        articles = [
+            ArticleRecord(
+                article_id,
+                "T",
+                (),
+                "J",
+                rng.choice([None, rng.randint(1998, 2014)]),
+                grant_tags=tuple(
+                    GrantTag(
+                        rng.choice(tag_cores) + rng.choice(("", "-01", "-07")),
+                        rng.choice(self.FUNDERS),
+                    )
+                    for _ in range(rng.randint(0, 4))
+                ),
+            )
+            for article_id in article_ids
+        ]
+        return articles, awards
+
+    def test_matches_oracle_links(self, aliases):
+        rng = random.Random(19)
+        seen: Counter[str] = Counter()
+        for _ in range(400):
+            articles, awards = self.random_case(rng)
+            rng.shuffle(articles)
+            links = build_links(articles, awards, aliases)
+            assert links == oracle_links(articles, awards, aliases)
+            by_core = {a.core_project_number for a in awards}
+            for record in articles:
+                tag_cores = [parse_core_project(t.award_text) for t in record.grant_tags]
+                funders = {}
+                for core, tag in zip(tag_cores, record.grant_tags):
+                    funders.setdefault(core, set()).add(aliases.lookup(tag.funder_text))
+                citing = [a for a in awards if record.article_id in a.cited_article_ids]
+                cited_cores = {a.core_project_number for a in citing}
+                seen["both directions"] += bool(cited_cores & set(tag_cores))
+                seen["shared core, two funders"] += any(len(f) > 1 for f in funders.values())
+                seen["undated"] += record.pub_year is None
+                seen["no award row"] += bool(set(tag_cores) - by_core)
+                seen["cited twice"] += any(
+                    a.cited_article_ids.count(record.article_id) > 1 for a in citing
+                )
+                seen["no tags"] += not record.grant_tags
+        assert len(seen) == 6 and min(seen.values()) >= 20, seen

@@ -754,6 +754,17 @@ class TestCliErrors:
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
         assert f"{memos}:4: duplicate memo_id" in caplog.text
 
+    @pytest.mark.parametrize("memo_id", ["../../escaped", "sub/dir", "a\0b"])
+    def test_memo_id_naming_another_path_exits_3(self, workspace, caplog, memo_id):
+        memos = workspace / "memos.jsonl"
+        first, rest = memos.read_text(encoding="utf-8").split("\n", 1)
+        memos.write_text(json.dumps({**json.loads(first), "memo_id": memo_id}) + "\n" + rest)
+        before = set(workspace.rglob("*"))
+        assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
+        assert f"{memos}:1: memo_id {memo_id!r} contains" in caplog.text
+        assert not (workspace / "out" / "resolve").exists()
+        assert set(workspace.rglob("*")) == before  # ingest stops before writing a file
+
     def test_memo_file_not_utf8_is_input_error(self, workspace, caplog):
         corpus_dir = use_directory_corpus(workspace, {"CAG-1": b"Title\n\xff\xfe References\n"})
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
