@@ -13,16 +13,18 @@ raises DecodeError naming the field, which the caller prefixes with its
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, keys sorted, less
-those declared in ``omit_none`` when they are None; reading one back also
-rejects a key that is not a field, since this program wrote the file. A CSV
-row is the declared columns, each an attribute of the row object; reading
-one back decodes its field columns, a string field's cell as it is and any
-other cell as a JSON scalar, so ``1_0`` is no integer. No file may hold the
-non-JSON constants ``NaN``, ``Infinity`` and ``-Infinity``. The write side
-only encodes: ``Artifact.encode`` yields a file's bytes, a CSV file whole and
-a JSONL file one line at a time, and the stage writer hashes each chunk as it
-writes it. Reading streams the file line by line and returns the objects and
-the sha256 of its bytes, which the stage manifest records.
+those declared in ``omit_none`` when they are None; no artifact row nests a
+dataclass, so each value is a JSON scalar or a list of them. Reading one
+back also rejects a key that is not a field, since this program wrote the
+file. A CSV row is the declared columns, each an attribute of the row
+object; reading one back decodes its field columns, a string field's cell
+as it is and any other cell as a JSON scalar, so ``1_0`` is no integer. No
+file may hold the non-JSON constants ``NaN``, ``Infinity`` and
+``-Infinity``. The write side only encodes: ``Artifact.encode`` yields a
+file's bytes, a CSV file whole and a JSONL file one line at a time, and the
+stage writer hashes each chunk as it writes it. Reading streams the file
+line by line and returns the objects and the sha256 of its bytes, which the
+stage manifest records.
 A ``RawInput`` names a raw input file that the config names; ``ingest``
 parses and hashes it, and a stage after ``ingest`` reads it again only while
 its sha256 is the one ``ingest`` recorded.
@@ -244,13 +246,7 @@ def _json_keys(row_type: type) -> tuple[str, ...]:
     return tuple(sorted(f.name for f in fields(row_type)))
 
 
-def _sorted_fields(row: Any) -> dict[str, Any]:
-    values = vars(row)
-    return {key: values[key] for key in _json_keys(type(row))}
-
-
-# Nested dataclasses serialize as their fields, in sorted order like the row's own.
-_JSON = json.JSONEncoder(default=_sorted_fields)
+_JSON = json.JSONEncoder()
 
 
 class Loaded(NamedTuple):
@@ -346,21 +342,22 @@ class RawInput(NamedTuple):
     """A raw input file that the config names, parsed by ``ingest`` and read again later.
 
     ``key`` names it in the manifests' inputs; ``ingest`` records its sha256
-    there. Every read parses and hashes the file in one pass. For a stage
-    after ``ingest``, a digest other than the one ``ingest`` recorded means
-    the file changed since: a stale input, which wins over any parse error
-    the change causes. The memo corpus is a raw input too, but only
+    there. Every read parses and hashes the file in one pass through
+    ``load``, which takes the path and the digest, no config setting. For a
+    stage after ``ingest``, a digest other than the one ``ingest`` recorded
+    means the file changed since: a stale input, which wins over any parse
+    error the change causes. The memo corpus is a raw input too, but only
     ``ingest`` reads it, so ``read`` never runs for it.
     """
 
     key: str
     config_path: str  # the PipelineConfig attribute that holds the file's path
-    load: Callable[[Path, Any, PipelineConfig], Any]  # (path, sha256 to update, config) -> objects
+    load: Callable[[Path, Any], Any]  # (path, sha256 to update) -> objects
 
     def parse(self, config: PipelineConfig) -> Loaded:
         """The objects and the file's digest; a malformed file raises InputError."""
         digest = hashlib.sha256()
-        objects = self.load(getattr(config, self.config_path), digest, config)
+        objects = self.load(getattr(config, self.config_path), digest)
         return Loaded(self, objects, digest.hexdigest())
 
     def read(self, config: PipelineConfig, ingested: Mapping[str, Any]) -> Loaded:

@@ -177,6 +177,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("resolver.margin must be >= 0")
     if config.top_k < 1:
         raise ConfigError("report.top_k must be >= 1")
+    if config.remote.max_retries < 0:
+        raise ConfigError("remote.max_retries must be >= 0")
     if config.remote.enabled and not config.remote.offline and not config.remote.base_url:
         raise ConfigError("remote.enabled requires remote.base_url (or offline mode)")
     if not config.corpus_path.exists():  # a JSONL file or a directory of .txt files

@@ -74,9 +74,6 @@ def segment_reference_section(memo: Memo, config: SegmenterConfig | None = None)
     or to the next terminator heading.
     """
     config = config or SegmenterConfig()
-    if not memo.body_text:
-        raise CorpusError(f"memo {memo.memo_id!r} has empty body_text")
-
     headings = {h.strip().casefold() for h in config.headings}
     terminators = {t.strip().casefold() for t in config.terminators}
 
@@ -170,7 +167,8 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
     JSONL rows carry {memo_id, title, decision_date, body_text}, decoded by
     ``artifacts.decode``; a memo_id is non-empty, unique and has no '/' or
     NUL. In directory mode each ``*.txt`` file is a memo: the file stem is
-    its id and its first non-empty line its title.
+    its id and its first non-empty line its title. A memo with an empty or
+    absent body_text raises CorpusError naming its ``file:line``, or its file.
     ``digest`` (a hashlib object), when given, is updated with the bytes
     read: the JSONL file's, or per text file, in name order, its name, a
     NUL, its bytes and a NUL.
@@ -186,6 +184,8 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
                 body = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{file}: not UTF-8 text: {exc}") from exc
+            if not body:
+                raise CorpusError(f"{file}: memo has empty body_text")
             title = next((ln.strip() for ln in body.splitlines() if ln.strip()), "")
             memos.append(Memo(memo_id=file.stem, title=title, body_text=body))
     elif path.is_file():
@@ -198,6 +198,8 @@ def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
                 raise CorpusError(f"{path}:{line}: memo_id {memo.memo_id!r} contains '/' or NUL")
             if memo.memo_id in seen:
                 raise CorpusError(f"{path}:{line}: duplicate memo_id {memo.memo_id!r} in corpus")
+            if not memo.body_text:
+                raise CorpusError(f"{path}:{line}: memo {memo.memo_id!r} has empty body_text")
             seen.add(memo.memo_id)
             memos.append(memo)
     else:

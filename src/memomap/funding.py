@@ -2,7 +2,9 @@
 
 ``build_links`` makes each article's links in one pass over its grant tags
 and the award rows citing it; ``source`` records whether a citing award row
-has the link's core (``award_database``) or only a tag does.
+has the link's core (``award_database``) or only a tag does. The alias table
+only maps funder strings; what an unmapped one means, a warning or an error,
+is the config's ``funding.on_unmapped``, which ``build_links`` takes.
 """
 
 from __future__ import annotations
@@ -68,20 +70,11 @@ class FunderAliasTable:
     """Maps raw funder strings to canonical codes.
 
     Lookup keys are normalized (case-folded, punctuation stripped); retired
-    codes are folded into their successors. ``on_unmapped`` is "warn" or
-    "fail".
+    codes are folded into their successors.
     """
 
-    def __init__(self, mapping: dict[str, str], on_unmapped: str = "warn") -> None:
-        if on_unmapped not in ("warn", "fail"):
-            raise FundingError(f"bad on_unmapped policy {on_unmapped!r}")
+    def __init__(self, mapping: dict[str, str]) -> None:
         self._mapping = {_normalize_name(raw): code.strip() for raw, code in mapping.items()}
-        self.on_unmapped = on_unmapped
-
-    @property
-    def vocabulary(self) -> frozenset[str]:
-        codes = set(self._mapping.values()) | set(_FUNDER_MERGES.values())
-        return frozenset(codes - set(_FUNDER_MERGES))
 
     def lookup(self, raw: str) -> str:
         key = _normalize_name(raw)
@@ -95,9 +88,7 @@ def _normalize_name(raw: str) -> str:
     return _WS_RE.sub(" ", _PUNCT_RE.sub(" ", raw.casefold())).strip()
 
 
-def load_aliases(
-    path: str | Path, on_unmapped: str = "warn", digest: Any = None
-) -> FunderAliasTable:
+def load_aliases(path: str | Path, digest: Any = None) -> FunderAliasTable:
     """Read a two-column raw_name,canonical_code CSV.
 
     ``digest`` (a hashlib object), when given, is updated with the file's bytes.
@@ -112,7 +103,7 @@ def load_aliases(
         if len(row) < 2 or not row[0].strip() or not row[1].strip():
             raise FundingError(f"{path}:{line}: alias rows need raw_name,canonical_code")
         mapping[row[0].strip()] = row[1].strip()
-    return FunderAliasTable(mapping, on_unmapped=on_unmapped)
+    return FunderAliasTable(mapping)
 
 
 def parse_core_project(award_text: str) -> str:
@@ -153,7 +144,7 @@ def extract_article_awards(
     """(core project number, funder code) for each grant tag of the article.
 
     A tag with empty award text is skipped. An unmapped funder string is
-    counted in ``unmapped``, or raises under the 'fail' policy.
+    counted in ``unmapped``.
     """
     pairs = []
     for tag in record.grant_tags:
@@ -163,10 +154,6 @@ def extract_article_awards(
             continue
         funder = aliases.lookup(tag.funder_text)
         if funder == UNMAPPED:
-            if aliases.on_unmapped == "fail":
-                raise UnmappedFunderError(
-                    f"article {record.article_id}: unmapped funder {tag.funder_text!r}"
-                )
             unmapped[tag.funder_text] += 1
         pairs.append((core, funder))
     return pairs
@@ -193,6 +180,7 @@ def build_links(
     articles: Iterable[ArticleRecord],
     awards: Iterable[Award],
     aliases: FunderAliasTable,
+    on_unmapped: str,
 ) -> list[ArticleAwardLink]:
     """One link per (article, core project number), articles in id order.
 
@@ -202,7 +190,9 @@ def build_links(
     otherwise. A core with award records takes the full number, fiscal year
     (None for an undated article), funder and org of the closest one; any
     other keeps its first tag's funder and imputes the year before
-    publication. Unmapped funder strings are logged in one warning.
+    publication. Unmapped funder strings are logged in one warning when
+    ``on_unmapped`` is "warn"; when it is "fail", the first article with one
+    raises UnmappedFunderError naming the article and its first such string.
     """
     by_core: dict[str, list[Award]] = {}
     cited_cores: dict[str, set[str]] = {}
@@ -218,6 +208,9 @@ def build_links(
         tag_funders: dict[str, str] = {}
         for core, funder in extract_article_awards(record, aliases, unmapped):
             tag_funders.setdefault(core, funder)
+        if unmapped and on_unmapped == "fail":
+            first = next(iter(unmapped))
+            raise UnmappedFunderError(f"article {article_id}: unmapped funder {first!r}")
         for core in sorted(cited | tag_funders.keys()):
             source = SOURCE_AWARD_DB if core in cited else SOURCE_ARTICLE
             records = by_core.get(core)

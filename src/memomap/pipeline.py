@@ -40,19 +40,15 @@ logger = logging.getLogger(__name__)
 
 
 # The loaders look the parsers up on each call, so a wrapper bound in their place runs.
-CORPUS = RawInput(
-    "corpus", "corpus_path", lambda path, digest, config: corpus.load_corpus(path, digest)
-)
+CORPUS = RawInput("corpus", "corpus_path", lambda path, digest: corpus.load_corpus(path, digest))
 RECORDS = RawInput(
-    "records", "records_path", lambda path, digest, config: biblio.read_records(path, digest)
+    "records", "records_path", lambda path, digest: biblio.read_records(path, digest)
 )
 AWARD_DB = RawInput(
-    "award_db", "award_db_path", lambda path, digest, config: funding.load_award_db(path, digest)
+    "award_db", "award_db_path", lambda path, digest: funding.load_award_db(path, digest)
 )
 ALIASES = RawInput(
-    "aliases",
-    "aliases_path",
-    lambda path, digest, config: funding.load_aliases(path, config.on_unmapped, digest),
+    "aliases", "aliases_path", lambda path, digest: funding.load_aliases(path, digest)
 )
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
 RESOLUTION = Artifact(
@@ -216,11 +212,14 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
     """Validate raw inputs, record their digests and extract the reference fragments."""
     raw = [item.parse(config) for item in (CORPUS, RECORDS, AWARD_DB, ALIASES)]
     fragments: list[corpus.ReferenceFragment] = []
+    without: list[str] = []
     for memo in sorted(raw[0].objects, key=lambda m: m.memo_id):
         memo_fragments = corpus.extract_fragments(memo, config.segmenter)
         if not memo_fragments:
-            logger.info("memo %s: no reference fragments found", memo.memo_id)
+            without.append(memo.memo_id)
         fragments.extend(memo_fragments)
+    if without:
+        logger.info("%d memos without reference fragments: %s", len(without), ", ".join(without))
     return _write_stage("ingest", config, raw, {FRAGMENTS: fragments}, upstream)
 
 
@@ -247,40 +246,12 @@ def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> 
 
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
     cited = [records[a] for a in {r.article_id for r in resolution} if a in records]
-    return {LINKS: funding.build_links(cited, awards, aliases)}
+    return {LINKS: funding.build_links(cited, awards, aliases, config.on_unmapped)}
 
 
 def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
     """Article-award linkage for every resolved article."""
     return _run("link", (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link, config, upstream)
-
-
-def _memo_entity_lists(
-    resolution: list[resolver.ResolutionResult],
-    links: list[funding.ArticleAwardLink],
-) -> dict[str, tuple[list[list[str]], list[list[str]]]]:
-    """Per memo: (funder lists, org lists), one inner list per cited article."""
-    links_by_article = _group(links, lambda l: l.article_id)
-
-    memo_articles: dict[str, set[str]] = {}
-    for r in resolution:
-        if r.article_id is not None:
-            memo_articles.setdefault(r.memo_id, set()).add(r.article_id)
-
-    out: dict[str, tuple[list[list[str]], list[list[str]]]] = {}
-    for memo_id in sorted(memo_articles):
-        funder_lists: list[list[str]] = []
-        org_lists: list[list[str]] = []
-        for article_id in sorted(memo_articles[memo_id]):
-            article_links = links_by_article.get(article_id, [])
-            funders = sorted(
-                {l.funder_code for l in article_links if l.funder_code != funding.UNMAPPED}
-            )
-            orgs = sorted({l.org_id for l in article_links if l.org_id is not None})
-            funder_lists.append(funders)
-            org_lists.append(orgs)
-        out[memo_id] = (funder_lists, org_lists)
-    return out
 
 
 def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
@@ -305,22 +276,22 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
         logger.warning("award database carries no org identities; org shares skipped")
         org_shares, org_results = [], []
 
-    kld_rows = []
-    for memo_id, (funder_lists, org_lists) in _memo_entity_lists(resolution, links).items():
-        funder_kld = stats.memo_kld(funder_lists)
-        org_kld = stats.memo_kld(org_lists)
-        if funder_kld is None or org_kld is None:
-            logger.info("memo %s: insufficient entity data for concentration, skipped", memo_id)
+    links_by_article = _group(links, lambda l: l.article_id)
+    kld_rows, skipped = [], []
+    for memo_id, article_ids in resolver.cited_articles(resolution).items():
+        if not article_ids:
             continue
-        kld_rows.append(
-            stats.KLDRecord(
-                memo_id=memo_id,
-                kld_funders=funder_kld[0],
-                kld_orgs=org_kld[0],
-                n_entities_f=funder_kld[1],
-                n_entities_ro=org_kld[1],
-            )
-        )
+        groups = [links_by_article.get(a, ()) for a in article_ids]
+        # Each cited article's entity set; memo_kld orders the entities itself.
+        funders = stats.memo_kld({l.funder_code for l in g} - {funding.UNMAPPED} for g in groups)
+        orgs = stats.memo_kld({l.org_id for l in g} - {None} for g in groups)
+        if funders is None or orgs is None:
+            skipped.append(memo_id)
+            continue
+        kld_rows.append(stats.KLDRecord(memo_id, funders[0], orgs[0], funders[1], orgs[1]))
+    if skipped:
+        memos = ", ".join(skipped)
+        logger.info("%d memos without entity data, no concentration: %s", len(skipped), memos)
 
     comparison: dict
     try:
@@ -361,10 +332,10 @@ def _report(
     funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
     scatter_csv, summary_csv = report.coverage_report(coverage)
 
-    rows_by_memo = _group(resolution, lambda r: r.memo_id)
-    memo_ids = sorted(rows_by_memo)
+    cited = resolver.cited_articles(resolution)
+    memo_ids = list(cited)
     if memo_id is not None:
-        if memo_id not in rows_by_memo:
+        if memo_id not in cited:
             raise StageDependencyError(f"stage 'report': memo {memo_id!r} not in resolution")
         memo_ids = [memo_id]
 
@@ -375,11 +346,10 @@ def _report(
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
     links_by_article = _group(links, lambda l: l.article_id)
+    rows_by_memo = _group(resolution, lambda r: r.memo_id)
     for mid in memo_ids:
-        rows = rows_by_memo[mid]
-        cited = sorted({r.article_id for r in rows if r.article_id is not None})
-        memo_links = [l for a in cited for l in links_by_article.get(a, ())]
-        graph = report.build_flow_graph(mid, memo_links, rows, top_k=config.top_k)
+        memo_links = [l for a in cited[mid] for l in links_by_article.get(a, ())]
+        graph = report.build_flow_graph(mid, memo_links, rows_by_memo[mid], top_k=config.top_k)
         outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
         outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
     return outputs

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 from .artifacts import csv_text
 from .biblio import ArticleRecord
 from .funding import ArticleAwardLink
-from .resolver import CoverageStats, ResolutionResult, coverage_summary
+from .resolver import CoverageStats, ResolutionResult, cited_articles, coverage_summary
 from .stats import StatResult, share_of_total, split_weights
 
 KIND_FUNDER = "funder"
@@ -115,7 +115,7 @@ def build_flow_graph(
     ``denominator``, the least common multiple of the articles' pair
     counts (``stats.split_weights``), so every sum is exact.
     """
-    cited = {r.article_id for r in resolution if r.memo_id == memo_id and r.article_id is not None}
+    cited = set(cited_articles(resolution).get(memo_id, ()))
     links = [l for l in links if l.article_id in cited]
 
     pairs_by_article: dict[str, list[tuple[str, str | None]]] = {}
@@ -376,16 +376,14 @@ def flag_retracted(
     resolution: Iterable[ResolutionResult], records: Mapping[str, ArticleRecord]
 ) -> list[RetractionFlag]:
     """One flag per (memo, retracted article) pair, sorted."""
-    pairs = sorted(
-        {(r.memo_id, r.article_id) for r in resolution if r.article_id is not None}
-    )
     flags = []
-    for memo_id, article_id in pairs:
-        record = records.get(article_id)
-        if record is not None and record.retracted:
-            flags.append(
-                RetractionFlag(memo_id=memo_id, article_id=article_id, note=record.title)
-            )
+    for memo_id, article_ids in cited_articles(resolution).items():
+        for article_id in article_ids:
+            record = records.get(article_id)
+            if record is not None and record.retracted:
+                flags.append(
+                    RetractionFlag(memo_id=memo_id, article_id=article_id, note=record.title)
+                )
     return flags
 
 

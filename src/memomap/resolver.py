@@ -189,6 +189,18 @@ def resolve_corpus(
     return results, coverage
 
 
+def cited_articles(resolution: Iterable[ResolutionResult]) -> dict[str, list[str]]:
+    """Each memo with a resolution row, in sorted order, mapped to the distinct
+    article ids its resolved rows cite, sorted; a memo whose rows are all
+    unresolved cites none."""
+    cited: dict[str, set[str]] = {}
+    for row in resolution:
+        ids = cited.setdefault(row.memo_id, set())
+        if row.article_id is not None:
+            ids.add(row.article_id)
+    return {memo_id: sorted(cited[memo_id]) for memo_id in sorted(cited)}
+
+
 def coverage_summary(coverage: Iterable[CoverageStats]) -> dict:
     """Median and interquartile range of linked_pct across memos.
 

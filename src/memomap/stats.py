@@ -340,7 +340,7 @@ def compute_entity_stats(
 
     Entities observed in fewer than ``min_obs`` years are excluded, as are
     entities whose differences are all exactly zero (no test possible);
-    exclusions are logged, not errors.
+    exclusions are logged, not errors, in one line per reason.
     """
     if min_obs < 1:
         raise StatsError("min_obs must be >= 1")
@@ -348,16 +348,16 @@ def compute_entity_stats(
     for row in shares:
         by_entity.setdefault(row.entity, []).append(row.diff_pct)
 
-    results = []
+    results, few, zero = [], [], []
     for entity in sorted(by_entity):
         diffs = by_entity[entity]
         if len(diffs) < min_obs:
-            logger.info("entity %s: %d observations < %d, excluded", entity, len(diffs), min_obs)
+            few.append(f"{entity} ({len(diffs)})")
             continue
         try:
             p_value = wilcoxon_signed_rank(diffs)
         except DegenerateSampleError:
-            logger.info("entity %s: all differences zero, excluded", entity)
+            zero.append(entity)
             continue
         pseudo_median, ci_lo, ci_hi = hodges_lehmann_ci(diffs, level)
         results.append(
@@ -370,4 +370,8 @@ def compute_entity_stats(
                 p_value=p_value,
             )
         )
+    if few:
+        logger.info("entities in fewer than %d years, excluded: %s", min_obs, ", ".join(few))
+    if zero:
+        logger.info("entities with all differences zero, excluded: %s", ", ".join(zero))
     return results

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from memomap.biblio import ArticleRecord, GrantTag, ingest_records, read_records
-from memomap.funding import Award, FunderAliasTable, build_links
+from memomap.funding import Award, FunderAliasTable, build_links, load_aliases
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -30,7 +30,7 @@ def imputed_award(awards: list[Award], core: str, pub_year: int) -> tuple[str | 
     """The full project number and year ``build_links`` imputes for the one link
     of an article published in ``pub_year`` whose one grant tag names ``core``."""
     record = ArticleRecord("A1", "T", (), "J", pub_year, grant_tags=(GrantTag(core, "NCI"),))
-    [link] = build_links([record], awards, FunderAliasTable({"NCI": "NCI"}))
+    [link] = build_links([record], awards, FunderAliasTable({"NCI": "NCI"}), "warn")
     return link.imputed_full_project, link.imputed_year
 
 
@@ -69,17 +69,30 @@ def small_index(small_records):
 
 
 @pytest.fixture
-def aliases():
-    return FunderAliasTable(
-        {
-            "National Cancer Institute": "NCI",
-            "NCI": "NCI",
-            "National Heart Lung and Blood Institute": "NHLBI",
-            "NHLBI": "NHLBI",
-            "National Institute on Aging": "NIA",
-            "NIA": "NIA",
-        }
+def alias_csv(tmp_path):
+    path = tmp_path / "alias_table.csv"
+    path.write_text(
+        "raw_name,canonical_code\n"
+        "National Cancer Institute,NCI\n"
+        "NCI,NCI\n"
+        "National Heart Lung and Blood Institute,NHLBI\n"
+        "NHLBI,NHLBI\n"
+        "National Institute on Aging,NIA\n"
+        "NIA,NIA\n",
+        encoding="utf-8",
     )
+    return path
+
+
+@pytest.fixture
+def aliases(alias_csv):
+    return load_aliases(alias_csv)
+
+
+def alias_codes(path: Path) -> set[str]:
+    """The canonical codes an alias CSV maps to, with NCATS, which NCRR folds into."""
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
+    return {row.split(",")[1] for row in rows} | {"NCATS"}
 
 
 @pytest.fixture

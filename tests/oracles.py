@@ -12,7 +12,9 @@ graph's integer weights as the ``Fraction``s they stand for. The codec
 oracle decodes a row with a loop over a per-field plan and the row type's
 keyword ``__init__``, and writes a JSONL row with ``sort_keys``, as
 ``artifacts`` did before it built rows positionally and sorted each row
-type's keys once.
+type's keys once. The retraction oracle joins every resolved (memo, article)
+pair against the records in one set, as ``report.flag_retracted`` did before
+it took each memo's citations from ``resolver.cited_articles``.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from memomap.report import (
     FlowEdge,
     FlowGraph,
     FlowNode,
+    RetractionFlag,
 )
 from memomap.resolver import ResolutionResult
 
@@ -137,6 +140,23 @@ def oracle_links(
                 link = replace(link, imputed_year=record.pub_year - 1)
             links.append(link)
     return links
+
+
+def oracle_flag_retracted(
+    resolution: Iterable[ResolutionResult], records: Mapping[str, ArticleRecord]
+) -> list[RetractionFlag]:
+    """One flag per (memo, retracted article) pair, sorted."""
+    pairs = sorted(
+        {(r.memo_id, r.article_id) for r in resolution if r.article_id is not None}
+    )
+    flags = []
+    for memo_id, article_id in pairs:
+        record = records.get(article_id)
+        if record is not None and record.retracted:
+            flags.append(
+                RetractionFlag(memo_id=memo_id, article_id=article_id, note=record.title)
+            )
+    return flags
 
 
 def oracle_search(

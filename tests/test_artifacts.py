@@ -147,6 +147,11 @@ JSON_ROW_TYPES = [
     t for t in ROW_TYPES
     if not any(datetime.date in (h, *get_args(h)) for h in get_type_hints(t).values())
 ]
+# The row types a JSONL artifact can hold: no field nests a dataclass.
+FLAT_JSON_ROW_TYPES = [
+    t for t in JSON_ROW_TYPES
+    if not any(is_dataclass(a) for h in get_type_hints(t).values() for a in (h, *get_args(h)))
+]
 # Values put in each field in turn: wrong types, an int for a float, a bool for
 # an int, zero counts, dates, lists and mappings, non-ASCII text.
 CANDIDATES = [
@@ -220,7 +225,7 @@ class TestCodecOracle:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(row, name, getattr(row, name))
 
-    @pytest.mark.parametrize("row_type", JSON_ROW_TYPES, ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("row_type", FLAT_JSON_ROW_TYPES, ids=lambda t: t.__name__)
     def test_jsonl_bytes_match_sorted_keys_writer(self, row_type, tmp_path):
         hints = get_type_hints(row_type)
         optional = tuple(n for n, h in hints.items() if type(None) in get_args(h))

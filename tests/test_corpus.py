@@ -68,10 +68,6 @@ class TestSegment:
         with pytest.raises(CorpusError):
             SegmenterConfig(headings=())
 
-    def test_empty_body_rejected(self):
-        with pytest.raises(CorpusError):
-            segment_reference_section(memo(""))
-
 
 class TestSplit:
     def test_two_numbered_markers(self):
@@ -251,6 +247,23 @@ class TestLoadCorpus:
     def test_missing_path(self, tmp_path):
         with pytest.raises(CorpusError, match="does not exist"):
             load_corpus(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize("mode", ["jsonl", "directory"])
+    def test_empty_body_rejected(self, tmp_path, mode):
+        # Named where it is: a memo without text could only fail later, unlocated.
+        if mode == "jsonl":
+            rows = [{"memo_id": "CAG-1", "body_text": "x"}, {"memo_id": "EMPTY-1", "title": "t"}]
+            path = write_jsonl(tmp_path / "memos.jsonl", rows)
+            message = f"{path}:2: memo 'EMPTY-1' has empty body_text"
+        else:
+            path = tmp_path / "memos"
+            path.mkdir()
+            (path / "CAG-1.txt").write_text("Title\n", encoding="utf-8")
+            (path / "EMPTY-1.txt").write_bytes(b"")
+            message = f"{path / 'EMPTY-1.txt'}: memo has empty body_text"
+        with pytest.raises(CorpusError) as caught:
+            load_corpus(path)
+        assert str(caught.value) == message
 
 
 def test_extract_fragments_end_to_end():

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import json
 import logging
 import random
+import shutil
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from memomap.biblio import ArticleRecord, GrantTag, read_records
+from memomap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -21,8 +25,10 @@ from memomap.funding import (
     parse_core_project,
 )
 
-from conftest import article_row, imputed_award, write_jsonl
+from conftest import alias_codes, article_row, imputed_award, write_jsonl
 from oracles import oracle_impute, oracle_links
+
+FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
 
 
 class TestParseCore:
@@ -48,19 +54,48 @@ class TestAliases:
     def test_unknown_is_unmapped(self, aliases):
         assert aliases.lookup("Acme Trust") == UNMAPPED
 
-    def test_idempotent_and_total(self, aliases):
+    def test_idempotent_and_total(self, aliases, alias_csv):
         for raw in ("NCI", "nci", "N.C.I.", "Acme Trust", ""):
             code = aliases.lookup(raw)
-            assert code in aliases.vocabulary | {UNMAPPED}
+            assert code in alias_codes(alias_csv) | {UNMAPPED}
             if code != UNMAPPED:
                 assert aliases.lookup(code) == code
 
     def test_punctuation_insensitive(self, aliases):
         assert aliases.lookup("national cancer institute.") == "NCI"
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(FundingError):
-            FunderAliasTable({}, on_unmapped="explode")
+    @staticmethod
+    def workspace(tmp_path, policy):
+        """The pipeline fixture in ``tmp_path``, its config setting ``funding.on_unmapped``."""
+        for path in FIXTURES.iterdir():
+            if path.is_file():
+                shutil.copy(path, tmp_path / path.name)
+        config = tmp_path / "config.yaml"
+        with config.open("a", encoding="utf-8") as fh:
+            fh.write(f"funding:\n  on_unmapped: {policy}\n")
+        return config
+
+    def test_bad_policy_rejected(self, tmp_path, caplog):
+        # The policy is the config's alone: the alias table carries none.
+        config = self.workspace(tmp_path, "explode")
+        assert main(["all", "--config", str(config)]) == EXIT_CONFIG
+        assert "funding.on_unmapped 'explode' unknown" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("policy, status", [("warn", EXIT_OK), ("fail", EXIT_INPUT)])
+    def test_config_policy_reaches_link(self, tmp_path, caplog, policy, status):
+        config = self.workspace(tmp_path, policy)
+        articles = tmp_path / "articles.jsonl"
+        rows = [json.loads(line) for line in articles.read_text(encoding="utf-8").splitlines()]
+        assert rows[1]["article_id"] == "8000002" and rows[1]["grant_tags"]  # a cited article
+        rows[1]["grant_tags"][0]["funder_text"] = "Mystery Fund"
+        articles.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        assert main(["all", "--config", str(config)]) == status
+        if policy == "fail":
+            assert "article 8000002: unmapped funder 'Mystery Fund'" in caplog.text
+            assert not (tmp_path / "out" / "link").exists()
+        else:
+            assert "unmapped funder in 1 grant tags, 1 distinct: 'Mystery Fund' (1)" in caplog.text
 
 
 class TestExtract:
@@ -91,7 +126,7 @@ class TestExtract:
             ArticleRecord("11", "T", (), "J", 2005, grant_tags=(GrantTag("Q1", "Mystery Fund"),)),
         ]
         with caplog.at_level(logging.WARNING):
-            links = build_links(records, [], aliases)
+            links = build_links(records, [], aliases, "warn")
         assert [(l.core_project_number, l.funder_code) for l in links] == [
             ("K23AG2", "NIA"),
             ("R01CA1", "NCI"),
@@ -104,11 +139,22 @@ class TestExtract:
             "unmapped funder in 3 grant tags, 2 distinct: 'Mystery Fund' (2), 'Acme Trust' (1)"
         )
 
-    def test_unmapped_can_hard_fail(self, make_record):
-        strict = FunderAliasTable({"NCI": "NCI"}, on_unmapped="fail")
-        record = make_record([{"award_text": "Z01-1", "funder_text": "Mystery Fund"}])
-        with pytest.raises(UnmappedFunderError, match="article 10: unmapped funder 'Mystery Fund'"):
-            build_links([record], [], strict)
+    def test_unmapped_can_hard_fail(self, caplog):
+        # Raised after the first article with one, naming its first unmapped string.
+        def article(article_id, *funders):
+            tags = tuple(GrantTag(f"R01CA{i}-01", f) for i, f in enumerate(funders))
+            return ArticleRecord(article_id, "T", (), "J", 2005, grant_tags=tags)
+
+        records = [
+            article("12", "Zeta Fund"),
+            article("11", "NCI", "Mystery Fund", "Acme Trust"),
+            article("10", "NCI"),
+        ]
+        table = FunderAliasTable({"NCI": "NCI"})
+        with pytest.raises(UnmappedFunderError) as caught:
+            build_links(records, [], table, "fail")
+        assert str(caught.value) == "article 11: unmapped funder 'Mystery Fund'"
+        assert "unmapped funder in" not in caplog.text  # no warning under 'fail'
 
 
 class TestLookup:
@@ -118,13 +164,13 @@ class TestLookup:
         return ArticleRecord(article_id, "T", (), "J", 2004)
 
     def test_two_citing_awards_two_links(self, aliases, award_db):
-        links = build_links([self.untagged("1001")], award_db, aliases)
+        links = build_links([self.untagged("1001")], award_db, aliases, "warn")
         assert [l.core_project_number for l in links] == ["R01CA031770", "R01HL040050"]
         assert all(l.source == SOURCE_AWARD_DB for l in links)
         assert [l.org_id for l in links] == ["075700000", "049800000"]
 
     def test_uncited_article_empty(self, aliases, award_db):
-        assert build_links([self.untagged("zzz")], award_db, aliases) == []
+        assert build_links([self.untagged("zzz")], award_db, aliases, "warn") == []
 
 
 class TestMerge:
@@ -140,7 +186,7 @@ class TestMerge:
             )
         ]
         records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-        links = build_links([records["1001"]], award_db, aliases)
+        links = build_links([records["1001"]], award_db, aliases, "warn")
         assert len(links) == 2  # CA core collapsed, HL core from the db side
         ca = next(l for l in links if l.core_project_number == "R01CA031770")
         assert ca.source == SOURCE_AWARD_DB
@@ -150,7 +196,7 @@ class TestMerge:
         award = Award("R01CA9-01", "R01CA9", "NCI", 2003, "075700000", "Duke", ("1", "1"))
         tags = (GrantTag("R01 CA9-02", "NIA"), GrantTag("R01CA9", "NCI"))
         record = ArticleRecord("1", "T", (), "J", 2004, grant_tags=tags)
-        [link] = build_links([record], [award], aliases)
+        [link] = build_links([record], [award], aliases, "warn")
         assert (link.source, link.funder_code, link.org_id) == (SOURCE_AWARD_DB, "NCI", "075700000")
 
 
@@ -218,7 +264,7 @@ class TestBuildLinks:
         return [records[a] for a in ("1001", "1002", "1003")]
 
     def test_links_carry_imputed_year_and_org(self, aliases, award_db, articles):
-        links = build_links(articles, award_db, aliases)
+        links = build_links(articles, award_db, aliases, "warn")
         by_key = {(l.article_id, l.core_project_number): l for l in links}
 
         ca = by_key[("1001", "R01CA031770")]
@@ -248,7 +294,7 @@ class TestBuildLinks:
             )
         ]
         records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
-        links = build_links([records["2001"]], award_db, aliases)
+        links = build_links([records["2001"]], award_db, aliases, "warn")
         by_core = {l.core_project_number: l for l in links}
         assert sorted(by_core) == ["R01CA031770", "U01ZZ000001"]
 
@@ -265,16 +311,17 @@ class TestBuildLinks:
         assert zz.funder_code == "NHLBI"
         assert zz.source == SOURCE_ARTICLE
 
-    def test_every_funder_in_vocabulary(self, aliases, award_db, articles):
-        links = build_links(articles, award_db, aliases)
-        vocab = aliases.vocabulary | {UNMAPPED, "NIA"}  # db codes are canonical already
+    def test_every_funder_in_vocabulary(self, aliases, alias_csv, award_db, articles):
+        links = build_links(articles, award_db, aliases, "warn")
+        vocab = alias_codes(alias_csv) | {UNMAPPED, "NIA"}  # db codes are canonical already
         assert all(l.funder_code in vocab for l in links)
 
     def test_idempotent(self, aliases, award_db, articles):
-        assert build_links(articles, award_db, aliases) == build_links(articles, award_db, aliases)
+        first = build_links(articles, award_db, aliases, "warn")
+        assert build_links(articles, award_db, aliases, "warn") == first
 
     def test_imputed_year_minimizes_oracle_criterion(self, aliases, award_db, articles):
-        for link in build_links(articles, award_db, aliases):
+        for link in build_links(articles, award_db, aliases, "warn"):
             records = [a for a in award_db if a.core_project_number == link.core_project_number]
             if not records:
                 continue
@@ -378,7 +425,7 @@ class TestOracleLinks:
         for _ in range(400):
             articles, awards = self.random_case(rng)
             rng.shuffle(articles)
-            links = build_links(articles, awards, aliases)
+            links = build_links(articles, awards, aliases, "warn")
             assert links == oracle_links(articles, awards, aliases)
             by_core = {a.core_project_number for a in awards}
             for record in articles:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import hashlib
 import json
+import logging
 import re
 import shutil
 from collections import Counter
@@ -24,7 +25,13 @@ from memomap.biblio import IngestError
 from memomap.config import ConfigError, load_config
 from memomap.corpus import CorpusError
 from memomap.funding import FundingError
-from memomap.resolver import fragment_years
+from memomap.resolver import (
+    METHOD_LEXICAL,
+    METHOD_REMOTE,
+    METHOD_UNRESOLVED,
+    ResolutionResult,
+    fragment_years,
+)
 from memomap.pipeline import (
     FLAGS,
     RESOLUTION,
@@ -522,6 +529,38 @@ class TestIngestLoads:
                 assert produced[name] == expected, f"artifact differs: {name}"
 
 
+class TestLogLines:
+    """A condition that recurs over memos or entities is logged in one line."""
+
+    def test_memos_without_fragments_in_one_line(self, workspace, caplog):
+        with (workspace / "memos.jsonl").open("a", encoding="utf-8") as fh:
+            for memo_id in ("ZZ-2", "AA-1"):
+                fh.write(json.dumps({"memo_id": memo_id, "body_text": "No section.\n"}) + "\n")
+        with caplog.at_level(logging.INFO, logger="memomap"):
+            run_ingest(load_config(workspace / "config.yaml"))
+        lines = [r.getMessage() for r in caplog.records if "reference fragments" in r.getMessage()]
+        assert lines == ["2 memos without reference fragments: AA-1, ZZ-2"]
+
+    def test_memos_without_entity_data_in_one_line(self, workspace, caplog):
+        config = load_config(workspace / "config.yaml")
+        awards = funding.load_award_db(config.award_db_path)
+        resolution = [
+            ResolutionResult("M3", 0, "X3", 1.0, METHOD_LEXICAL),
+            ResolutionResult("M2", 0, "X1", 1.0, METHOD_LEXICAL),
+            ResolutionResult("M1", 0, "X2", None, METHOD_REMOTE),
+            ResolutionResult("M0", 0, None, None, METHOD_UNRESOLVED),  # cites nothing: no line
+        ]
+        links = [  # X1: only an unmapped funder; X2: no link; X3: a funder but no org
+            funding.ArticleAwardLink("X1", "C1", funding.UNMAPPED, funding.SOURCE_ARTICLE),
+            funding.ArticleAwardLink("X3", "C3", "NCI", funding.SOURCE_ARTICLE),
+        ]
+        with caplog.at_level(logging.INFO, logger="memomap"):
+            outputs = pipeline._stats(config, links, awards, resolution)
+        assert outputs[pipeline.KLD] == []
+        lines = [r.getMessage() for r in caplog.records if "entity data" in r.getMessage()]
+        assert lines == ["3 memos without entity data, no concentration: M1, M2, M3"]
+
+
 class TestHandOff:
     def test_all_reads_nothing_and_matches_single_stages(self, workspace, monkeypatch):
         config = load_config(workspace / "config.yaml")
@@ -720,6 +759,12 @@ class TestCliErrors:
         "name, text, error, message",
         [
             ("memos.jsonl", "7\n", CorpusError, "expected a JSON object"),
+            (
+                "memos.jsonl",
+                '{"memo_id": "EMPTY-1", "title": "t"}\n',
+                CorpusError,
+                "memos.jsonl:1: memo 'EMPTY-1' has empty body_text",
+            ),
             ("articles.jsonl", '{"article_id": "x"}\n', IngestError, "title: expected"),
             ("aliases.csv", "orphan name without code\n", FundingError, "raw_name,canonical_code"),
             ("awards.jsonl", "", FundingError, "awards.jsonl: no award rows"),
@@ -769,6 +814,16 @@ class TestCliErrors:
         corpus_dir = use_directory_corpus(workspace, {"CAG-1": b"Title\n\xff\xfe References\n"})
         assert main(["ingest", "--config", str(workspace / "config.yaml")]) == EXIT_INPUT
         assert f"{corpus_dir / 'CAG-1.txt'}: not UTF-8" in caplog.text
+
+    def test_negative_max_retries_is_config_error(self, workspace, caplog):
+        # With no attempt allowed, every fallback would fail without a request.
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["remote"] = {"enabled": True, "base_url": "http://127.0.0.1:9/none", "max_retries": -1}
+        path.write_text(yaml.safe_dump(data))
+        assert main(["all", "--config", str(path)]) == EXIT_CONFIG
+        assert "remote.max_retries must be >= 0" in caplog.text
+        assert not (workspace / "out").exists()
 
 
 class TestConfig:

@@ -11,12 +11,20 @@ from oracles import (
     exact_edges,
     flow_graph,
     oracle_build_flow_graph,
+    oracle_flag_retracted,
     oracle_node_weights,
     oracle_sankey_json,
 )
 
+from memomap.biblio import ArticleRecord
 from memomap.funding import ArticleAwardLink
-from memomap.resolver import CoverageStats, ResolutionResult
+from memomap.resolver import (
+    METHOD_LEXICAL,
+    METHOD_REMOTE,
+    METHOD_UNRESOLVED,
+    CoverageStats,
+    ResolutionResult,
+)
 from memomap.report import (
     UNKNOWN_ORG_ID,
     FlowGraph,
@@ -539,6 +547,25 @@ class TestFlags:
     def test_duplicate_citation_single_flag(self, small_records):
         resolution = [resolved("m1", 0, "1003"), resolved("m1", 1, "1003")]
         assert len(flag_retracted(resolution, small_records)) == 1
+
+    def test_matches_set_join_oracle_on_random_cases(self):
+        rng = random.Random(45)
+        for case in range(250):
+            retracted = {f"A{i}": rng.random() < 0.4 for i in range(rng.randint(0, 6))}
+            records = {
+                a: ArticleRecord(a, f"Title {a}", (), "J", 2000, retracted=flag)
+                for a, flag in retracted.items()
+            }
+            # Ids A0-A8: some have no record, as a remote answer may name one.
+            resolution = []
+            for ordinal in range(rng.randint(0, 25)):
+                method = rng.choice([METHOD_LEXICAL, METHOD_REMOTE, METHOD_UNRESOLVED])
+                article_id = None if method == METHOD_UNRESOLVED else f"A{rng.randint(0, 8)}"
+                memo_id = f"m{rng.randint(0, 4)}"
+                resolution.append(ResolutionResult(memo_id, ordinal, article_id, None, method))
+            rng.shuffle(resolution)
+            expected = oracle_flag_retracted(resolution, records)
+            assert flag_retracted(iter(resolution), records) == expected, case
 
 
 class TestCoverageReport:

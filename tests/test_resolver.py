@@ -13,7 +13,9 @@ from memomap.resolver import (
     METHOD_LEXICAL,
     METHOD_REMOTE,
     METHOD_UNRESOLVED,
+    ResolutionResult,
     ResolverConfig,
+    cited_articles,
     coverage_summary,
     resolve_corpus,
     resolve_fragment,
@@ -235,3 +237,27 @@ class TestCoverageSummary:
         summary = coverage_summary(stats)
         assert summary["median_linked_pct"] == 100.0
         assert summary["iqr_linked_pct"] == 0.0
+
+
+class TestCitedArticles:
+    ROWS = [
+        ResolutionResult("m2", 0, "A9", 0.9, METHOD_LEXICAL),
+        ResolutionResult("m2", 1, "A1", 0.8, METHOD_LEXICAL),
+        ResolutionResult("m2", 2, "A9", 0.7, METHOD_LEXICAL),  # A9 again, at another ordinal
+        ResolutionResult("m2", 3, None, None, METHOD_UNRESOLVED),
+        ResolutionResult("m1", 0, None, None, METHOD_UNRESOLVED),
+        ResolutionResult("m1", 1, None, None, METHOD_UNRESOLVED),
+        ResolutionResult("m3", 0, "A5", None, METHOD_REMOTE),
+        ResolutionResult("m3", 1, "A0", 0.6, METHOD_LEXICAL),
+        ResolutionResult("m0", 0, "A2", 0.9, METHOD_LEXICAL),
+    ]
+
+    def test_shuffled_rows(self):
+        expected = {"m0": ["A2"], "m1": [], "m2": ["A1", "A9"], "m3": ["A0", "A5"]}
+        rows = list(self.ROWS)
+        rng = random.Random(20)
+        for _ in range(20):
+            rng.shuffle(rows)
+            cited = cited_articles(iter(rows))
+            assert cited == expected
+            assert list(cited) == sorted(expected)

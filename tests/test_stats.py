@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 from fractions import Fraction
@@ -361,3 +362,19 @@ class TestEntityStats:
     def test_min_obs_validation(self):
         with pytest.raises(StatsError):
             compute_entity_stats([], min_obs=0)
+
+    def test_exclusions_logged_in_one_line_per_reason(self, caplog):
+        rows = (
+            self.shares("C", [1, 2])
+            + self.shares("A", [1, 2, 3])
+            + self.shares("Z", [0, 0, 0, 0, 0])
+            + self.shares("Y", [0, 0, 0, 0, 0, 0])
+            + self.shares("B", [1, 2, 3, 4, 5])
+        )
+        with caplog.at_level(logging.INFO, logger="memomap.stats"):
+            assert [r.entity for r in compute_entity_stats(rows, min_obs=5)] == ["B"]
+            compute_entity_stats(self.shares("B", [1, 2, 3, 4, 5]), min_obs=5)  # no line
+        assert [r.getMessage() for r in caplog.records] == [
+            "entities in fewer than 5 years, excluded: A (3), C (2)",
+            "entities with all differences zero, excluded: Y, Z",
+        ]
