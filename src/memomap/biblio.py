@@ -101,7 +101,7 @@ class BiblioIndex:
         year_hint: int | None = None,
         k: int = 10,
     ) -> list[ArticleRecord]:
-        """Top-k records by shared-token count.
+        """Top-k records by shared-token count (``config.validate_config`` keeps k >= 1).
 
         Ties break on |pub_year - year_hint| (when a hint is given; records
         without a year sort last), then on ascending article_id, so the
@@ -113,8 +113,6 @@ class BiblioIndex:
         first, so no record of a later group can enter the top k, and the
         result, ties included, equals a full sort of every candidate.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
         planes: list[int] = []
         matched = 0
         for token in set(tokens):

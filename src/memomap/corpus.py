@@ -104,11 +104,9 @@ def split_fragments(
     current fragment; any other line continues the previous one (hard-wrap
     merge). Fragments shorter than ``min_chars`` or that normalize to
     nothing are dropped as heading debris, and ordinals are reassigned
-    densely afterwards.
+    densely afterwards. Text with no fragment, empty text included, gives
+    an empty list.
     """
-    if not reference_text:
-        raise CorpusError("reference_text must be non-empty")
-
     pieces: list[str] = []
     current: list[str] | None = None
     for line in reference_text.splitlines():

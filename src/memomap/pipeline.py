@@ -346,12 +346,10 @@ def _report(
         "coverage_summary.csv": summary_csv.encode("utf-8"),
     }
     links_by_article = _group(links, lambda l: l.article_id)
-    rows_by_memo = _group(resolution, lambda r: r.memo_id)
     for mid in memo_ids:
         memo_links = [l for a in cited[mid] for l in links_by_article.get(a, ())]
-        graph = report.build_flow_graph(mid, memo_links, rows_by_memo[mid], top_k=config.top_k)
-        outputs[f"sankey/{mid}.json"] = report.emit_sankey(graph, "json")
-        outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph, "svg")
+        graph = report.build_flow_graph(mid, memo_links, top_k=config.top_k)
+        outputs[f"sankey/{mid}.json"], outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph)
     return outputs
 
 

@@ -96,28 +96,21 @@ def _org_labels(links: Iterable[ArticleAwardLink]) -> dict[str, str]:
 
 
 def build_flow_graph(
-    memo_id: str,
-    links: Iterable[ArticleAwardLink],
-    resolution: Iterable[ResolutionResult],
-    top_k: int = 10,
+    memo_id: str, links: Iterable[ArticleAwardLink], top_k: int = 10
 ) -> FlowGraph:
-    """Tripartite flow graph for one memo.
+    """Tripartite flow graph for one memo from the links of the articles it cites.
 
-    Every funded article cited by the memo distributes weight 1 equally
-    across its distinct (funder, organization) stakeholder pairs. Only the
-    ``top_k`` organizations by total weight keep their own node; the rest
-    merge into "Other", and awards without organization identity route
-    through "Unknown".
-
-    Rows of other memos and links of uncited articles are ignored, so a
-    caller may pass just this memo's rows and the links of the articles
-    it cites. Edge weights are integer numerators over the graph's
-    ``denominator``, the least common multiple of the articles' pair
-    counts (``stats.split_weights``), so every sum is exact.
+    The caller picks those links (``resolver.cited_articles`` names the
+    articles); every link passed counts. Each funded article distributes
+    weight 1 equally across its distinct (funder, organization)
+    stakeholder pairs. Only the ``top_k`` organizations by total weight
+    keep their own node; the rest merge into "Other", and awards without
+    organization identity route through "Unknown". Edge weights are
+    integer numerators over the graph's ``denominator``, the least common
+    multiple of the articles' pair counts (``stats.split_weights``), so
+    every sum is exact.
     """
-    cited = set(cited_articles(resolution).get(memo_id, ()))
-    links = [l for l in links if l.article_id in cited]
-
+    links = list(links)
     pairs_by_article: dict[str, list[tuple[str, str | None]]] = {}
     for l in links:
         pairs_by_article.setdefault(l.article_id, []).append((l.funder_code, l.org_id))
@@ -183,13 +176,9 @@ def build_flow_graph(
     )
 
 
-def emit_sankey(graph: FlowGraph, format: str = "json") -> bytes:
-    """Serialize a flow graph; byte-deterministic for equal graphs."""
-    if format == "json":
-        return _sankey_json(graph).encode("utf-8")
-    if format == "svg":
-        return _render_svg(graph)
-    raise ValueError(f"unknown sankey format {format!r}")
+def emit_sankey(graph: FlowGraph) -> tuple[bytes, bytes]:
+    """A flow graph's JSON and SVG bytes; byte-deterministic for equal graphs."""
+    return _sankey_json(graph).encode("utf-8"), _render_svg(graph)
 
 
 def _sankey_json(graph: FlowGraph) -> str:

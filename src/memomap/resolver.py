@@ -7,7 +7,6 @@ place. Ambiguous near-ties stay unresolved.
 
 from __future__ import annotations
 
-import logging
 import re
 import statistics
 from dataclasses import dataclass
@@ -16,8 +15,6 @@ from typing import Iterable
 from .biblio import MAX_YEAR, MIN_YEAR, ArticleRecord, BiblioIndex
 from .corpus import ReferenceFragment
 from .remote import RemoteLookupClient, RemoteUnavailableError
-
-logger = logging.getLogger(__name__)
 
 METHOD_LEXICAL = "lexical"
 METHOD_REMOTE = "remote_fallback"
@@ -107,8 +104,11 @@ def resolve_fragment(
 
     The best lexical candidate is accepted only when it clears the score
     threshold and beats the runner-up by the margin; otherwise the remote
-    fallback is consulted when available. Remote failures degrade to
-    unresolved rather than aborting.
+    fallback is consulted when available. A remote miss (an offline cache
+    miss, a malformed or an ambiguous answer) leaves the fragment
+    unresolved; a remote failure past its retries raises
+    RemoteUnavailableError, its message starting with ``memo_id[ordinal]``,
+    so a failed lookup is never written as a miss.
     """
     config = config or ResolverConfig()
     tokens = fragment.normalized_text.split()
@@ -135,13 +135,7 @@ def resolve_fragment(
         try:
             article_id = remote.lookup(fragment.raw_text)
         except RemoteUnavailableError as exc:
-            logger.warning(
-                "remote fallback unavailable for %s[%d]: %s",
-                fragment.memo_id,
-                fragment.ordinal,
-                exc,
-            )
-            article_id = None
+            raise RemoteUnavailableError(f"{fragment.memo_id}[{fragment.ordinal}]: {exc}") from exc
         if article_id is not None:
             return ResolutionResult(
                 memo_id=fragment.memo_id,

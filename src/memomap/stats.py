@@ -29,7 +29,7 @@ _H = TypeVar("_H", bound=Hashable)
 
 
 class StatsError(InputError):
-    """Invalid statistical input (bad proportions, empty pool, bad level)."""
+    """Invalid statistical input (bad proportions, empty pool)."""
 
 
 class DegenerateSampleError(StatsError):
@@ -101,10 +101,9 @@ def yearly_shares(
     an entity with awards in only one set that year still gets a row (its
     other share is zero). With denominator "pool_entities" the memo share
     is taken over memo awards from pool entities only; "all" divides by
-    every memo award that year.
+    every memo award that year. ``config.validate_config`` admits only
+    these two modes.
     """
-    if denominator not in ("pool_entities", "all"):
-        raise StatsError(f"bad denominator mode {denominator!r}")
     pool_pairs = [(entity, year) for entity, year in pool_awards]
     memo_pairs = [(entity, year) for entity, year in memo_awards]
     if not pool_pairs:
@@ -253,13 +252,12 @@ def hodges_lehmann_ci(xs: Sequence[float], level: float = 0.95) -> tuple[float, 
     The point estimate is the median of all n(n+1)/2 pairwise means
     (i <= j); the interval endpoints are the Walsh order statistics at
     signed-rank distribution quantiles. For very small n the widest
-    achievable interval (the full Walsh range) is returned.
+    achievable interval (the full Walsh range) is returned. ``level`` is
+    in (0, 1), as ``config.validate_config`` checks for ``stats.ci_level``.
     """
     n = len(xs)
     if n < 2:
         raise InsufficientDataError("need at least 2 observations for an interval")
-    if not 0.0 < level < 1.0:
-        raise StatsError(f"confidence level {level} outside (0, 1)")
     walsh = _walsh_averages(xs)
     pseudo_median = statistics.median(walsh)
     k = _hl_offset(n, level)
@@ -342,8 +340,6 @@ def compute_entity_stats(
     entities whose differences are all exactly zero (no test possible);
     exclusions are logged, not errors, in one line per reason.
     """
-    if min_obs < 1:
-        raise StatsError("min_obs must be >= 1")
     by_entity: dict[str, list[float]] = {}
     for row in shares:
         by_entity.setdefault(row.entity, []).append(row.diff_pct)

@@ -7,6 +7,7 @@ import pytest
 
 from memomap.biblio import ArticleRecord, GrantTag, ingest_records, read_records
 from memomap.funding import Award, FunderAliasTable, build_links, load_aliases
+from memomap.resolver import cited_articles
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -24,6 +25,14 @@ def article_row(article_id: str, title: str, **kwargs) -> dict:
     }
     row.update(kwargs)
     return row
+
+
+def cited_links(memo_id, links, resolution) -> list:
+    """The links of the articles ``memo_id`` cites, in input order: what
+    ``report.build_flow_graph`` expects, with the citations taken from
+    ``resolver.cited_articles``."""
+    cited = set(cited_articles(resolution).get(memo_id, ()))
+    return [link for link in links if link.article_id in cited]
 
 
 def imputed_award(awards: list[Award], core: str, pub_year: int) -> tuple[str | None, int]:

@@ -23,7 +23,7 @@ from memomap.report import build_flow_graph
 from memomap.resolver import resolve_fragment
 from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
 
-from conftest import imputed_award, write_jsonl
+from conftest import cited_links, imputed_award, write_jsonl
 from oracles import enumeration_p, oracle_impute
 from synth import build_labeled_corpus
 from test_pipeline import FIXTURES, INPUT_FILES, read_tree
@@ -182,9 +182,10 @@ def test_criterion_6_flow_conservation(pipeline_run):
                 for r in resolution
                 if r.memo_id == memo_id and r.article_id in linked_articles
             }
+            memo_links = cited_links(memo_id, links, resolution)
             totals = set()
             for top_k in (1, 2, 3, 10):
-                graph = build_flow_graph(memo_id, links, resolution, top_k=top_k)
+                graph = build_flow_graph(memo_id, memo_links, top_k=top_k)
                 edges = [(e.src, e.dst, Fraction(e.weight, graph.denominator)) for e in graph.edges]
                 funder_out = sum((w for s, _, w in edges if s.startswith("funder:")), Fraction(0))
                 org_in = funder_out

@@ -105,10 +105,6 @@ class TestSearch:
         second = [r.article_id for r in small_index.search(tokens, k=3)]
         assert first == second
 
-    def test_k_validation(self, small_index):
-        with pytest.raises(ValueError):
-            small_index.search(["amyloid"], k=0)
-
     def test_single_letters_reach_only_authors(self, tmp_path):
         rows = [article_row("1", "A b of x", authors=["Quayle J"], journal="Q J")]
         index = ingest_records(read_records(write_jsonl(tmp_path / "r.jsonl", rows)))

@@ -37,6 +37,8 @@ from memomap.report import (
 )
 from memomap.stats import StatResult
 
+from conftest import cited_links
+
 
 def link(article_id, core, funder, org_id=None, org_name=None, year=2000):
     return ArticleAwardLink(
@@ -83,7 +85,6 @@ class TestFlowGraph:
         graph = build_flow_graph(
             "m1",
             [link("a1", "C1", "NCI", org_id="111", org_name="Duke University")],
-            [resolved("m1", 0, "a1")],
         )
         edges = edge_weights(graph)
         assert edges == {
@@ -98,18 +99,13 @@ class TestFlowGraph:
                 link("a1", "C1", "NCI", org_id="111", org_name="Org One"),
                 link("a1", "C2", "NCI", org_id="222", org_name="Org Two"),
             ],
-            [resolved("m1", 0, "a1")],
         )
         edges = edge_weights(graph)
         assert edges[("funder:NCI", "org:111")] == Fraction(1, 2)
         assert edges[("funder:NCI", "org:222")] == Fraction(1, 2)
 
     def test_missing_org_routes_through_unknown(self):
-        graph = build_flow_graph(
-            "m1",
-            [link("a1", "C1", "NHLBI")],
-            [resolved("m1", 0, "a1")],
-        )
+        graph = build_flow_graph("m1", [link("a1", "C1", "NHLBI")])
         edges = edge_weights(graph)
         assert edges[("funder:NHLBI", UNKNOWN_ORG_ID)] == Fraction(1)
         assert edges[(UNKNOWN_ORG_ID, "memo:m1")] == Fraction(1)
@@ -123,7 +119,7 @@ class TestFlowGraph:
                 article = f"a{i}_{j}"
                 links.append(link(article, f"C{i}", "NCI", org_id=f"{i:03d}", org_name=f"Org {i}"))
                 resolution.append(resolved("m1", len(resolution), article))
-        graph = build_flow_graph("m1", links, resolution, top_k=10)
+        graph = build_flow_graph("m1", links, top_k=10)
 
         named = [n for n in graph.nodes if n.kind == "org"]
         assert len(named) == 10
@@ -136,18 +132,16 @@ class TestFlowGraph:
         assert funder_out == org_in == memo_in == Fraction(total_articles)
 
     def test_tie_at_boundary_breaks_on_org_id(self):
-        links = []
-        resolution = []
-        for i, article in enumerate(["a1", "a2"]):
-            resolution.append(resolved("m1", i, article))
-        links.append(link("a1", "C1", "NCI", org_id="bbb", org_name="B"))
-        links.append(link("a2", "C2", "NCI", org_id="aaa", org_name="A"))
-        graph = build_flow_graph("m1", links, resolution, top_k=1)
+        links = [
+            link("a1", "C1", "NCI", org_id="bbb", org_name="B"),
+            link("a2", "C2", "NCI", org_id="aaa", org_name="A"),
+        ]
+        graph = build_flow_graph("m1", links, top_k=1)
         named = [n for n in graph.nodes if n.kind == "org"]
         assert [n.id for n in named] == ["org:aaa"]
 
     def test_zero_funded_articles_empty_graph(self):
-        graph = build_flow_graph("m1", [], [resolved("m1", 0, "a1")])
+        graph = build_flow_graph("m1", [])
         assert graph.nodes == () and graph.edges == ()
 
     def test_multiple_awards_same_pair_collapse(self):
@@ -158,7 +152,6 @@ class TestFlowGraph:
                 link("a1", "C1", "NCI", org_id="111", org_name="Org"),
                 link("a1", "C2", "NCI", org_id="111", org_name="Org"),
             ],
-            [resolved("m1", 0, "a1")],
         )
         edges = edge_weights(graph)
         assert edges[("funder:NCI", "org:111")] == Fraction(1)
@@ -182,7 +175,7 @@ class TestFlowGraph:
                             org_name=org and f"Org {org}",
                         )
                     )
-            graph = build_flow_graph("m", links, resolution, top_k=2)
+            graph = build_flow_graph("m", cited_links("m", links, resolution), top_k=2)
             funded = len({l.article_id for l in links if any(r.article_id == l.article_id for r in resolution)})
             funder_out, org_in, memo_in = graph_sums(graph)
             assert funder_out == org_in == memo_in == Fraction(funded)
@@ -228,7 +221,8 @@ def random_memos(rng, n_memos, n_articles, orgs, funders):
 
 
 def memo_subsets(links, resolution):
-    """Per memo: its rows and the links of the articles it cites, as the report stage passes them."""
+    """Per memo: the links of the articles it cites, grouped by article as the report stage
+    passes them, and its rows."""
     by_article = {}
     for l in links:
         by_article.setdefault(l.article_id, []).append(l)
@@ -245,12 +239,11 @@ class TestFlowGraphOracle:
 
     def assert_same(self, memo, links, resolution, top_k):
         expected = oracle_build_flow_graph(memo, links, resolution, top_k)
-        graph = build_flow_graph(memo, links, resolution, top_k)
+        graph = build_flow_graph(memo, cited_links(memo, links, resolution), top_k)
         assert exact(graph) == exact(expected)
         assert node_weights(graph) == oracle_node_weights(expected)
-        for fmt in ("json", "svg"):
-            assert emit_sankey(graph, fmt) == emit_sankey(expected, fmt)
-        assert emit_sankey(graph, "json") == oracle_sankey_json(expected)
+        assert emit_sankey(graph) == emit_sankey(expected)
+        assert emit_sankey(graph)[0] == oracle_sankey_json(expected)
         return graph
 
     @pytest.mark.parametrize("seed", range(8))
@@ -341,10 +334,10 @@ class TestSankeyJsonWriter:
                 ("org:1", f"memo:{label}", Fraction(10**17 + 1, 7)),
             ),
         )
-        assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
+        assert emit_sankey(graph)[0] == oracle_sankey_json(graph)
 
     def test_empty_graph_matches_json_dumps(self):
-        assert emit_sankey(FlowGraph("m", (), ()), "json") == oracle_sankey_json(FlowGraph("m", (), ()))
+        assert emit_sankey(FlowGraph("m", (), ()))[0] == oracle_sankey_json(FlowGraph("m", (), ()))
 
     def test_weights_match_json_dumps(self):
         rng = random.Random(5)
@@ -353,8 +346,10 @@ class TestSankeyJsonWriter:
             for i in range(200)
         ]
         edges += [("funder:F", "org:big", Fraction(10**30)), ("funder:F", "org:tiny", Fraction(1, 10**30))]
-        graph = flow_graph("m", (FlowNode("funder:F", "F", "funder"),), edges)
-        assert emit_sankey(graph, "json") == oracle_sankey_json(graph)
+        # emit_sankey also draws the graph, so every edge needs its end nodes.
+        orgs = tuple(FlowNode(dst, dst[4:], "org") for _, dst, _ in edges)
+        graph = flow_graph("m", (FlowNode("funder:F", "F", "funder"),) + orgs, edges)
+        assert emit_sankey(graph)[0] == oracle_sankey_json(graph)
 
 
 def stakeholder_memos(seed):
@@ -401,12 +396,13 @@ class TestSankeyPin:
     def test_non_dyadic_weights_pinned(self, seed):
         links, resolution, top_k = stakeholder_memos(seed)
         graphs = [
-            build_flow_graph(memo, links, resolution, top_k)
+            build_flow_graph(memo, cited_links(memo, links, resolution), top_k)
             for memo in sorted({r.memo_id for r in resolution})
         ]
+        emitted = [emit_sankey(g) for g in graphs]
         digests = tuple(
-            hashlib.sha256(b"".join(emit_sankey(g, fmt) for g in graphs)).hexdigest()
-            for fmt in ("json", "svg")
+            hashlib.sha256(b"".join(pair[fmt] for pair in emitted)).hexdigest()
+            for fmt in (0, 1)  # json, svg
         )
         assert digests == self.DIGESTS[seed]
 
@@ -420,28 +416,27 @@ class TestSankey:
                 link("a1", "C2", "NIA", org_id="222", org_name="Org Two"),
                 link("a2", "C3", "NCI"),
             ],
-            [resolved("m1", 0, "a1"), resolved("m1", 1, "a2")],
         )
 
     def test_empty_graph_json(self):
         from memomap.report import FlowGraph
 
-        payload = emit_sankey(FlowGraph("m", (), ()), "json")
+        payload = emit_sankey(FlowGraph("m", (), ()))[0]
         assert b'"nodes": []' in payload and b'"edges": []' in payload
 
     def test_json_deterministic(self):
-        assert emit_sankey(self.make_graph(), "json") == emit_sankey(self.make_graph(), "json")
+        assert emit_sankey(self.make_graph())[0] == emit_sankey(self.make_graph())[0]
 
     def test_json_node_order(self):
         import json as jsonlib
 
-        payload = jsonlib.loads(emit_sankey(self.make_graph(), "json"))
+        payload = jsonlib.loads(emit_sankey(self.make_graph())[0])
         kinds = [n["kind"] for n in payload["nodes"]]
         assert kinds == sorted(kinds, key=["funder", "org", "other_org", "unknown_org", "memo"].index)
 
     def test_svg_ribbon_conservation(self):
         graph = self.make_graph()
-        svg = emit_sankey(graph, "svg").decode("utf-8")
+        svg = emit_sankey(graph)[1].decode("utf-8")
         widths_left = [
             float(m)
             for m in re.findall(r'ribbon-left[^>]*stroke-width="([0-9.]+)"', svg)
@@ -457,11 +452,7 @@ class TestSankey:
         assert abs(sum(widths_right) - funded * _SVG_SCALE) <= 0.5
 
     def test_svg_deterministic(self):
-        assert emit_sankey(self.make_graph(), "svg") == emit_sankey(self.make_graph(), "svg")
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            emit_sankey(self.make_graph(), "png")
+        assert emit_sankey(self.make_graph())[1] == emit_sankey(self.make_graph())[1]
 
 
 class TestTables:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import logging
 import random
 
 import pytest
@@ -146,13 +145,13 @@ class TestResolveFragment:
         assert result.method == METHOD_LEXICAL
         assert remote.calls == 0
 
-    def test_remote_failure_degrades_to_unresolved(self, small_index, caplog):
+    def test_remote_failure_raises_naming_the_fragment(self, small_index):
+        # A failed lookup is not a miss: it must never be written as unresolved.
         remote = StubRemote(fail=True)
-        frag = fragment("Unfindable citation text with no index overlap whatsoever")
-        with caplog.at_level(logging.WARNING):
-            result = resolve_fragment(frag, small_index, remote=remote)
-        assert result.method == METHOD_UNRESOLVED
-        assert any("remote fallback unavailable" in r.message for r in caplog.records)
+        frag = fragment("Unfindable citation text with no index overlap whatsoever", "m7", 3)
+        with pytest.raises(RemoteUnavailableError, match=r"^m7\[3\]: remote down$"):
+            resolve_fragment(frag, small_index, remote=remote)
+        assert remote.calls == 1
 
 
 class TestResolveCorpus:
