@@ -38,26 +38,23 @@ class ArticleRecord:
     grant_tags: tuple[GrantTag, ...] = ()
     retracted: bool = False
 
-    def title_tokens(self) -> frozenset[str]:
-        return frozenset(t for t in normalize_fragment(self.title).split() if len(t) >= 2)
+    def tokens(self) -> tuple[frozenset[str], ...]:
+        """Title, journal, author and surname tokens, each string normalized once.
 
-    def journal_tokens(self) -> frozenset[str]:
-        return frozenset(t for t in normalize_fragment(self.journal).split() if len(t) >= 2)
-
-    def author_tokens(self) -> frozenset[str]:
-        tokens: set[str] = set()
-        for author in self.authors:
-            tokens.update(normalize_fragment(author).split())
-        return frozenset(tokens)
-
-    def surnames(self) -> frozenset[str]:
-        # Surname is the first token of each "Surname AB" author string.
-        names = set()
-        for author in self.authors:
-            parts = normalize_fragment(author).split()
-            if parts:
-                names.add(parts[0])
-        return frozenset(names)
+        Title and journal keep tokens of length >= 2; author tokens keep bare
+        initials; a surname is the first token of each "Surname AB" author.
+        """
+        title, journal = (
+            frozenset(t for t in normalize_fragment(text).split() if len(t) >= 2)
+            for text in (self.title, self.journal)
+        )
+        authors = [normalize_fragment(author).split() for author in self.authors]
+        return (
+            title,
+            journal,
+            frozenset(t for parts in authors for t in parts),
+            frozenset(parts[0] for parts in authors if parts),
+        )
 
 
 class BiblioIndex:
@@ -80,7 +77,8 @@ class BiblioIndex:
         self._ordered = [records[article_id] for article_id in sorted(records)]
         positions: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for i, record in enumerate(self._ordered):
-            for token in record.title_tokens() | record.journal_tokens() | record.author_tokens():
+            title, journal, authors, _ = record.tokens()
+            for token in title | journal | authors:
                 positions[token].append(i)
         # A bitmap needs posting[-1] + 1 bits, the array 32 per position.
         self._postings: dict[str, int | array] = {

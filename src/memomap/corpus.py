@@ -66,14 +66,13 @@ def normalize_fragment(raw_text: str) -> str:
     return _NON_ALNUM_RE.sub(" ", raw_text.casefold()).strip()
 
 
-def segment_reference_section(memo: Memo, config: SegmenterConfig | None = None) -> str | None:
+def segment_reference_section(memo: Memo, config: SegmenterConfig) -> str | None:
     """Return the memo's reference-section text, or None if no heading is found.
 
     A heading matches a whole line (case-insensitive, after trimming). The
     last matching heading wins; the section runs to the end of the document
     or to the next terminator heading.
     """
-    config = config or SegmenterConfig()
     headings = {h.strip().casefold() for h in config.headings}
     terminators = {t.strip().casefold() for t in config.terminators}
 
@@ -150,9 +149,8 @@ def split_fragments(
     return fragments
 
 
-def extract_fragments(memo: Memo, config: SegmenterConfig | None = None) -> list[ReferenceFragment]:
+def extract_fragments(memo: Memo, config: SegmenterConfig) -> list[ReferenceFragment]:
     """Segment a memo and split the result; empty list when no section found."""
-    config = config or SegmenterConfig()
     section = segment_reference_section(memo, config)
     if section is None or not section.strip():
         return []

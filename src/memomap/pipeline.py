@@ -225,10 +225,12 @@ def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> d
 
 def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
     index = biblio.ingest_records(records)
-    remote_client = None
+    client = None
     if config.remote.enabled:
-        remote_client = RemoteLookupClient(config.remote, config.cache_dir())
-    results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, remote_client)
+        client = RemoteLookupClient(config.remote, config.cache_dir())
+    results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, client)
+    if client is not None and client.offline_misses:
+        logger.info("offline mode: %d remote cache misses, lookups skipped", client.offline_misses)
     return {
         RESOLUTION: results,
         COVERAGE: coverage,

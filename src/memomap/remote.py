@@ -75,6 +75,7 @@ class RemoteLookupClient:
         self._fetch = fetch or _default_fetch
         self._sleep = sleep
         self._last_request = 0.0
+        self.offline_misses = 0
 
     def _cache_path(self, query: str) -> Path:
         return self.cache_dir / f"{query_hash(query)}.json"
@@ -122,8 +123,9 @@ class RemoteLookupClient:
 
     def _request(self, query: str) -> dict:
         delay = 0.5
+        attempts = self.config.max_retries + 1
         last_exc: Exception | None = None
-        for attempt in range(self.config.max_retries + 1):
+        for attempt in range(attempts):
             if attempt:
                 self._sleep(delay)
                 delay *= 2
@@ -132,26 +134,30 @@ class RemoteLookupClient:
                 return self._fetch(self.config.base_url, {"term": query, "format": "json"})
             except Exception as exc:
                 last_exc = exc
-                logger.warning("remote lookup attempt %d failed: %s", attempt + 1, exc)
+                logger.debug("remote lookup attempt %d failed: %s", attempt + 1, exc)
+        # The exception text may hold the request URL, and so the citation.
         raise RemoteUnavailableError(
-            f"remote lookup failed after {self.config.max_retries + 1} attempts: {last_exc}"
+            f"remote lookup failed after {attempts} attempts: {type(last_exc).__name__}"
         )
 
     def lookup(self, fragment_text: str) -> str | None:
         """Return the article id for a fragment, or None.
 
         None covers ambiguous multi-match responses, empty responses,
-        malformed answers (not cached) and offline cache misses; transport
-        failure past the retry cap raises RemoteUnavailableError.
+        malformed answers (not cached) and offline cache misses, which
+        ``offline_misses`` counts; transport failure past the retry cap
+        raises RemoteUnavailableError.
         """
         payload = self._read_cache(fragment_text)
         if payload is None:
             if self.config.offline:
-                logger.info("offline mode: remote cache miss, skipping lookup")
+                self.offline_misses += 1
                 return None
             payload = self._request(fragment_text)
             if not _well_formed(payload):
-                logger.warning("remote answer for %r %s", fragment_text, _MALFORMED)
+                logger.warning(
+                    "remote answer for query %s %s", query_hash(fragment_text), _MALFORMED
+                )
                 return None
             self._write_cache(fragment_text, payload)
         ids = payload.get("ids", [])

@@ -68,36 +68,33 @@ def _overlap(fragment_tokens: frozenset[str], record_tokens: frozenset[str]) -> 
     return len(fragment_tokens & record_tokens) / len(record_tokens)
 
 
-def score_candidate(fragment: ReferenceFragment, record: ArticleRecord) -> float:
-    """Weighted word-overlap score in [0, 1].
+def score_candidate(tokens: frozenset[str], years: list[int], record: ArticleRecord) -> float:
+    """Weighted word-overlap score in [0, 1] of a fragment's token set and
+    ``fragment_years`` against a record.
 
     0.6 title overlap + 0.2 author-surname overlap + 0.1 journal overlap +
     0.1 year agreement (1 for an exact year in the fragment, 0.5 within one
     year). Each component is a fraction of the record side, so a fragment
     built verbatim from the record scores 1.0.
     """
-    tokens = frozenset(fragment.normalized_text.split())
-    title = _overlap(tokens, record.title_tokens())
-    authors = _overlap(tokens, record.surnames())
-    journal = _overlap(tokens, record.journal_tokens())
-
     year = 0.0
     if record.pub_year is not None:
-        for candidate_year in fragment_years(fragment.normalized_text):
+        for candidate_year in years:
             if candidate_year == record.pub_year:
                 year = 1.0
                 break
             if abs(candidate_year - record.pub_year) <= 1:
                 year = max(year, 0.5)
 
-    score = 0.6 * min(title, 1.0) + 0.2 * min(authors, 1.0) + 0.1 * min(journal, 1.0) + 0.1 * year
-    return min(score, 1.0)
+    title, journal, _, family_names = record.tokens()
+    score = 0.6 * _overlap(tokens, title) + 0.2 * _overlap(tokens, family_names)
+    return min(score + 0.1 * _overlap(tokens, journal) + 0.1 * year, 1.0)
 
 
 def resolve_fragment(
     fragment: ReferenceFragment,
     index: BiblioIndex,
-    config: ResolverConfig | None = None,
+    config: ResolverConfig,
     remote: RemoteLookupClient | None = None,
 ) -> ResolutionResult:
     """Resolve one fragment to at most one record.
@@ -110,13 +107,12 @@ def resolve_fragment(
     RemoteUnavailableError, its message starting with ``memo_id[ordinal]``,
     so a failed lookup is never written as a miss.
     """
-    config = config or ResolverConfig()
-    tokens = fragment.normalized_text.split()
+    tokens = frozenset(fragment.normalized_text.split())
     years = fragment_years(fragment.normalized_text)
     candidates = index.search(tokens, year_hint=years[0] if years else None, k=config.k)
 
     scored = sorted(
-        ((score_candidate(fragment, record), record) for record in candidates),
+        ((score_candidate(tokens, years, record), record) for record in candidates),
         key=lambda pair: (-pair[0], pair[1].article_id),
     )
     if scored:
@@ -124,40 +120,23 @@ def resolve_fragment(
         second_score = scored[1][0] if len(scored) > 1 else 0.0
         if best_score >= config.threshold and best_score - second_score >= config.margin:
             return ResolutionResult(
-                memo_id=fragment.memo_id,
-                ordinal=fragment.ordinal,
-                article_id=best.article_id,
-                score=best_score,
-                method=METHOD_LEXICAL,
+                fragment.memo_id, fragment.ordinal, best.article_id, best_score, METHOD_LEXICAL
             )
 
+    article_id = None
     if remote is not None:
         try:
             article_id = remote.lookup(fragment.raw_text)
         except RemoteUnavailableError as exc:
             raise RemoteUnavailableError(f"{fragment.memo_id}[{fragment.ordinal}]: {exc}") from exc
-        if article_id is not None:
-            return ResolutionResult(
-                memo_id=fragment.memo_id,
-                ordinal=fragment.ordinal,
-                article_id=article_id,
-                score=None,
-                method=METHOD_REMOTE,
-            )
-
-    return ResolutionResult(
-        memo_id=fragment.memo_id,
-        ordinal=fragment.ordinal,
-        article_id=None,
-        score=None,
-        method=METHOD_UNRESOLVED,
-    )
+    method = METHOD_UNRESOLVED if article_id is None else METHOD_REMOTE
+    return ResolutionResult(fragment.memo_id, fragment.ordinal, article_id, None, method)
 
 
 def resolve_corpus(
     fragments: Iterable[ReferenceFragment],
     index: BiblioIndex,
-    config: ResolverConfig | None = None,
+    config: ResolverConfig,
     remote: RemoteLookupClient | None = None,
 ) -> tuple[list[ResolutionResult], list[CoverageStats]]:
     """Resolve every fragment and compute per-memo coverage.
@@ -165,7 +144,6 @@ def resolve_corpus(
     Output is ordered by (memo_id, ordinal) regardless of input order;
     memos appear in coverage only if they contributed fragments.
     """
-    config = config or ResolverConfig()
     ordered = sorted(fragments, key=lambda f: (f.memo_id, f.ordinal))
     results = [resolve_fragment(f, index, config, remote) for f in ordered]
 

@@ -168,16 +168,16 @@ def _signed_rank_counts(n: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def wilcoxon_signed_rank(xs: Sequence[float], mu: float = 0.0, method: str = "auto") -> float:
+def wilcoxon_signed_rank(xs: Sequence[float], method: str = "auto") -> float:
     """Two-sided p-value of the one-sample Wilcoxon signed-rank test.
 
-    Observations equal to ``mu`` are discarded (classical zero handling);
-    an all-zero sample is degenerate. ``method`` is "auto", "exact", or
-    "approx"; auto picks exact for tie-free samples up to n = 20.
+    Zero observations are discarded (classical zero handling); an all-zero
+    sample is degenerate. ``method`` is "auto", "exact", or "approx"; auto
+    picks exact for tie-free samples up to n = 20.
     """
     if method not in ("auto", "exact", "approx"):
         raise StatsError(f"bad method {method!r}")
-    diffs = [x - mu for x in xs if x != mu]
+    diffs = [x for x in xs if x != 0]
     if not diffs:
         raise DegenerateSampleError("no observations differ from the null location")
     n = len(diffs)

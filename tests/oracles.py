@@ -5,10 +5,12 @@ oracle walks every sign pattern, the year-imputation oracle applies the
 selection rule as explicit filter passes, the linkage oracle builds
 half-filled draft links from both directions and merges them per core, as
 ``funding.build_links`` did before it made each link in one pass, the
-search oracle scores every record against the query and sorts them all,
-and the flow-graph and entity-weight oracles sum ``Fraction``s over every
-link and resolution row, as the first implementation did, and read a
-graph's integer weights as the ``Fraction``s they stand for. The codec
+record-token oracle normalizes each field again for each view, as the four
+``ArticleRecord`` token methods did, the search oracle scores every record
+against the query and sorts them all, and the flow-graph and entity-weight
+oracles sum ``Fraction``s over every link and resolution row, as the first
+implementation did, and read a graph's integer weights as the
+``Fraction``s they stand for. The codec
 oracle decodes a row with a loop over a per-field plan and the row type's
 keyword ``__init__``, and writes a JSONL row with ``sort_keys``, as
 ``artifacts`` did before it built rows positionally and sorted each row
@@ -27,11 +29,12 @@ import math
 import types
 from dataclasses import MISSING, fields, is_dataclass, replace
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_type_hints
 
 from memomap.artifacts import DecodeError
 
 from memomap.biblio import ArticleRecord
+from memomap.corpus import normalize_fragment
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -159,19 +162,43 @@ def oracle_flag_retracted(
     return flags
 
 
+def oracle_record_tokens(record: ArticleRecord) -> tuple[frozenset[str], ...]:
+    """Title, journal, author and surname tokens, each by its own rule and
+    its own normalization, as the four ``ArticleRecord`` methods gave them
+    before ``ArticleRecord.tokens`` replaced them."""
+    title = frozenset(t for t in normalize_fragment(record.title).split() if len(t) >= 2)
+    journal = frozenset(t for t in normalize_fragment(record.journal).split() if len(t) >= 2)
+    authors: set[str] = set()
+    for author in record.authors:
+        authors.update(normalize_fragment(author).split())
+    # Surname is the first token of each "Surname AB" author string.
+    surnames = set()
+    for author in record.authors:
+        parts = normalize_fragment(author).split()
+        if parts:
+            surnames.add(parts[0])
+    return title, journal, frozenset(authors), frozenset(surnames)
+
+
 def oracle_search(
-    records: Iterable[ArticleRecord], tokens: Iterable[str], year_hint: int | None, k: int
+    records: Iterable[ArticleRecord],
+    tokens: Iterable[str],
+    year_hint: int | None,
+    k: int,
+    views: Callable[[ArticleRecord], tuple[frozenset[str], ...]] = oracle_record_tokens,
 ) -> list[str]:
     """Top-k article ids by a full sort of every record sharing a query token.
 
-    Order: most shared tokens, then smallest |pub_year - year_hint| (records
-    without a year last when a hint is given), then ascending article_id.
+    A record's indexed tokens are the union of its title, journal and author
+    ``views``. Order: most shared tokens, then smallest |pub_year - year_hint|
+    (records without a year last when a hint is given), then ascending
+    article_id.
     """
     query = set(tokens)
     ranked = []
     for record in records:
-        indexed = record.title_tokens() | record.journal_tokens() | record.author_tokens()
-        shared = len(query & indexed)
+        title, journal, authors, _ = views(record)
+        shared = len(query & (title | journal | authors))
         if not shared:
             continue
         if year_hint is None:

@@ -20,7 +20,7 @@ from memomap.config import load_config
 from memomap.funding import Award
 from memomap.pipeline import LINKS, RESOLUTION
 from memomap.report import build_flow_graph
-from memomap.resolver import resolve_fragment
+from memomap.resolver import ResolverConfig, resolve_fragment
 from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
 
 from conftest import cited_links, imputed_award, write_jsonl
@@ -147,13 +147,13 @@ def test_criterion_5_resolution_quality(tmp_path):
 
         runs = []
         for _ in range(2):
-            results = [resolve_fragment(frag, index) for frag, _ in labeled]
+            results = [resolve_fragment(frag, index, ResolverConfig()) for frag, _ in labeled]
             runs.append(b"".join(RESOLUTION.encode(results)))
         assert runs[0] and runs[0] == runs[1]
 
         true_positive = false_positive = 0
         n_true = sum(1 for _, expected in labeled if expected is not None)
-        for (frag, expected), result in zip(labeled, (resolve_fragment(f, index) for f, _ in labeled)):
+        for (_, expected), result in zip(labeled, results):
             if result.article_id is None:
                 continue
             if result.article_id == expected:

@@ -2,17 +2,18 @@ from __future__ import annotations
 
 import json
 import random
-from types import SimpleNamespace
+from typing import Callable
 
 import pytest
 
 from memomap import corpus
-from memomap.biblio import IngestError, ingest_records, read_records
+from memomap.biblio import ArticleRecord, IngestError, ingest_records, read_records
 from memomap.config import load_config
 from memomap.resolver import fragment_years
 
 from conftest import article_row, write_jsonl
-from oracles import oracle_search
+from oracles import oracle_record_tokens, oracle_search
+from test_pipeline import FIXTURES
 from test_scale_goldens import _gen
 
 
@@ -57,7 +58,8 @@ class TestIngest:
 class TestSearch:
     def test_self_retrieval(self, small_records, small_index):
         record = small_records["1001"]
-        hits = small_index.search(record.title_tokens(), k=5)
+        title, *_ = record.tokens()
+        hits = small_index.search(title, k=5)
         assert hits[0].article_id == "1001"
 
     def test_disjoint_tokens_empty(self, small_index):
@@ -114,16 +116,38 @@ class TestSearch:
         assert [r.article_id for r in index.search(["quayle"], k=3)] == ["1"]
 
 
-def tokens_once(record) -> SimpleNamespace:
-    """``record`` for ``oracle_search``, its indexed tokens computed once."""
-    tokens = record.title_tokens() | record.journal_tokens() | record.author_tokens()
-    return SimpleNamespace(
-        article_id=record.article_id,
-        pub_year=record.pub_year,
-        title_tokens=lambda: tokens,
-        journal_tokens=frozenset,
-        author_tokens=frozenset,
-    )
+class TestRecordTokens:
+    """One normalization pass gives the four views the four rules gave."""
+
+    def test_fixture_records(self):
+        records = read_records(FIXTURES / "articles.jsonl")
+        assert records
+        for record in records.values():
+            assert record.tokens() == oracle_record_tokens(record), record.article_id
+
+    NAMES = ["Ñúñez MÁ", "Øster K", "Müller-Lüdenscheidt H", "O'Brien", "Smith J", "Smith K",
+             "van der Berg A", "Ō", "— ...", "Li", "ÉCOLE Q R"]
+    WORDS = ["a", "b", "of", "x", "Über", "naïve", "trial", "2004", "α-synuclein", "cell", "—"]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_records(self, seed):
+        rng = random.Random(seed)
+        for i in range(200):
+            record = ArticleRecord(
+                article_id=str(i),
+                title=" ".join(rng.choices(self.WORDS, k=rng.randint(0, 8))),
+                # An empty list, and repeated surnames with other initials.
+                authors=tuple(rng.choices(self.NAMES, k=rng.randint(0, 5))),
+                journal=" ".join(rng.choices(self.WORDS, k=rng.randint(0, 3))),
+                pub_year=None,
+            )
+            assert record.tokens() == oracle_record_tokens(record), record
+
+
+def tokens_once(records) -> Callable[[ArticleRecord], tuple[frozenset[str], ...]]:
+    """``oracle_record_tokens`` for ``oracle_search``, each record's views computed once."""
+    views = {record.article_id: oracle_record_tokens(record) for record in records}
+    return lambda record: views[record.article_id]
 
 
 class TestTopKMatchesFullSort:
@@ -206,20 +230,20 @@ class TestTopKMatchesFullSort:
         index = ingest_records(mapping)
         stored = {isinstance(p, int) for p in index._postings.values()}
         assert stored == {True, False}  # both bitmap and sparse postings
-        records = [tokens_once(mapping[article_id]) for article_id in sorted(mapping)]
-        by_id = {r.article_id: r for r in records}
+        records = [mapping[article_id] for article_id in sorted(mapping)]
+        views = tokens_once(records)
         top_shared = 0
         for _ in range(40):
-            own = sorted(rng.choice(records).title_tokens())
+            own = sorted(views(rng.choice(records))[0])
             pool = own + rng.sample(self.ZIPF_WORDS, 10) + ["nothing"]
             tokens = rng.sample(pool, min(len(pool), rng.randint(1, 30)))
             year_hint = rng.choice([None, 1989, 2003, 2020])
-            full = oracle_search(records, tokens, year_hint, len(records))
+            full = oracle_search(records, tokens, year_hint, len(records), views)
             for k in (1, 10, 50, len(full) + 1):
                 got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
                 assert got == full[:k]
             if full:
-                top_shared = max(top_shared, len(set(tokens) & by_id[full[0]].title_tokens()))
+                top_shared = max(top_shared, len(set(tokens) & views(mapping[full[0]])[0]))
         assert top_shared >= 16  # counts of five bits
 
     def test_benchmark_fragments(self, tmp_path):
@@ -227,7 +251,8 @@ class TestTopKMatchesFullSort:
         config = load_config(tmp_path / "config.yaml")
         mapping = read_records(config.records_path)
         index = ingest_records(mapping)
-        records = [tokens_once(r) for r in mapping.values()]
+        records = list(mapping.values())
+        views = tokens_once(records)
         fragments = [
             fragment
             for memo in corpus.load_corpus(config.corpus_path)
@@ -237,7 +262,7 @@ class TestTopKMatchesFullSort:
         for fragment in fragments:
             tokens = fragment.normalized_text.split()
             year_hint = next(iter(fragment_years(fragment.normalized_text)), None)
-            full = oracle_search(records, tokens, year_hint, len(records))
+            full = oracle_search(records, tokens, year_hint, len(records), views)
             for k in (1, 10, 50):
                 got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
                 assert got == full[:k]

@@ -21,6 +21,7 @@ from conftest import write_jsonl
 
 
 PAD = "x" * 30  # keeps toy citations above the minimum fragment length
+DEFAULT = SegmenterConfig()
 
 
 def memo(body: str, memo_id: str = "CAG-00001A") -> Memo:
@@ -30,11 +31,11 @@ def memo(body: str, memo_id: str = "CAG-00001A") -> Memo:
 class TestSegment:
     def test_single_heading(self):
         body = "Intro text.\n\nReferences\n1. Smith J. Cardiac outcomes study example text.\n"
-        section = segment_reference_section(memo(body))
+        section = segment_reference_section(memo(body), DEFAULT)
         assert section == "1. Smith J. Cardiac outcomes study example text.\n"
 
     def test_no_heading_is_none(self):
-        assert segment_reference_section(memo("Just text, nothing else.\n")) is None
+        assert segment_reference_section(memo("Just text, nothing else.\n"), DEFAULT) is None
 
     def test_last_of_two_headings_wins(self):
         # Independent oracle: last-index scan over the raw lines.
@@ -50,14 +51,14 @@ class TestSegment:
         )
         expected = "".join(lines[last + 1 : stop])
 
-        section = segment_reference_section(memo(body))
+        section = segment_reference_section(memo(body), DEFAULT)
         assert section == expected
         assert section == "new citation line A\nnew citation line B\n"
         assert section in body  # contiguous substring, always
 
     def test_heading_match_is_whole_line_and_case_insensitive(self):
         body = "See References for details.\nbibliography\ncitation line\n"
-        assert segment_reference_section(memo(body)) == "citation line\n"
+        assert segment_reference_section(memo(body), DEFAULT) == "citation line\n"
 
     def test_custom_headings(self):
         config = SegmenterConfig(headings=("Works Cited",))
@@ -272,10 +273,10 @@ def test_extract_fragments_end_to_end():
         f"1. First citation with enough text {PAD}\n"
         f"2. Second citation with enough text {PAD}\nAppendix\nignored\n"
     )
-    frags = extract_fragments(memo(body))
+    frags = extract_fragments(memo(body), DEFAULT)
     assert [f.ordinal for f in frags] == [0, 1]
     assert all(f.memo_id == "CAG-00001A" for f in frags)
 
 
 def test_extract_fragments_without_section_is_empty():
-    assert extract_fragments(memo("No heading here at all.\n")) == []
+    assert extract_fragments(memo("No heading here at all.\n"), DEFAULT) == []

@@ -9,6 +9,7 @@ import re
 import shutil
 from collections import Counter
 from pathlib import Path
+from urllib.parse import quote_plus
 
 import pytest
 import yaml
@@ -583,6 +584,16 @@ class TestLogLines:
         lines = [r.getMessage() for r in caplog.records if "entity data" in r.getMessage()]
         assert lines == ["3 memos without entity data, no concentration: M1, M2, M3"]
 
+    def test_offline_cache_misses_in_one_line(self, workspace, caplog):
+        path = workspace / "config.yaml"
+        data = yaml.safe_load(path.read_text())
+        data["remote"] = {"enabled": True, "offline": True}
+        path.write_text(yaml.safe_dump(data))
+        with caplog.at_level(logging.INFO, logger="memomap"):
+            assert main(["all", "--config", str(path)]) == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if "cache miss" in r.getMessage()]
+        assert lines == ["offline mode: 6 remote cache misses, lookups skipped"]
+
 
 class TestHandOff:
     def test_all_reads_nothing_and_matches_single_stages(self, workspace, monkeypatch):
@@ -627,13 +638,14 @@ class TestRemoteOutage:
         assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_OK
         path = workspace / "config.yaml"
         data = yaml.safe_load(path.read_text())
-        data["remote"] = {"enabled": True, "base_url": "http://127.0.0.1:9/none", "max_retries": 0}
+        data["remote"] = {"enabled": True, "base_url": "http://127.0.0.1:9/none", "max_retries": 1}
         path.write_text(yaml.safe_dump(data))
         fetched = []
 
         def refuse(url, params):
+            # As requests words it: the message holds the URL, citation included.
             fetched.append(params["term"])
-            raise ConnectionError("connection refused")
+            raise ConnectionError(f"{url}?term={quote_plus(params['term'])}: connection refused")
 
         monkeypatch.setattr(remote, "_default_fetch", refuse)
         return path, fetched
@@ -646,14 +658,29 @@ class TestRemoteOutage:
         rows = [json.loads(line) for line in before["resolution.jsonl"].splitlines()]
         first = next(row for row in rows if row["method"] == METHOD_UNRESOLVED)
         assert main([command, "--config", str(path)]) == EXIT_REMOTE
-        assert len(fetched) == 1
+        assert len(fetched) == 2
         [error] = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert error.startswith(
             f"remote service unavailable: {first['memo_id']}[{first['ordinal']}]: "
-            "remote lookup failed after 1 attempts"
+            "remote lookup failed after 2 attempts"
         )
         assert read_tree(resolve_dir) == before
         assert not (workspace / "out" / "remote_cache").exists()
+
+    def test_outage_logs_no_citation_text(self, workspace, outage, caplog):
+        path, fetched = outage
+        caplog.set_level(logging.INFO)  # the default level of the command line
+        assert main(["all", "--config", str(path)]) == EXIT_REMOTE
+        rows = (workspace / "out" / "resolve" / "resolution.jsonl").read_text().splitlines()
+        first = next(row for row in map(json.loads, rows) if row["method"] == METHOD_UNRESOLVED)
+        [outage_line] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert outage_line == (
+            f"remote service unavailable: {first['memo_id']}[{first['ordinal']}]: "
+            "remote lookup failed after 2 attempts: ConnectionError"
+        )
+        text = fetched[0]
+        for record in caplog.records:
+            assert "term=" not in record.getMessage() and text not in record.getMessage()
 
 
 class TestBundledAliases:

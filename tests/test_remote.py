@@ -5,7 +5,7 @@ import logging
 
 import pytest
 
-from memomap.remote import RemoteConfig, RemoteLookupClient, RemoteUnavailableError
+from memomap.remote import RemoteConfig, RemoteLookupClient, RemoteUnavailableError, query_hash
 
 
 class FakeTransport:
@@ -58,13 +58,16 @@ def test_empty_response_is_none(tmp_path):
     assert client.lookup("nothing matches") is None
 
 
-def test_offline_cache_miss_logs_skip(tmp_path, caplog):
+def test_offline_cache_miss_is_counted(tmp_path, caplog):
+    # The client logs nothing per miss: the resolve stage logs the count once.
     transport = FakeTransport({"q": {"ids": ["7"]}})
     client = make_client(tmp_path, transport, offline=True)
-    with caplog.at_level(logging.INFO):
+    with caplog.at_level(logging.DEBUG):
         assert client.lookup("q") is None
+        assert client.lookup("r") is None
     assert transport.calls == []
-    assert any("offline" in r.message for r in caplog.records)
+    assert client.offline_misses == 2
+    assert not caplog.records
 
 
 def test_offline_reads_existing_cache(tmp_path):
@@ -79,7 +82,7 @@ def test_retries_then_remote_unavailable(tmp_path):
     sleeps = []
     config = RemoteConfig(enabled=True, base_url="u", rps=0.0, max_retries=2)
     client = RemoteLookupClient(config, tmp_path / "cache", fetch=transport, sleep=sleeps.append)
-    with pytest.raises(RemoteUnavailableError, match="after 3 attempts"):
+    with pytest.raises(RemoteUnavailableError, match="after 3 attempts: ConnectionError$"):
         client.lookup("q")
     assert len(transport.calls) == 3
     assert sleeps == [0.5, 1.0]  # exponential backoff between attempts
@@ -155,7 +158,7 @@ def test_online_corrupt_entry_is_refetched_and_rewritten(tmp_path):
 def test_malformed_ids_are_a_warned_miss(tmp_path, caplog, payload, fetched):
     if fetched:
         client = make_client(tmp_path, FakeTransport({"q": payload}))
-        named = "'q'"
+        named = query_hash("q")  # the cache file's stem, not the citation
     else:
         named = corrupt_entry(tmp_path, "q", json.dumps(payload)).name
         client = make_client(tmp_path, FakeTransport(), offline=True)

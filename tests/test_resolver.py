@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from memomap.biblio import ingest_records, read_records
+from memomap.biblio import ArticleRecord, ingest_records, read_records
 from memomap.corpus import ReferenceFragment, normalize_fragment
 from memomap.pipeline import RESOLUTION
 from memomap.remote import RemoteUnavailableError
@@ -16,6 +16,7 @@ from memomap.resolver import (
     ResolverConfig,
     cited_articles,
     coverage_summary,
+    fragment_years,
     resolve_corpus,
     resolve_fragment,
     score_candidate,
@@ -24,10 +25,19 @@ from memomap.resolver import (
 from conftest import article_row, write_jsonl
 
 
+CONFIG = ResolverConfig()
+
+
 def fragment(text: str, memo_id: str = "m", ordinal: int = 0) -> ReferenceFragment:
     return ReferenceFragment(
         memo_id=memo_id, ordinal=ordinal, raw_text=text, normalized_text=normalize_fragment(text)
     )
+
+
+def score(frag: ReferenceFragment, record: ArticleRecord) -> float:
+    """``score_candidate`` on the token set and years ``resolve_fragment`` takes from ``frag``."""
+    text = frag.normalized_text
+    return score_candidate(frozenset(text.split()), fragment_years(text), record)
 
 
 class StubRemote:
@@ -50,11 +60,11 @@ class TestScore:
             "Adams JQ, Brown TL. Cardiac outcomes after elective revascularization. "
             "N Engl J Med. 2004;350(12):1123-1130."
         )
-        assert score_candidate(frag, record) == 1.0
+        assert score(frag, record) == 1.0
 
     def test_disjoint_scores_zero(self, small_records):
         frag = fragment("Totally unrelated words everywhere 1955")
-        assert score_candidate(frag, small_records["1002"]) == 0.0
+        assert score(frag, small_records["1002"]) == 0.0
 
     def test_title_only_scores_point_six(self, tmp_path):
         rows = [
@@ -68,14 +78,14 @@ class TestScore:
         ]
         records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
         frag = fragment("Antibiotic stewardship reduces resistance rates")
-        assert score_candidate(frag, records["50"]) == pytest.approx(0.6)
+        assert score(frag, records["50"]) == pytest.approx(0.6)
 
     def test_year_within_one_gets_half_credit(self, tmp_path):
         rows = [article_row("60", "unique sentinel phrase", pub_year=2005)]
         record = read_records(write_jsonl(tmp_path / "r.jsonl", rows))["60"]
-        base = score_candidate(fragment("unique sentinel phrase"), record)
-        near = score_candidate(fragment("unique sentinel phrase 2006"), record)
-        exact = score_candidate(fragment("unique sentinel phrase 2005"), record)
+        base = score(fragment("unique sentinel phrase"), record)
+        near = score(fragment("unique sentinel phrase 2006"), record)
+        exact = score(fragment("unique sentinel phrase 2005"), record)
         assert near - base == pytest.approx(0.05)
         assert exact - base == pytest.approx(0.10)
 
@@ -83,10 +93,10 @@ class TestScore:
         record = small_records["1001"]
         words = "adams brown cardiac outcomes after elective revascularization 2004".split()
         rng = random.Random(5)
-        reference = score_candidate(fragment(" ".join(words)), record)
+        reference = score(fragment(" ".join(words)), record)
         for _ in range(10):
             rng.shuffle(words)
-            assert score_candidate(fragment(" ".join(words)), record) == reference
+            assert score(fragment(" ".join(words)), record) == reference
 
 
 class TestResolveFragment:
@@ -95,14 +105,14 @@ class TestResolveFragment:
             "Adams JQ, Brown TL. Cardiac outcomes after elective revascularization. "
             "N Engl J Med. 2004;350(12):1123-1130."
         )
-        result = resolve_fragment(frag, small_index)
+        result = resolve_fragment(frag, small_index, CONFIG)
         assert result.method == METHOD_LEXICAL
         assert result.article_id == "1001"
         assert result.score == 1.0
 
     def test_unindexed_citation_unresolved(self, small_index):
         frag = fragment("Gray H. Anatomy of the Human Body. 20th ed. Lea and Febiger; 1918.")
-        result = resolve_fragment(frag, small_index)
+        result = resolve_fragment(frag, small_index, CONFIG)
         assert result.method == METHOD_UNRESOLVED
         assert result.article_id is None
         assert result.score is None
@@ -118,8 +128,8 @@ class TestResolveFragment:
         records = read_records(write_jsonl(tmp_path / "r.jsonl", rows))
         index = ingest_records(records)
         frag = fragment(f"Nguyen PT. {shared} alpha. J Test Med. 2015.")
-        best = score_candidate(frag, records["71"])
-        second = score_candidate(frag, records["72"])
+        best = score(frag, records["71"])
+        second = score(frag, records["72"])
         config = ResolverConfig()
         assert best >= config.threshold
         assert second >= config.threshold
@@ -129,7 +139,7 @@ class TestResolveFragment:
     def test_remote_fallback_used_when_lexical_fails(self, small_index):
         remote = StubRemote(answer="9999")
         frag = fragment("FDA guidance on premarket device submissions, 2016 edition")
-        result = resolve_fragment(frag, small_index, remote=remote)
+        result = resolve_fragment(frag, small_index, CONFIG, remote)
         assert result.method == METHOD_REMOTE
         assert result.article_id == "9999"
         assert result.score is None
@@ -141,7 +151,7 @@ class TestResolveFragment:
             "Adams JQ, Brown TL. Cardiac outcomes after elective revascularization. "
             "N Engl J Med. 2004;350(12):1123-1130."
         )
-        result = resolve_fragment(frag, small_index, remote=remote)
+        result = resolve_fragment(frag, small_index, CONFIG, remote)
         assert result.method == METHOD_LEXICAL
         assert remote.calls == 0
 
@@ -150,7 +160,7 @@ class TestResolveFragment:
         remote = StubRemote(fail=True)
         frag = fragment("Unfindable citation text with no index overlap whatsoever", "m7", 3)
         with pytest.raises(RemoteUnavailableError, match=r"^m7\[3\]: remote down$"):
-            resolve_fragment(frag, small_index, remote=remote)
+            resolve_fragment(frag, small_index, CONFIG, remote)
         assert remote.calls == 1
 
 
@@ -178,7 +188,7 @@ class TestResolveCorpus:
 
     def test_ordering_and_coverage(self, small_index):
         frags = self.make_fragments(small_index)
-        results, coverage = resolve_corpus(reversed(frags), small_index)
+        results, coverage = resolve_corpus(reversed(frags), small_index, CONFIG)
         assert [(r.memo_id, r.ordinal) for r in results] == [
             ("m1", 0),
             ("m1", 1),
@@ -192,14 +202,14 @@ class TestResolveCorpus:
         assert by_memo["m2"].linked_pct == 50.0
 
     def test_memo_without_fragments_absent(self, small_index):
-        _, coverage = resolve_corpus(self.make_fragments(small_index), small_index)
+        _, coverage = resolve_corpus(self.make_fragments(small_index), small_index, CONFIG)
         assert {c.memo_id for c in coverage} == {"m1", "m2"}
 
     def test_deterministic_bytes(self, small_index):
         frags = self.make_fragments(small_index)
         runs = []
         for _ in range(2):
-            results, _ = resolve_corpus(frags, small_index)
+            results, _ = resolve_corpus(frags, small_index, CONFIG)
             runs.append(b"".join(RESOLUTION.encode(results)))
         assert runs[0] and runs[0] == runs[1]
 

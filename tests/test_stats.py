@@ -135,8 +135,8 @@ class TestWilcoxon:
         with pytest.raises(DegenerateSampleError):
             wilcoxon_signed_rank([0, 0, 0])
 
-    def test_nonzero_mu(self):
-        assert wilcoxon_signed_rank([2, 3, 4, 5, 6], mu=1) == 0.0625
+    def test_zero_observations_discarded(self):
+        assert wilcoxon_signed_rank([0, 1, 2, 0, 3, 4, 5]) == 0.0625
 
     def test_exact_matches_enumeration(self):
         rng = random.Random(3)
