@@ -1,4 +1,4 @@
-"""Command-line entry point: ingest | resolve | link | stats | report | all."""
+"""Command-line entry point: one subcommand per stage in ``pipeline.STAGES``, and ``all``."""
 
 from __future__ import annotations
 
@@ -28,18 +28,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "validate inputs and extract reference fragments"),
-        ("resolve", "match fragments to article records"),
-        ("link", "link resolved articles to funding awards"),
-        ("stats", "compute shares, signed-rank tests, and concentration"),
-        ("report", "emit tables, flow diagrams, flags, and coverage"),
-        ("all", "run every stage in order"),
-    ):
-        stage = sub.add_parser(name, help=help_text)
-        stage.add_argument("--config", required=True, help="pipeline config YAML")
-        if name in ("report", "all"):
-            stage.add_argument("--memo", default=None, help="restrict flow diagrams to one memo")
+    commands = [(stage.name, stage.help, stage.memo) for stage in pipeline.STAGES]
+    for name, help_text, memo in commands + [("all", "run every stage in order", True)]:
+        command = sub.add_parser(name, help=help_text)
+        command.add_argument("--config", required=True, help="pipeline config YAML")
+        if memo:
+            command.add_argument("--memo", default=None, help="restrict flow diagrams to one memo")
     return parser
 
 

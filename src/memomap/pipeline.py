@@ -5,21 +5,21 @@ directory, its row type, and its CSV columns or the JSONL fields left out
 when None. So is each raw input: the memo corpus, which only ``ingest``
 reads, and the article records, the award database and the funder alias
 table, which ``ingest`` checks and hashes but does not copy and later stages
-read again. Every stage after ``ingest`` is a ``run_*`` function that names
-the inputs it reads and a compute function, which maps their objects to the
-files the stage writes and reads and writes no stage file itself. One
-runner, ``_run``, does the rest: a single-stage command reads the inputs
-through the artifact layer, a raw input only while its digest is the one in
-``ingest``'s manifest. ``ingest`` parses the raw inputs, then finishes like
-every other stage in ``_write_stage``: it writes the files under
-``workdir/<stage>/``, hashing each chunk as it writes it, removes the files
-there that it did not write, and records a manifest of the config hash and
-the sha256 of each input and output. One hand-on rule holds for every
-stage: under ``run_all`` it hands on every input it got and every artifact
-it wrote, as objects and digest, so no later stage reads back a file. The
-config hash leaves out every path and outputs carry no timestamps, so
-re-running an unchanged stage reproduces every byte, however the config
-file's path is spelled.
+read again. ``STAGES`` lists the stages in run order, each with its name, CLI
+help line, the inputs it reads and a compute function, which maps their
+objects to the files the stage writes and reads and writes no stage file
+itself; the CLI, ``run_all`` and every ``run_<stage>`` derive from it. One
+runner, ``_run``, does the rest for every stage: it reads the inputs through
+the artifact layer (``ingest`` parses the raw inputs, a later stage reads one
+only while its digest is the one in ``ingest``'s manifest), then writes the
+files under ``workdir/<stage>/``, hashing each chunk as it writes it,
+removes the files there that it did not write, and records a manifest of
+the config hash and the sha256 of each input and output. One hand-on rule
+holds for every stage: under ``run_all`` it hands on every input it got and
+every artifact it wrote, as objects and digest, so no later stage reads back
+a file. The config hash leaves out every path and outputs carry no
+timestamps, so re-running an unchanged stage reproduces every byte, however
+the config file's path is spelled.
 """
 
 from __future__ import annotations
@@ -28,8 +28,10 @@ import hashlib
 import json
 import logging
 import os
+import time
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
 from . import biblio, corpus, funding, report, resolver, stats
 from .artifacts import Artifact, Loaded, RawInput, StageDependencyError
@@ -107,56 +109,14 @@ Upstream = dict[Input, Loaded]
 Outputs = dict[Artifact | str, Any]
 
 
-def _write_stage(
-    stage: str,
-    config: PipelineConfig,
-    loaded: list[Loaded],
-    outputs: Outputs,
-    upstream: Upstream | None,
-) -> dict[str, Path]:
-    """Write a stage's files and manifest, remove its other files, hand on.
+class Stage(NamedTuple):
+    """A stage: ``compute(config, *objects)`` maps the objects of ``inputs`` to its files."""
 
-    ``loaded`` holds the stage's inputs, whose digests the manifest records.
-    With ``upstream`` (``run_all``), every input and every artifact written
-    is handed on there, as objects equal to what the files read back into.
-    Returns the written paths, manifest included.
-    """
-    stage_dir = config.workdir / stage
-    written: dict[str, Path] = {}
-    digests: dict[str, str] = {}
-    for key, value in outputs.items():
-        name = key.name if isinstance(key, Artifact) else key
-        path = written[name] = stage_dir / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256()
-        with path.open("wb") as fh:
-            for chunk in key.encode(value) if isinstance(key, Artifact) else [value]:
-                digest.update(chunk)
-                fh.write(chunk)
-        digests[name] = digest.hexdigest()
-    manifest = {
-        "stage": stage,
-        "config_hash": _config_hash(config),
-        "inputs": dict(sorted((_key(item.artifact), item.digest) for item in loaded)),
-        "outputs": digests,
-    }
-    manifest_path = stage_dir / "manifest.json"
-    manifest_path.write_bytes(_json_document(manifest))
-    written["manifest.json"] = manifest_path
-    # Files from an earlier run (another memo's flow diagrams) would pass
-    # for this run's outputs.
-    keep = {str(path) for path in written.values()}
-    for root, _, names in os.walk(stage_dir):
-        for name in names:
-            if os.path.join(root, name) not in keep:
-                os.remove(os.path.join(root, name))
-    logger.info("stage %s: wrote %d artifacts to %s", stage, len(outputs), stage_dir)
-    if upstream is not None:
-        upstream.update((item.artifact, item) for item in loaded)
-        for key, value in outputs.items():
-            if isinstance(key, Artifact):
-                upstream[key] = Loaded(key, value, digests[key.name])
-    return written
+    name: str
+    help: str  # the CLI subcommand's help line
+    inputs: tuple[Input, ...]
+    compute: Callable[..., Outputs]
+    memo: bool = False  # takes --memo: restrict flow diagrams to one memo
 
 
 def _key(item: Input) -> str:
@@ -175,12 +135,14 @@ def _ingested(config: PipelineConfig) -> dict[str, Any]:
         raise StageDependencyError(f"{path}: not a stage manifest") from None
 
 
-def _read(config: PipelineConfig, inputs: tuple[Input, ...]) -> list[Loaded]:
-    """Each input read from disk in order, raw inputs checked against the digests in
-    ``ingest``'s manifest, which is read at the first of them."""
+def _read(config: PipelineConfig, stage: Stage) -> list[Loaded]:
+    """Each input read from disk in order. ``ingest`` parses the raw inputs; a later
+    stage checks each against the digests in ``ingest``'s manifest, read at the first."""
+    if stage.name == "ingest":
+        return [item.parse(config) for item in stage.inputs]
     loaded: list[Loaded] = []
     ingested = None
-    for item in inputs:
+    for item in stage.inputs:
         if isinstance(item, Artifact):
             loaded.append(item.read(config))
         else:
@@ -190,40 +152,82 @@ def _read(config: PipelineConfig, inputs: tuple[Input, ...]) -> list[Loaded]:
 
 
 def _run(
-    stage: str,
-    inputs: tuple[Input, ...],
-    compute: Callable[..., Outputs],
+    stage: Stage,
     config: PipelineConfig,
-    upstream: Upstream | None,
-    *extra: Any,
+    memo_id: str | None = None,
+    *,
+    upstream: Upstream | None = None,
 ) -> dict[str, Path]:
-    """Run a stage: take or read its inputs, compute, write and hand on.
+    """Run a stage: take or read its inputs, compute, write its files and
+    manifest, remove its other files, hand on.
 
-    ``compute(config, *objects, *extra)`` gets the objects of ``inputs`` in
-    the order declared. It neither reads nor writes a stage file; this
-    runner does both for it.
+    ``stage.compute(config, *objects)`` gets the objects of ``stage.inputs``
+    in the order declared, and ``memo_id`` when one is given; it neither
+    reads nor writes a stage file. The manifest records the digest of each
+    input and output. With ``upstream`` (``run_all``), the inputs are taken
+    from there once it holds any (``ingest`` parses its own), and every input
+    and every artifact written is handed on there, as objects equal to what
+    the files read back into. Returns the written paths, manifest included.
     """
-    loaded = [upstream[i] for i in inputs] if upstream is not None else _read(config, inputs)
-    outputs = compute(config, *(item.objects for item in loaded), *extra)
-    return _write_stage(stage, config, loaded, outputs, upstream)
+    started = time.perf_counter()
+    loaded = [upstream[i] for i in stage.inputs] if upstream else _read(config, stage)
+    options = {"memo_id": memo_id} if memo_id is not None else {}
+    outputs = stage.compute(config, *(item.objects for item in loaded), **options)
+    stage_dir = config.workdir / stage.name
+    written: dict[str, Path] = {}
+    digests: dict[str, str] = {}
+    for key, value in outputs.items():
+        name = key.name if isinstance(key, Artifact) else key
+        path = written[name] = stage_dir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        digest = hashlib.sha256()
+        with path.open("wb") as fh:
+            for chunk in key.encode(value) if isinstance(key, Artifact) else [value]:
+                digest.update(chunk)
+                fh.write(chunk)
+        digests[name] = digest.hexdigest()
+    manifest = {
+        "stage": stage.name,
+        "config_hash": _config_hash(config),
+        "inputs": dict(sorted((_key(item.artifact), item.digest) for item in loaded)),
+        "outputs": digests,
+    }
+    manifest_path = stage_dir / "manifest.json"
+    manifest_path.write_bytes(_json_document(manifest))
+    written["manifest.json"] = manifest_path
+    # Files from an earlier run (another memo's flow diagrams) would pass
+    # for this run's outputs.
+    keep = {str(path) for path in written.values()}
+    for root, _, names in os.walk(stage_dir):
+        for name in names:
+            if os.path.join(root, name) not in keep:
+                os.remove(os.path.join(root, name))
+    message = "stage %s: wrote %d artifacts to %s in %.2f s"
+    logger.info(message, stage.name, len(outputs), stage_dir, time.perf_counter() - started)
+    if upstream is not None:
+        upstream.update((item.artifact, item) for item in loaded)
+        for key, value in outputs.items():
+            if isinstance(key, Artifact):
+                upstream[key] = Loaded(key, value, digests[key.name])
+    return written
 
 
-def run_ingest(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Validate raw inputs, record their digests and extract the reference fragments."""
-    raw = [item.parse(config) for item in (CORPUS, RECORDS, AWARD_DB, ALIASES)]
+def _ingest(config: PipelineConfig, memos, records, awards, aliases) -> Outputs:
+    """Extract the reference fragments; the other raw inputs are only checked and hashed."""
     fragments: list[corpus.ReferenceFragment] = []
     without: list[str] = []
-    for memo in sorted(raw[0].objects, key=lambda m: m.memo_id):
+    for memo in sorted(memos, key=lambda m: m.memo_id):
         memo_fragments = corpus.extract_fragments(memo, config.segmenter)
         if not memo_fragments:
             without.append(memo.memo_id)
         fragments.extend(memo_fragments)
     if without:
         logger.info("%d memos without reference fragments: %s", len(without), ", ".join(without))
-    return _write_stage("ingest", config, raw, {FRAGMENTS: fragments}, upstream)
+    return {FRAGMENTS: fragments}
 
 
 def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
+    """Build the article index, resolve fragments against it; coverage and retractions."""
     index = biblio.ingest_records(records)
     client = None
     if config.remote.enabled:
@@ -241,22 +245,14 @@ def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
     }
 
 
-def run_resolve(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Build the article index, resolve fragments against it; emit coverage and retractions."""
-    return _run("resolve", (FRAGMENTS, RECORDS), _resolve, config, upstream)
-
-
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
+    """Article-award linkage for every resolved article."""
     cited = [records[a] for a in {r.article_id for r in resolution} if a in records]
     return {LINKS: funding.build_links(cited, awards, aliases, config.on_unmapped)}
 
 
-def run_link(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Article-award linkage for every resolved article."""
-    return _run("link", (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link, config, upstream)
-
-
 def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
+    """Share differences, signed-rank tests, and concentration measures."""
     options = config.stats
 
     def shares_and_tests(memo_pairs: list, pool_pairs: list) -> tuple[list, list]:
@@ -323,14 +319,10 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
     }
 
 
-def run_stats(config: PipelineConfig, *, upstream: Upstream | None = None) -> dict[str, Path]:
-    """Share differences, signed-rank tests, and concentration measures."""
-    return _run("stats", (LINKS, AWARD_DB, RESOLUTION), _stats, config, upstream)
-
-
 def _report(
-    config: PipelineConfig, links, resolution, coverage, tests_funders, tests_orgs, memo_id
+    config: PipelineConfig, links, resolution, coverage, tests_funders, tests_orgs, memo_id=None
 ) -> Outputs:
+    """Tables, per-memo flow diagrams, coverage report."""
     funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
     scatter_csv, summary_csv = report.coverage_report(coverage)
 
@@ -355,19 +347,25 @@ def _report(
     return outputs
 
 
-def run_report(
-    config: PipelineConfig, memo_id: str | None = None, *, upstream: Upstream | None = None
-) -> dict[str, Path]:
-    """Tables, per-memo flow diagrams, coverage report."""
-    inputs = (LINKS, RESOLUTION, COVERAGE, TESTS_FUNDERS, TESTS_ORGS)
-    return _run("report", inputs, _report, config, upstream, memo_id)
+# The stages in run order.
+STAGES = (
+    Stage("ingest", "validate inputs and extract reference fragments",
+          (CORPUS, RECORDS, AWARD_DB, ALIASES), _ingest),
+    Stage("resolve", "match fragments to article records", (FRAGMENTS, RECORDS), _resolve),
+    Stage("link", "link resolved articles to funding awards",
+          (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link),
+    Stage("stats", "compute shares, signed-rank tests, and concentration",
+          (LINKS, AWARD_DB, RESOLUTION), _stats),
+    Stage("report", "emit tables, flow diagrams, flags, and coverage",
+          (LINKS, RESOLUTION, COVERAGE, TESTS_FUNDERS, TESTS_ORGS), _report, memo=True),
+)
+run_ingest, run_resolve, run_link, run_stats, run_report = (partial(_run, s) for s in STAGES)
 
 
 def run_all(config: PipelineConfig, memo_id: str | None = None) -> None:
     """Every stage in order, each taking the objects the stages before it made."""
     upstream: Upstream = {}
-    run_ingest(config, upstream=upstream)
-    run_resolve(config, upstream=upstream)
-    run_link(config, upstream=upstream)
-    run_stats(config, upstream=upstream)
-    run_report(config, memo_id, upstream=upstream)
+    for stage in STAGES:
+        # Looked up on each call, so a wrapper bound in its place is what runs.
+        run = globals()[f"run_{stage.name}"]
+        run(config, **({"memo_id": memo_id} if stage.memo else {}), upstream=upstream)

@@ -20,6 +20,7 @@ from memomap.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_REMOTE,
+    build_parser,
     main,
 )
 from memomap import biblio, funding, pipeline, remote, report
@@ -451,15 +452,18 @@ class TestSingleStageLoads:
         assert FLAGS.read(primed).objects == expected
 
     def test_each_input_opened_once(self, primed, monkeypatch):
-        # Each upstream artifact and raw input once, ingest's manifest at most once.
+        # Each upstream artifact and raw input once; ingest's manifest at most
+        # once, and not at all by ingest, which parses the raw inputs.
         out = primed.workdir
         raw = {
+            "corpus": primed.corpus_path,
             "records": primed.records_path,
             "award_db": primed.award_db_path,
             "aliases": primed.aliases_path,
         }
         reads = count_reads(monkeypatch, out.parent)
         stages = (
+            ("ingest", run_ingest),
             ("resolve", run_resolve),
             ("link", run_link),
             ("stats", run_stats),
@@ -469,7 +473,8 @@ class TestSingleStageLoads:
             reads.clear()
             run(primed)
             opened = dict(reads)
-            assert opened.pop(out / "ingest" / "manifest.json", 0) <= 1, stage
+            manifest_reads = opened.pop(out / "ingest" / "manifest.json", 0)
+            assert manifest_reads <= (0 if stage == "ingest" else 1), stage
             manifest = json.loads((out / stage / "manifest.json").read_text(encoding="utf-8"))
             assert opened == {raw.get(name, out / name): 1 for name in manifest["inputs"]}, stage
 
@@ -593,6 +598,66 @@ class TestLogLines:
             assert main(["all", "--config", str(path)]) == EXIT_OK
         lines = [r.getMessage() for r in caplog.records if "cache miss" in r.getMessage()]
         assert lines == ["offline mode: 6 remote cache misses, lookups skipped"]
+
+    def test_each_stage_logs_its_files_and_wall_time(self, workspace, caplog):
+        config = workspace / "config.yaml"
+        with caplog.at_level(logging.INFO, logger="memomap"):
+            assert main(["all", "--config", str(config)]) == EXIT_OK
+        out = load_config(config).workdir
+        pattern = re.compile(r"stage (\w+): wrote (\d+) artifacts to (.+) in \d+\.\d\d s")
+        found = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
+        logged = [(m[1], int(m[2]), m[3]) for m in found if m]
+        expected = []
+        for stage in ("ingest", "resolve", "link", "stats", "report"):
+            manifest = json.loads((out / stage / "manifest.json").read_bytes())
+            expected.append((stage, len(manifest["outputs"]), str(out / stage)))
+        assert logged == expected
+
+
+class TestStageTable:
+    """The CLI and run_all derive from pipeline.STAGES."""
+
+    NAMES = ["ingest", "resolve", "link", "stats", "report"]
+
+    def test_all_calls_each_run_attribute_in_order(self, workspace, monkeypatch):
+        # run_all looks each run_<name> up when it calls it, so a wrapper bound
+        # in its place (a tracer's span recorder) is what runs.
+        assert [stage.name for stage in pipeline.STAGES] == self.NAMES
+        calls = []
+
+        def spy(name, real):
+            def run(config, *args, upstream, **kwargs):
+                calls.append((name, [*args, *kwargs.values()]))
+                return real(config, *args, upstream=upstream, **kwargs)
+
+            return run
+
+        for name in self.NAMES:
+            monkeypatch.setattr(pipeline, f"run_{name}", spy(name, getattr(pipeline, f"run_{name}")))
+        run_all(load_config(workspace / "config.yaml"), "CAG-00202R")
+        assert calls == [(name, ["CAG-00202R"] if name == "report" else []) for name in self.NAMES]
+        assert (workspace / "out" / "report" / "sankey" / "CAG-00202R.json").is_file()
+
+    def test_parser_has_each_stage_and_all_with_its_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no wrapped help lines
+        parser = build_parser()
+        usage = parser.format_help()
+        commands = [(s.name, s.help) for s in pipeline.STAGES] + [("all", "run every stage in order")]
+        assert [name for name, _ in commands] == [*self.NAMES, "all"]
+        for name, help_line in commands:
+            assert parser.parse_args([name, "--config", "c.yaml"]).command == name
+            assert re.search(rf"^ +{name} +{re.escape(help_line)}$", usage, re.M), name
+
+    @pytest.mark.parametrize("command", [*NAMES, "all"])
+    def test_memo_only_for_report_and_all(self, command, capsys):
+        argv = [command, "--config", "c.yaml", "--memo", "X"]
+        if command in ("report", "all"):
+            assert build_parser().parse_args(argv).memo == "X"
+            return
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --memo X" in capsys.readouterr().err
 
 
 class TestHandOff:
