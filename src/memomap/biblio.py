@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -18,6 +19,18 @@ class IngestError(InputError):
 
 MIN_YEAR = 1800
 MAX_YEAR = 2100
+
+# Title and journal words are the normalized tokens of length >= 2; author
+# words keep bare initials.
+_WORDS = re.compile(r"[a-z0-9]{2,}")
+_PARTS = re.compile(r"[a-z0-9]+")
+
+
+def _words(pattern: re.Pattern[str], text: str) -> list[str]:
+    """The maximal runs ``pattern`` matches in ``text`` as ``normalize_fragment``
+    leaves it: ``[a-z0-9]`` runs of the case-folded text, NFKD and the
+    combining-mark filter applied only to non-ASCII text, which alone needs them."""
+    return pattern.findall(text.casefold() if text.isascii() else normalize_fragment(text))
 
 
 @dataclass(frozen=True)
@@ -39,19 +52,15 @@ class ArticleRecord:
     retracted: bool = False
 
     def tokens(self) -> tuple[frozenset[str], ...]:
-        """Title, journal, author and surname tokens, each string normalized once.
+        """Title, journal, author and surname tokens, one ``findall`` per string.
 
         Title and journal keep tokens of length >= 2; author tokens keep bare
         initials; a surname is the first token of each "Surname AB" author.
         """
-        title, journal = (
-            frozenset(t for t in normalize_fragment(text).split() if len(t) >= 2)
-            for text in (self.title, self.journal)
-        )
-        authors = [normalize_fragment(author).split() for author in self.authors]
+        authors = [_words(_PARTS, author) for author in self.authors]
         return (
-            title,
-            journal,
+            frozenset(_words(_WORDS, self.title)),
+            frozenset(_words(_WORDS, self.journal)),
             frozenset(t for parts in authors for t in parts),
             frozenset(parts[0] for parts in authors if parts),
         )
@@ -77,8 +86,10 @@ class BiblioIndex:
         self._ordered = [records[article_id] for article_id in sorted(records)]
         positions: defaultdict[str, array] = defaultdict(lambda: array("i"))
         for i, record in enumerate(self._ordered):
-            title, journal, authors, _ = record.tokens()
-            for token in title | journal | authors:
+            # A space splits every rule's runs, so one joined string gives the
+            # union of its parts' tokens, in fewer calls.
+            words = _words(_WORDS, f"{record.title} {record.journal}")
+            for token in {*words, *_words(_PARTS, " ".join(record.authors))}:
                 positions[token].append(i)
         # A bitmap needs posting[-1] + 1 bits, the array 32 per position.
         self._postings: dict[str, int | array] = {

@@ -62,15 +62,26 @@ def fragment_years(normalized_text: str) -> list[int]:
     return [int(y) for y in _YEAR_RE.findall(normalized_text) if MIN_YEAR <= int(y) <= MAX_YEAR]
 
 
-def _overlap(fragment_tokens: frozenset[str], record_tokens: frozenset[str]) -> float:
+Views = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
+
+
+def record_views(record: ArticleRecord) -> Views:
+    """A record's distinct title, journal and surname tokens, as ``score_candidate`` reads them."""
+    title, journal, _, surnames = record.tokens()
+    return tuple(title), tuple(journal), tuple(surnames)
+
+
+def _overlap(fragment_tokens: frozenset[str], record_tokens: tuple[str, ...]) -> float:
     if not record_tokens:
         return 0.0
-    return len(fragment_tokens & record_tokens) / len(record_tokens)
+    return len(fragment_tokens.intersection(record_tokens)) / len(record_tokens)
 
 
-def score_candidate(tokens: frozenset[str], years: list[int], record: ArticleRecord) -> float:
+def score_candidate(
+    tokens: frozenset[str], years: list[int], views: Views, pub_year: int | None
+) -> float:
     """Weighted word-overlap score in [0, 1] of a fragment's token set and
-    ``fragment_years`` against a record.
+    ``fragment_years`` against a record's ``record_views`` and year.
 
     0.6 title overlap + 0.2 author-surname overlap + 0.1 journal overlap +
     0.1 year agreement (1 for an exact year in the fragment, 0.5 within one
@@ -78,15 +89,15 @@ def score_candidate(tokens: frozenset[str], years: list[int], record: ArticleRec
     built verbatim from the record scores 1.0.
     """
     year = 0.0
-    if record.pub_year is not None:
+    if pub_year is not None:
         for candidate_year in years:
-            if candidate_year == record.pub_year:
+            if candidate_year == pub_year:
                 year = 1.0
                 break
-            if abs(candidate_year - record.pub_year) <= 1:
+            if abs(candidate_year - pub_year) <= 1:
                 year = max(year, 0.5)
 
-    title, journal, _, family_names = record.tokens()
+    title, journal, family_names = views
     score = 0.6 * _overlap(tokens, title) + 0.2 * _overlap(tokens, family_names)
     return min(score + 0.1 * _overlap(tokens, journal) + 0.1 * year, 1.0)
 
@@ -96,6 +107,7 @@ def resolve_fragment(
     index: BiblioIndex,
     config: ResolverConfig,
     remote: RemoteLookupClient | None = None,
+    views: dict[str, Views] | None = None,
 ) -> ResolutionResult:
     """Resolve one fragment to at most one record.
 
@@ -105,16 +117,22 @@ def resolve_fragment(
     miss, a malformed or an ambiguous answer) leaves the fragment
     unresolved; a remote failure past its retries raises
     RemoteUnavailableError, its message starting with ``memo_id[ordinal]``,
-    so a failed lookup is never written as a miss.
+    so a failed lookup is never written as a miss. ``views`` maps article
+    ids to ``record_views``; a candidate missing from it is tokenized and
+    added, so a caller that shares it tokenizes each record once.
     """
     tokens = frozenset(fragment.normalized_text.split())
     years = fragment_years(fragment.normalized_text)
     candidates = index.search(tokens, year_hint=years[0] if years else None, k=config.k)
 
-    scored = sorted(
-        ((score_candidate(tokens, years, record), record) for record in candidates),
-        key=lambda pair: (-pair[0], pair[1].article_id),
-    )
+    views = {} if views is None else views
+    scored = []
+    for record in candidates:
+        view = views.get(record.article_id)
+        if view is None:
+            view = views[record.article_id] = record_views(record)
+        scored.append((score_candidate(tokens, years, view, record.pub_year), record))
+    scored.sort(key=lambda pair: (-pair[0], pair[1].article_id))
     if scored:
         best_score, best = scored[0]
         second_score = scored[1][0] if len(scored) > 1 else 0.0
@@ -142,10 +160,12 @@ def resolve_corpus(
     """Resolve every fragment and compute per-memo coverage.
 
     Output is ordered by (memo_id, ordinal) regardless of input order;
-    memos appear in coverage only if they contributed fragments.
+    memos appear in coverage only if they contributed fragments. Each
+    candidate record is tokenized once per call, on first use.
     """
     ordered = sorted(fragments, key=lambda f: (f.memo_id, f.ordinal))
-    results = [resolve_fragment(f, index, config, remote) for f in ordered]
+    views: dict[str, Views] = {}
+    results = [resolve_fragment(f, index, config, remote, views) for f in ordered]
 
     per_memo: dict[str, list[ResolutionResult]] = {}
     for result in results:

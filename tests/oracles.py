@@ -7,8 +7,10 @@ half-filled draft links from both directions and merges them per core, as
 ``funding.build_links`` did before it made each link in one pass, the
 record-token oracle normalizes each field again for each view, as the four
 ``ArticleRecord`` token methods did, the search oracle scores every record
-against the query and sorts them all, and the flow-graph and entity-weight
-oracles sum ``Fraction``s over every link and resolution row, as the first
+against the query and sorts them all, the score oracle takes a record's
+views from the record-token oracle on every call, the resolution oracle
+ranks each fragment's candidates with those two, and the flow-graph and
+entity-weight oracles sum ``Fraction``s over every link and resolution row, as the first
 implementation did, and read a graph's integer weights as the
 ``Fraction``s they stand for. The codec
 oracle decodes a row with a loop over a per-field plan and the row type's
@@ -34,7 +36,7 @@ from typing import Any, Callable, Iterable, Mapping, get_args, get_origin, get_t
 from memomap.artifacts import DecodeError
 
 from memomap.biblio import ArticleRecord
-from memomap.corpus import normalize_fragment
+from memomap.corpus import ReferenceFragment, normalize_fragment
 from memomap.funding import (
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
@@ -56,7 +58,13 @@ from memomap.report import (
     FlowNode,
     RetractionFlag,
 )
-from memomap.resolver import ResolutionResult
+from memomap.resolver import (
+    METHOD_LEXICAL,
+    METHOD_UNRESOLVED,
+    ResolutionResult,
+    ResolverConfig,
+    fragment_years,
+)
 
 
 def enumeration_p(xs: list[float]) -> float:
@@ -210,6 +218,56 @@ def oracle_search(
         ranked.append((-shared, distance, record.article_id))
     ranked.sort()
     return [article_id for _, _, article_id in ranked[:k]]
+
+
+def oracle_score(tokens: frozenset[str], years: list[int], record: ArticleRecord) -> float:
+    """0.6 title + 0.2 surname + 0.1 journal overlap + 0.1 year agreement,
+    each overlap a share of the record's ``oracle_record_tokens`` view, summed
+    in that order so the float is the scorer's own."""
+    title, journal, _, surnames = oracle_record_tokens(record)
+
+    def overlap(view: frozenset[str]) -> float:
+        return len(tokens & view) / len(view) if view else 0.0
+
+    year = 0.0
+    if record.pub_year is not None:
+        if record.pub_year in years:
+            year = 1.0
+        elif any(abs(y - record.pub_year) <= 1 for y in years):
+            year = 0.5
+    return min(
+        0.6 * overlap(title) + 0.2 * overlap(surnames) + 0.1 * overlap(journal) + 0.1 * year,
+        1.0,
+    )
+
+
+def oracle_resolve(
+    fragments: Iterable[ReferenceFragment],
+    records: Mapping[str, ArticleRecord],
+    config: ResolverConfig,
+) -> list[ResolutionResult]:
+    """Lexical resolution rows in (memo_id, ordinal) order: each fragment's
+    ``oracle_search`` candidates ranked by ``oracle_score``, then id; the best
+    is accepted when it clears the threshold and leads the next by the margin."""
+    views = {article_id: oracle_record_tokens(r) for article_id, r in records.items()}
+    rows = []
+    for fragment in sorted(fragments, key=lambda f: (f.memo_id, f.ordinal)):
+        tokens = frozenset(fragment.normalized_text.split())
+        years = fragment_years(fragment.normalized_text)
+        hint = years[0] if years else None
+        found = oracle_search(
+            records.values(), tokens, hint, config.k, lambda r: views[r.article_id]
+        )
+        scores = {a: oracle_score(tokens, years, records[a]) for a in found}
+        ranked = sorted(found, key=lambda a: (-scores[a], a))
+        best = scores[ranked[0]] if ranked else 0.0
+        second = scores[ranked[1]] if len(ranked) > 1 else 0.0
+        if ranked and best >= config.threshold and best - second >= config.margin:
+            row = (ranked[0], best, METHOD_LEXICAL)
+        else:
+            row = (None, None, METHOD_UNRESOLVED)
+        rows.append(ResolutionResult(fragment.memo_id, fragment.ordinal, *row))
+    return rows
 
 
 _KIND_RANK = {KIND_FUNDER: 0, KIND_ORG: 1, KIND_OTHER: 2, KIND_UNKNOWN: 3, KIND_MEMO: 4}

@@ -116,8 +116,32 @@ class TestSearch:
         assert [r.article_id for r in index.search(["quayle"], k=3)] == ["1"]
 
 
+NAMES = ["Ñúñez MÁ", "Øster K", "Müller-Lüdenscheidt H", "O'Brien", "Smith J", "Smith K",
+         "van der Berg A", "Ō", "— ...", "Li", "ÉCOLE Q R", "\u0301Smith J", "-., ;", "Ng 42"]
+WORDS = ["a", "b", "of", "x", "Über", "naïve", "trial", "2004", "α-synuclein", "cell", "—",
+         "7", "42", "z", "cell\ttrial", "of\nx"]
+
+
+def seeded_records(seed: int, n: int = 200) -> dict[str, ArticleRecord]:
+    """Records by id drawn from ``NAMES`` and ``WORDS``: empty author lists and
+    fields, one-letter and digit-only words, tabs and newlines, a leading
+    combining mark, punctuation-only authors, repeated surnames."""
+    rng = random.Random(seed)
+    records = {}
+    for i in range(n):
+        records[str(i)] = ArticleRecord(
+            article_id=str(i),
+            title=" ".join(rng.choices(WORDS, k=rng.randint(0, 8))),
+            authors=tuple(rng.choices(NAMES, k=rng.randint(0, 5))),
+            journal=" ".join(rng.choices(WORDS, k=rng.randint(0, 3))),
+            pub_year=rng.choice([None, 2000, 2001, 2003]),
+        )
+    return records
+
+
 class TestRecordTokens:
-    """One normalization pass gives the four views the four rules gave."""
+    """One ``findall`` per string gives the four views the four rules gave,
+    and the index posts each record under exactly the union of its views."""
 
     def test_fixture_records(self):
         records = read_records(FIXTURES / "articles.jsonl")
@@ -125,23 +149,42 @@ class TestRecordTokens:
         for record in records.values():
             assert record.tokens() == oracle_record_tokens(record), record.article_id
 
-    NAMES = ["Ñúñez MÁ", "Øster K", "Müller-Lüdenscheidt H", "O'Brien", "Smith J", "Smith K",
-             "van der Berg A", "Ō", "— ...", "Li", "ÉCOLE Q R"]
-    WORDS = ["a", "b", "of", "x", "Über", "naïve", "trial", "2004", "α-synuclein", "cell", "—"]
-
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_records(self, seed):
-        rng = random.Random(seed)
-        for i in range(200):
-            record = ArticleRecord(
-                article_id=str(i),
-                title=" ".join(rng.choices(self.WORDS, k=rng.randint(0, 8))),
-                # An empty list, and repeated surnames with other initials.
-                authors=tuple(rng.choices(self.NAMES, k=rng.randint(0, 5))),
-                journal=" ".join(rng.choices(self.WORDS, k=rng.randint(0, 3))),
-                pub_year=None,
-            )
+        for record in seeded_records(seed).values():
             assert record.tokens() == oracle_record_tokens(record), record
+
+    def test_edge_cases(self):
+        record = ArticleRecord(
+            "1", "A\tb2 of\n2004 x", ("\u0301Smith J", "...", "Ng 42"), "7 J\tMed", None
+        )
+        assert record.tokens() == oracle_record_tokens(record)
+        assert record.tokens() == (
+            frozenset({"b2", "of", "2004"}),
+            frozenset({"med"}),
+            frozenset({"smith", "j", "ng", "42"}),
+            frozenset({"smith", "ng"}),
+        )
+        empty = ArticleRecord("2", "", (), "", None)
+        assert empty.tokens() == oracle_record_tokens(empty) == (frozenset(),) * 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_search_matches_oracle(self, seed):
+        records = seeded_records(seed)
+        index = ingest_records(records)
+        views = tokens_once(records.values())
+        indexed = [set().union(*views(record)[:3]) for record in records.values()]
+        # Title and journal words of one letter are posted nowhere.
+        vocabulary = sorted(set().union(*indexed) | set("abxz7"))
+        rng = random.Random(seed)
+        queries = [sorted(tokens) for tokens in indexed]
+        queries += [rng.sample(vocabulary, rng.randint(1, 6)) for _ in range(100)]
+        for tokens in queries:
+            year_hint = rng.choice([None, 2001])
+            full = oracle_search(records.values(), tokens, year_hint, len(records), views)
+            for k in (1, 5, len(records)):
+                got = [r.article_id for r in index.search(tokens, year_hint=year_hint, k=k)]
+                assert got == full[:k], tokens
 
 
 def tokens_once(records) -> Callable[[ArticleRecord], tuple[frozenset[str], ...]]:

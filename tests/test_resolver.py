@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from memomap import biblio, corpus
 from memomap.biblio import ArticleRecord, ingest_records, read_records
+from memomap.config import load_config
 from memomap.corpus import ReferenceFragment, normalize_fragment
 from memomap.pipeline import RESOLUTION
 from memomap.remote import RemoteUnavailableError
@@ -17,12 +20,16 @@ from memomap.resolver import (
     cited_articles,
     coverage_summary,
     fragment_years,
+    record_views,
     resolve_corpus,
     resolve_fragment,
     score_candidate,
 )
 
 from conftest import article_row, write_jsonl
+from oracles import oracle_resolve, oracle_score
+from test_biblio import seeded_records
+from test_scale_goldens import _gen
 
 
 CONFIG = ResolverConfig()
@@ -37,7 +44,8 @@ def fragment(text: str, memo_id: str = "m", ordinal: int = 0) -> ReferenceFragme
 def score(frag: ReferenceFragment, record: ArticleRecord) -> float:
     """``score_candidate`` on the token set and years ``resolve_fragment`` takes from ``frag``."""
     text = frag.normalized_text
-    return score_candidate(frozenset(text.split()), fragment_years(text), record)
+    views = record_views(record)
+    return score_candidate(frozenset(text.split()), fragment_years(text), views, record.pub_year)
 
 
 class StubRemote:
@@ -97,6 +105,92 @@ class TestScore:
         for _ in range(10):
             rng.shuffle(words)
             assert score(fragment(" ".join(words)), record) == reference
+
+
+def citing_fragments(records: dict[str, ArticleRecord], seed: int) -> list[ReferenceFragment]:
+    """Two citations, in memos m1 and m2, of each of 60 records, each missing
+    about a fifth of its words, so that fragments share candidates."""
+    rng = random.Random(seed)
+    fragments = []
+    for ordinal, record in enumerate(rng.sample(list(records.values()), 60)):
+        words = " ".join([*record.authors, record.title, record.journal, str(record.pub_year)])
+        for memo_id in ("m1", "m2"):
+            kept = [w for w in words.split() if rng.random() < 0.8]
+            fragments.append(fragment(" ".join(kept), memo_id, ordinal))
+    return fragments
+
+
+def resolve_inputs(case, tmp_path) -> tuple[dict, list[ReferenceFragment], ResolverConfig]:
+    """Records, fragments and resolver settings: a seeded set for an int
+    ``case``, else that benchmark workload at smoke size."""
+    if isinstance(case, int):
+        records = seeded_records(case)
+        return records, citing_fragments(records, case), CONFIG
+    _gen().generate(case, 11, tmp_path, "smoke")
+    config = load_config(tmp_path / "config.yaml")
+    fragments = [
+        f
+        for memo in corpus.load_corpus(config.corpus_path)
+        for f in corpus.extract_fragments(memo, config.segmenter)
+    ]
+    return read_records(config.records_path), fragments, config.resolver
+
+
+CASES = [0, 1, 2, "resolve-zipf", "tail-rerun"]
+
+
+class TestMatchesOracles:
+    """The regex tokens and the per-call views give the oracle's floats and rows."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_candidate_score(self, tmp_path, case):
+        records, fragments, config = resolve_inputs(case, tmp_path)
+        index = ingest_records(records)
+        pairs = 0
+        for frag in fragments:
+            tokens = frozenset(frag.normalized_text.split())
+            years = fragment_years(frag.normalized_text)
+            hint = years[0] if years else None
+            for record in index.search(tokens, year_hint=hint, k=config.k):
+                got = score_candidate(tokens, years, record_views(record), record.pub_year)
+                assert got == oracle_score(tokens, years, record), (frag, record)
+                pairs += 1
+        assert pairs > len(fragments)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_record_tokenized_once(self, tmp_path, monkeypatch, case):
+        records, fragments, config = resolve_inputs(case, tmp_path)
+        expected = oracle_resolve(fragments, records, config)
+        words, rules = biblio._words, Counter()
+        tokens, tokenized = ArticleRecord.tokens, Counter()
+
+        def counting_words(pattern, text):
+            rules[pattern.pattern] += 1
+            return words(pattern, text)
+
+        def counting_tokens(record):
+            tokenized[record.article_id] += 1
+            return tokens(record)
+
+        monkeypatch.setattr(biblio, "_words", counting_words)
+        monkeypatch.setattr(ArticleRecord, "tokens", counting_tokens)
+        index = ingest_records(records)
+        # One findall per rule: the title and journal joined, the authors joined.
+        assert rules == {"[a-z0-9]{2,}": len(records), "[a-z0-9]+": len(records)}
+        assert not tokenized
+
+        slots = Counter()
+        for frag in fragments:
+            years = fragment_years(frag.normalized_text)
+            hint = years[0] if years else None
+            found = index.search(frag.normalized_text.split(), year_hint=hint, k=config.k)
+            slots.update(record.article_id for record in found)
+        assert sum(slots.values()) > len(slots)  # the fragments share candidates
+
+        results, _ = resolve_corpus(fragments, index, config)
+        assert tokenized == Counter(set(slots))
+        assert results == expected
+        assert any(row.method == METHOD_LEXICAL for row in results)
 
 
 class TestResolveFragment:
