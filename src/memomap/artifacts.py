@@ -3,13 +3,12 @@
 ``decode(row_type, mapping)`` builds every config section, raw input row and
 JSONL artifact row, checking each value against its field's annotation:
 ``str``, ``bool``, ``int`` (not a bool), ``float`` (an int loads as the equal
-float), ``datetime.date`` from an ISO date string, ``X | None``,
-``tuple[T, ...]`` from a list, a nested dataclass from a mapping. Absent
-fields take their defaults (``X | None`` ones without one are None); other
-keys are ignored, or with ``exact`` rejected at every level. A wrong value
-raises DecodeError naming the field, which the caller prefixes with its
-``file:line`` or ``section.`` The row is built by its dataclass's
-``__init__``, so ``__post_init__`` checks hold.
+float), ``X | None``, ``tuple[T, ...]`` from a list, a nested dataclass from
+a mapping. Absent fields take their defaults (``X | None`` ones without one
+are None); other keys are ignored, or with ``exact`` rejected at every
+level. A wrong value raises DecodeError naming the field, which the caller
+prefixes with its ``file:line`` or ``section.`` The row is built by its
+dataclass's ``__init__``, so ``__post_init__`` checks hold.
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, keys sorted, less
@@ -35,7 +34,6 @@ caller's error class (an ``InputError`` for a raw input).
 from __future__ import annotations
 
 import csv
-import datetime
 import functools
 import hashlib
 import io
@@ -74,8 +72,6 @@ def _check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
     if annotation in _SCALARS:
         accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
         return accepts, _SCALARS[annotation]
-    if annotation is datetime.date:
-        return {str: datetime.date.fromisoformat}, "an ISO date string"
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
         accepts, expected = _check(args[0], exact)
         return {**accepts, type(None): _KEEP}, f"{expected} or null"
@@ -98,8 +94,6 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
         return value if convert is _KEEP else convert(value)
     except DecodeError as exc:
         raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
-    except ValueError:  # a string that is no ISO date
-        raise DecodeError(f"{where}: expected {expected}, got {value!r}") from None
 
 
 def _tuple(of: tuple[dict[type, Any], str], keep: frozenset[type], items: list) -> tuple:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import datetime
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ _NON_ALNUM_RE = re.compile(r"[^a-z0-9]+")
 class Memo:
     memo_id: str
     title: str = ""
-    decision_date: datetime.date | None = None
     body_text: str = ""
 
 
@@ -160,11 +158,11 @@ def extract_fragments(memo: Memo, config: SegmenterConfig) -> list[ReferenceFrag
 def load_corpus(path: str | Path, digest: Any = None) -> list[Memo]:
     """Load memos from a JSONL file or a directory of UTF-8 text files.
 
-    JSONL rows carry {memo_id, title, decision_date, body_text}, decoded by
-    ``artifacts.decode``; a memo_id is non-empty, unique and has no '/' or
-    NUL. In directory mode each ``*.txt`` file is a memo: the file stem is
-    its id and its first non-empty line its title. A memo with an empty or
-    absent body_text raises CorpusError naming its ``file:line``, or its file.
+    JSONL rows carry {memo_id, title, body_text}, decoded by ``artifacts.decode``;
+    a memo_id is non-empty, unique and has no '/' or NUL. In directory mode
+    each ``*.txt`` file is a memo: the file stem is its id and its first
+    non-empty line its title. A memo with an empty or absent body_text
+    raises CorpusError naming its ``file:line``, or its file.
     ``digest`` (a hashlib object), when given, is updated with the bytes
     read: the JSONL file's, or per text file, in name order, its name, a
     NUL, its bytes and a NUL.

@@ -139,18 +139,18 @@ def load_award_db(path: str | Path, digest: Any = None) -> list[Award]:
 
 
 def extract_article_awards(
-    record: ArticleRecord, aliases: FunderAliasTable, unmapped: Counter[str]
+    record: ArticleRecord, aliases: FunderAliasTable, unmapped: Counter[str], empty: Counter[str]
 ) -> list[tuple[str, str]]:
     """(core project number, funder code) for each grant tag of the article.
 
-    A tag with empty award text is skipped. An unmapped funder string is
-    counted in ``unmapped``.
+    A tag with empty award text is skipped and counted in ``empty`` under the
+    article's id. An unmapped funder string is counted in ``unmapped``.
     """
     pairs = []
     for tag in record.grant_tags:
         core = parse_core_project(tag.award_text)
         if not core:
-            logger.warning("article %s: empty award text in grant tag, skipped", record.article_id)
+            empty[record.article_id] += 1
             continue
         funder = aliases.lookup(tag.funder_text)
         if funder == UNMAPPED:
@@ -190,7 +190,8 @@ def build_links(
     otherwise. A core with award records takes the full number, fiscal year
     (None for an undated article), funder and org of the closest one; any
     other keeps its first tag's funder and imputes the year before
-    publication. Unmapped funder strings are logged in one warning when
+    publication. Grant tags with empty award text are skipped and logged in
+    one warning. Unmapped funder strings are logged in one warning when
     ``on_unmapped`` is "warn"; when it is "fail", the first article with one
     raises UnmappedFunderError naming the article and its first such string.
     """
@@ -201,12 +202,13 @@ def build_links(
         for article_id in award.cited_article_ids:
             cited_cores.setdefault(article_id, set()).add(award.core_project_number)
     unmapped: Counter[str] = Counter()
+    empty: Counter[str] = Counter()
     links: list[ArticleAwardLink] = []
     for record in sorted(articles, key=lambda r: r.article_id):
         article_id, pub_year = record.article_id, record.pub_year
         cited = cited_cores.get(article_id, set())
         tag_funders: dict[str, str] = {}
-        for core, funder in extract_article_awards(record, aliases, unmapped):
+        for core, funder in extract_article_awards(record, aliases, unmapped, empty):
             tag_funders.setdefault(core, funder)
         if unmapped and on_unmapped == "fail":
             first = next(iter(unmapped))
@@ -225,6 +227,13 @@ def build_links(
                 year = None if pub_year is None else pub_year - 1
                 link = ArticleAwardLink(article_id, core, tag_funders[core], source, None, year)
             links.append(link)
+    if empty:
+        logger.warning(
+            "empty award text in %d grant tags of %d articles, skipped: %s",
+            sum(empty.values()),
+            len(empty),
+            ", ".join(sorted(empty)),
+        )
     if unmapped:
         counts = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
         logger.warning(

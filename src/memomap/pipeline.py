@@ -56,11 +56,6 @@ FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
 RESOLUTION = Artifact(
     "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
 )
-COVERAGE = Artifact(
-    "resolve/coverage.csv",
-    resolver.CoverageStats,
-    ("memo_id", "fragment_count", "linked_count", "linked_pct"),
-)
 LINKS = Artifact("link/links.jsonl", funding.ArticleAwardLink, omit_none=("org_id", "org_name"))
 _SHARE_COLUMNS = ("entity", "year", "memo_pct", "pool_pct", "diff_pct")
 SHARES_FUNDERS = Artifact("stats/shares_funders.csv", stats.FunderYearShare, _SHARE_COLUMNS)
@@ -227,22 +222,16 @@ def _ingest(config: PipelineConfig, memos, records, awards, aliases) -> Outputs:
 
 
 def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
-    """Build the article index, resolve fragments against it; coverage and retractions."""
+    """Build the article index, resolve fragments against it, flag cited retracted articles."""
     index = biblio.ingest_records(records)
+    logger.info("article index: %d records, %d tokens", len(index), index.token_count)
     client = None
     if config.remote.enabled:
         client = RemoteLookupClient(config.remote, config.cache_dir())
-    results, coverage = resolver.resolve_corpus(fragments, index, config.resolver, client)
+    results = resolver.resolve_corpus(fragments, index, config.resolver, client)
     if client is not None and client.offline_misses:
         logger.info("offline mode: %d remote cache misses, lookups skipped", client.offline_misses)
-    return {
-        RESOLUTION: results,
-        COVERAGE: coverage,
-        FLAGS: report.flag_retracted(results, records),
-        "index_stats.json": _json_document(
-            {"record_count": len(index), "token_count": index.token_count}
-        ),
-    }
+    return {RESOLUTION: results, FLAGS: report.flag_retracted(results, records)}
 
 
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
@@ -320,11 +309,11 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
 
 
 def _report(
-    config: PipelineConfig, links, resolution, coverage, tests_funders, tests_orgs, memo_id=None
+    config: PipelineConfig, links, resolution, tests_funders, tests_orgs, memo_id=None
 ) -> Outputs:
-    """Tables, per-memo flow diagrams, coverage report."""
+    """Funder and recipient tables, per-memo flow diagrams, coverage from the resolution rows."""
     funder_table, recipient_table = report.emit_tables(links, tests_funders, tests_orgs)
-    scatter_csv, summary_csv = report.coverage_report(coverage)
+    scatter_csv, summary_csv = report.coverage_report(resolution)
 
     cited = resolver.cited_articles(resolution)
     memo_ids = list(cited)
@@ -351,13 +340,14 @@ def _report(
 STAGES = (
     Stage("ingest", "validate inputs and extract reference fragments",
           (CORPUS, RECORDS, AWARD_DB, ALIASES), _ingest),
-    Stage("resolve", "match fragments to article records", (FRAGMENTS, RECORDS), _resolve),
+    Stage("resolve", "match fragments to article records and flag retracted citations",
+          (FRAGMENTS, RECORDS), _resolve),
     Stage("link", "link resolved articles to funding awards",
           (RESOLUTION, RECORDS, AWARD_DB, ALIASES), _link),
     Stage("stats", "compute shares, signed-rank tests, and concentration",
           (LINKS, AWARD_DB, RESOLUTION), _stats),
-    Stage("report", "emit tables, flow diagrams, flags, and coverage",
-          (LINKS, RESOLUTION, COVERAGE, TESTS_FUNDERS, TESTS_ORGS), _report, memo=True),
+    Stage("report", "emit funder and recipient tables, flow diagrams, and coverage",
+          (LINKS, RESOLUTION, TESTS_FUNDERS, TESTS_ORGS), _report, memo=True),
 )
 run_ingest, run_resolve, run_link, run_stats, run_report = (partial(_run, s) for s in STAGES)
 

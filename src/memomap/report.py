@@ -1,4 +1,4 @@
-"""Funder-to-organization-to-memo flow graphs, tables, and coverage reports.
+"""Funder-to-organization-to-memo flow graphs, tables, and the coverage report.
 
 Flow weights are exact: each funded article contributes total weight 1,
 split equally over its stakeholder pairs, so every weight of a memo's graph
@@ -9,6 +9,7 @@ bit. Floats appear only at emission time, as correctly rounded quotients.
 from __future__ import annotations
 
 import io
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -17,7 +18,7 @@ from typing import Iterable, Mapping
 from .artifacts import csv_text
 from .biblio import ArticleRecord
 from .funding import ArticleAwardLink
-from .resolver import CoverageStats, ResolutionResult, cited_articles, coverage_summary
+from .resolver import METHOD_UNRESOLVED, ResolutionResult, cited_articles
 from .stats import StatResult, share_of_total, split_weights
 
 KIND_FUNDER = "funder"
@@ -376,11 +377,34 @@ def flag_retracted(
     return flags
 
 
-def coverage_report(coverage: Iterable[CoverageStats]) -> tuple[str, str]:
-    """Scatter CSV (memo size vs. linkage) plus a summary CSV."""
-    coverage = sorted(coverage, key=lambda c: c.memo_id)
+def coverage_summary(linked_pcts: Iterable[float]) -> dict:
+    """Median and interquartile range of the memos' linked percentages."""
+    pcts = sorted(linked_pcts)
+    if not pcts:
+        return {"n": 0, "median_linked_pct": None, "iqr_linked_pct": None}
+    if len(pcts) == 1:
+        return {"n": 1, "median_linked_pct": pcts[0], "iqr_linked_pct": 0.0}
+    q1, _, q3 = statistics.quantiles(pcts, n=4, method="inclusive")
+    return {
+        "n": len(pcts),
+        "median_linked_pct": statistics.median(pcts),
+        "iqr_linked_pct": q3 - q1,
+    }
+
+
+def coverage_report(resolution: Iterable[ResolutionResult]) -> tuple[str, str]:
+    """Scatter CSV (memo size vs. linkage) plus a summary CSV.
+
+    Per memo with a resolution row: its rows, and the percent of them whose
+    method is not ``unresolved``.
+    """
+    counts: dict[str, list[int]] = {}
+    for row in resolution:
+        count = counts.setdefault(row.memo_id, [0, 0])
+        count[0] += 1
+        count[1] += row.method != METHOD_UNRESOLVED
     scatter = [["memo_id", "fragment_count", "linked_pct"]]
-    scatter += ([row.memo_id, row.fragment_count, row.linked_pct] for row in coverage)
-    summary = coverage_summary(coverage)
+    scatter += ([memo_id, n, 100.0 * linked / n] for memo_id, (n, linked) in sorted(counts.items()))
+    summary = coverage_summary(row[2] for row in scatter[1:])
     keys = ["n", "median_linked_pct", "iqr_linked_pct"]  # a None value is an empty cell
     return csv_text(scatter), csv_text([keys, [summary[key] for key in keys]])

@@ -8,7 +8,6 @@ place. Ambiguous near-ties stay unresolved.
 from __future__ import annotations
 
 import re
-import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,24 +36,6 @@ class ResolutionResult:
     article_id: str | None
     score: float | None
     method: str
-
-
-@dataclass(frozen=True)
-class CoverageStats:
-    memo_id: str
-    fragment_count: int
-    linked_count: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.linked_count <= self.fragment_count or self.fragment_count < 1:
-            raise ValueError(
-                f"fragment_count {self.fragment_count} and linked_count {self.linked_count}: "
-                "need 1 <= fragment_count and 0 <= linked_count <= fragment_count"
-            )
-
-    @property
-    def linked_pct(self) -> float:
-        return 100.0 * self.linked_count / self.fragment_count
 
 
 def fragment_years(normalized_text: str) -> list[int]:
@@ -156,29 +137,12 @@ def resolve_corpus(
     index: BiblioIndex,
     config: ResolverConfig,
     remote: RemoteLookupClient | None = None,
-) -> tuple[list[ResolutionResult], list[CoverageStats]]:
-    """Resolve every fragment and compute per-memo coverage.
-
-    Output is ordered by (memo_id, ordinal) regardless of input order;
-    memos appear in coverage only if they contributed fragments. Each
-    candidate record is tokenized once per call, on first use.
-    """
+) -> list[ResolutionResult]:
+    """Resolve every fragment, ordered by (memo_id, ordinal) regardless of input
+    order. Each candidate record is tokenized once per call, on first use."""
     ordered = sorted(fragments, key=lambda f: (f.memo_id, f.ordinal))
     views: dict[str, Views] = {}
-    results = [resolve_fragment(f, index, config, remote, views) for f in ordered]
-
-    per_memo: dict[str, list[ResolutionResult]] = {}
-    for result in results:
-        per_memo.setdefault(result.memo_id, []).append(result)
-    coverage = [
-        CoverageStats(
-            memo_id=memo_id,
-            fragment_count=len(rs),
-            linked_count=sum(1 for r in rs if r.method != METHOD_UNRESOLVED),
-        )
-        for memo_id, rs in sorted(per_memo.items())
-    ]
-    return results, coverage
+    return [resolve_fragment(f, index, config, remote, views) for f in ordered]
 
 
 def cited_articles(resolution: Iterable[ResolutionResult]) -> dict[str, list[str]]:
@@ -191,22 +155,3 @@ def cited_articles(resolution: Iterable[ResolutionResult]) -> dict[str, list[str
         if row.article_id is not None:
             ids.add(row.article_id)
     return {memo_id: sorted(cited[memo_id]) for memo_id in sorted(cited)}
-
-
-def coverage_summary(coverage: Iterable[CoverageStats]) -> dict:
-    """Median and interquartile range of linked_pct across memos.
-
-    Memos with zero fragments never reach this point: ``CoverageStats``
-    holds at least one fragment.
-    """
-    pcts = sorted(c.linked_pct for c in coverage)
-    if not pcts:
-        return {"n": 0, "median_linked_pct": None, "iqr_linked_pct": None}
-    if len(pcts) == 1:
-        return {"n": 1, "median_linked_pct": pcts[0], "iqr_linked_pct": 0.0}
-    q1, _, q3 = statistics.quantiles(pcts, n=4, method="inclusive")
-    return {
-        "n": len(pcts),
-        "median_linked_pct": statistics.median(pcts),
-        "iqr_linked_pct": q3 - q1,
-    }

@@ -18,16 +18,21 @@ keyword ``__init__``, and writes a JSONL row with ``sort_keys``, as
 ``artifacts`` did before it built rows positionally and sorted each row
 type's keys once. The retraction oracle joins every resolved (memo, article)
 pair against the records in one set, as ``report.flag_retracted`` did before
-it took each memo's citations from ``resolver.cited_articles``.
+it took each memo's citations from ``resolver.cited_articles``. The coverage
+oracle counts each memo's fragments and linked fragments into one row per
+memo first, as ``resolve`` did for the ``resolve/coverage.csv`` that
+``report`` read before it counted the resolution rows itself.
 """
 
 from __future__ import annotations
 
-import datetime
+import csv
 import functools
+import io
 import itertools
 import json
 import math
+import statistics
 import types
 from dataclasses import MISSING, fields, is_dataclass, replace
 from fractions import Fraction
@@ -168,6 +173,35 @@ def oracle_flag_retracted(
                 RetractionFlag(memo_id=memo_id, article_id=article_id, note=record.title)
             )
     return flags
+
+
+def oracle_coverage(resolution: Iterable[ResolutionResult]) -> tuple[str, str]:
+    """The coverage scatter and summary CSV texts from one (memo, fragment count,
+    linked count) row per memo with a resolution row."""
+    per_memo: dict[str, list[ResolutionResult]] = {}
+    for row in resolution:
+        per_memo.setdefault(row.memo_id, []).append(row)
+    coverage = [
+        (memo_id, len(rows), sum(1 for r in rows if r.method != METHOD_UNRESOLVED))
+        for memo_id, rows in sorted(per_memo.items())
+    ]
+    pcts = [100.0 * linked / count for _, count, linked in coverage]
+    if not pcts:
+        summary = [0, None, None]
+    elif len(pcts) == 1:
+        summary = [1, pcts[0], 0.0]
+    else:
+        q1, _, q3 = statistics.quantiles(sorted(pcts), n=4, method="inclusive")
+        summary = [len(pcts), statistics.median(pcts), q3 - q1]
+
+    def text(rows: list[list]) -> str:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        return buffer.getvalue()
+
+    scatter = [["memo_id", "fragment_count", "linked_pct"]]
+    scatter += [[m, count, pct] for (m, count, _), pct in zip(coverage, pcts)]
+    return text(scatter), text([["n", "median_linked_pct", "iqr_linked_pct"], summary])
 
 
 def oracle_record_tokens(record: ArticleRecord) -> tuple[frozenset[str], ...]:
@@ -447,8 +481,6 @@ def _oracle_check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
     if annotation in _SCALARS:
         accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
         return accepts, _SCALARS[annotation]
-    if annotation is datetime.date:
-        return {str: datetime.date.fromisoformat}, "an ISO date string"
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
         accepts, expected = _oracle_check(args[0], exact)
         return {**accepts, type(None): _KEEP}, f"{expected} or null"
@@ -472,8 +504,6 @@ def _oracle_value(check: tuple[dict[type, Any], str], value: Any, where: str) ->
         return value if convert is _KEEP else convert(value)
     except DecodeError as exc:
         raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
-    except ValueError:
-        raise DecodeError(f"{where}: expected {expected}, got {value!r}") from None
 
 
 def oracle_decode(row_type: type, mapping: Mapping[str, Any], exact: bool = False) -> Any:

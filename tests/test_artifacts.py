@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import dataclasses
-import datetime
 import json
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -13,8 +12,9 @@ import pytest
 from memomap import biblio, config, corpus, funding, pipeline, remote, resolver
 from memomap.artifacts import Artifact, DecodeError, decode, jsonl_rows
 from memomap.biblio import ArticleRecord
-from memomap.pipeline import COVERAGE
-from memomap.resolver import CoverageStats
+from memomap.corpus import CorpusError
+from memomap.pipeline import TESTS_FUNDERS
+from memomap.stats import StatResult
 from oracles import oracle_decode, oracle_jsonl
 
 
@@ -31,7 +31,6 @@ class Row:
     flag: bool = False
     items: tuple[Inner, ...] = ()
     tags: tuple[str, ...] = ("default",)
-    when: datetime.date | None = None
 
 
 class TestDecode:
@@ -61,10 +60,6 @@ class TestDecode:
             decode(Row, {"count": 1, "ratio": 0.5, **extra}, exact=True)
         assert str(caught.value) == message
 
-    def test_date_from_iso_string(self):
-        row = decode(Row, {"count": 1, "ratio": 0.5, "when": "2010-05-04"})
-        assert row.when == datetime.date(2010, 5, 4)
-
     @pytest.mark.parametrize(
         "change, message",
         [
@@ -81,8 +76,6 @@ class TestDecode:
             ({"items": [{"name": "a"}, "b"]}, "items[1]: expected a mapping, got 'b'"),
             ({"items": [{"name": 1}]}, "items[0].name: expected a string, got 1"),
             ({"items": [{}]}, "items[0].name: expected a string, got nothing"),
-            ({"when": "2004-13-01"}, "when: expected an ISO date string or null, got '2004-13-01'"),
-            ({"when": 20041101}, "when: expected an ISO date string or null, got 20041101"),
         ],
     )
     def test_wrong_value_names_the_field(self, change, message):
@@ -112,16 +105,15 @@ class TestDecode:
 
 def test_csv_string_field_keeps_its_cell(tmp_path):
     # Cells of non-string fields are read as JSON; a string field's cell never is.
-    rows = [CoverageStats("0123", 2, 1), CoverageStats("true", 1, 1), CoverageStats("null", 3, 0)]
-    (tmp_path / "resolve").mkdir()
-    (tmp_path / COVERAGE.path).write_bytes(b"".join(COVERAGE.encode(rows)))
-    assert COVERAGE.read(SimpleNamespace(workdir=tmp_path)).objects == rows
+    rows = [StatResult(entity, 5, 0.5, -1.0, 2.0, 0.25) for entity in ("0123", "true", "null")]
+    (tmp_path / "stats").mkdir()
+    (tmp_path / TESTS_FUNDERS.path).write_bytes(b"".join(TESTS_FUNDERS.encode(rows)))
+    assert TESTS_FUNDERS.read(SimpleNamespace(workdir=tmp_path)).objects == rows
 
 
 @dataclass(frozen=True)
 class Made:
     tags: tuple[str, ...] = field(default_factory=lambda: ("made",))
-    when: datetime.date = datetime.date(2000, 1, 1)
     count: int = 0
     label: str | None = None
 
@@ -142,21 +134,16 @@ CONFIG_ROWS = [
     remote.RemoteConfig,
 ]
 ROW_TYPES = ARTIFACT_ROWS + RAW_ROWS + CONFIG_ROWS + [Row, Inner, Made]
-# The row types that can be written as JSON: a date field has no JSON form.
-JSON_ROW_TYPES = [
-    t for t in ROW_TYPES
-    if not any(datetime.date in (h, *get_args(h)) for h in get_type_hints(t).values())
-]
 # The row types a JSONL artifact can hold: no field nests a dataclass.
 FLAT_JSON_ROW_TYPES = [
-    t for t in JSON_ROW_TYPES
+    t for t in ROW_TYPES
     if not any(is_dataclass(a) for h in get_type_hints(t).values() for a in (h, *get_args(h)))
 ]
 # Values put in each field in turn: wrong types, an int for a float, a bool for
-# an int, zero counts, dates, lists and mappings, non-ASCII text.
+# an int, zero counts, lists and mappings, non-ASCII text.
 CANDIDATES = [
     None, True, False, 0, 1, -1, 1.5, 2.0,
-    "x", "Zoë – café", "2004-13-01", "2010-05-04",
+    "x", "Zoë – café",
     [], ["x"], [1], [None], [{"award_text": "R01", "funder_text": "NCI"}], [{"name": 1}],
     {}, {"name": "a"}, {"name": "a", "other": 1},
 ]
@@ -169,8 +156,6 @@ def sample(annotation: Any) -> Any:
         return "Zoë – café"
     if annotation in (bool, int, float):
         return {bool: True, int: 7, float: 0.25}[annotation]
-    if annotation is datetime.date:
-        return "2004-11-22"
     if origin is types.UnionType:
         return sample(args[0])
     if origin is tuple:
@@ -211,9 +196,8 @@ class TestCodecOracle:
 
     def test_cases_cover_defaults_factories_and_post_init(self):
         assert decode(Made, {}) == Made() and decode(Made, {}).tags == ("made",)
-        assert decode(Made, {"when": "2001-02-03"}).when == datetime.date(2001, 2, 3)
-        with pytest.raises(ValueError, match="fragment_count 0 and linked_count 0"):
-            decode(CoverageStats, {"memo_id": "m", "fragment_count": 0, "linked_count": 0})
+        with pytest.raises(CorpusError, match="^segmenter heading list must not be empty$"):
+            decode(corpus.SegmenterConfig, {"headings": []})
         assert type(decode(resolver.ResolverConfig, {"threshold": 1}).threshold) is float
         with pytest.raises(DecodeError, match="^k: expected an integer, got True$"):
             decode(resolver.ResolverConfig, {"k": True})

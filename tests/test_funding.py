@@ -109,10 +109,35 @@ class TestExtract:
 
     def test_suffix_stripped_and_funder_mapped(self, aliases, make_record):
         record = make_record([{"award_text": "R01 CA031770-02", "funder_text": "NCI"}])
-        assert extract_article_awards(record, aliases, Counter()) == [("R01CA031770", "NCI")]
+        pairs = extract_article_awards(record, aliases, Counter(), Counter())
+        assert pairs == [("R01CA031770", "NCI")]
 
     def test_no_tags_empty(self, aliases, make_record):
-        assert extract_article_awards(make_record([]), aliases, Counter()) == []
+        assert extract_article_awards(make_record([]), aliases, Counter(), Counter()) == []
+
+    def test_empty_award_text_is_one_line_per_run(self, aliases, caplog):
+        # Seeded articles, some with tags whose award text parses to no core.
+        rng = random.Random(30)
+        records, expected = [], Counter()
+        for i in range(40):
+            tags = []
+            for j in range(rng.randint(0, 4)):
+                if rng.random() < 0.3:
+                    tags.append(GrantTag(rng.choice(["", " ", "-02", " -1"]), "NCI"))
+                    expected[f"A{i:02d}"] += 1
+                else:
+                    tags.append(GrantTag(f"R01CA{i}{j}-01", "NCI"))
+            records.append(ArticleRecord(f"A{i:02d}", "T", (), "J", 2005, grant_tags=tuple(tags)))
+        rng.shuffle(records)
+        assert len(expected) > 1
+        with caplog.at_level(logging.WARNING):
+            links = build_links(records, [], aliases, "warn")
+        assert len(links) == sum(len(r.grant_tags) for r in records) - sum(expected.values())
+        [line] = [r.getMessage() for r in caplog.records if "award text" in r.getMessage()]
+        assert line == (
+            f"empty award text in {sum(expected.values())} grant tags of {len(expected)} "
+            f"articles, skipped: {', '.join(sorted(expected))}"
+        )
 
     def test_unmapped_warns_and_continues(self, aliases, caplog):
         tags = [

@@ -102,7 +102,6 @@ class TestStages:
         for artifact in (
             "ingest/fragments.jsonl",
             "resolve/resolution.jsonl",
-            "resolve/coverage.csv",
             "link/links.jsonl",
             "stats/kld.csv",
             "report/funder_table.csv",
@@ -111,6 +110,15 @@ class TestStages:
             assert (out / artifact).is_file(), artifact
         for stage in ("ingest", "resolve", "link", "stats", "report"):
             assert (out / stage / "manifest.json").is_file()
+        resolve = {"resolution.jsonl", "retraction_flags.csv", "manifest.json"}
+        assert set(read_tree(out / "resolve")) == resolve
+        manifest = json.loads((out / "report" / "manifest.json").read_text(encoding="utf-8"))
+        assert sorted(manifest["inputs"]) == [
+            "link/links.jsonl",
+            "resolve/resolution.jsonl",
+            "stats/tests_funders.csv",
+            "stats/tests_orgs.csv",
+        ]
 
     def test_rerun_is_byte_identical(self, workspace):
         config = str(workspace / "config.yaml")
@@ -308,35 +316,20 @@ class TestStages:
         assert f"{links}:1: invalid JSON: {constant.decode()} is not a JSON value" in caplog.text
 
     @pytest.mark.parametrize(
-        "cells, message",
-        [
-            (b"1_6,14", "fragment_count: expected an integer, got '1_6'"),
-            (b"16.0,14", "fragment_count: expected an integer, got 16.0"),
-            (b"16,", "linked_count: expected an integer, got ''"),
-            (b'"""16""",14', "fragment_count: expected an integer, got '16'"),
-            (b"0,0", "fragment_count 0 and linked_count 0"),
-            (b"16,17", "fragment_count 16 and linked_count 17"),
-            (b"16,-1", "fragment_count 16 and linked_count -1"),
-        ],
-        ids=[
-            "underscore",
-            "float",
-            "empty",
-            "json-string",
-            "zero-fragments",
-            "over-linked",
-            "negative",
-        ],
+        "cell, got",
+        [(b"1_0", "'1_0'"), (b"5.0", "5.0"), (b"", "''"), (b'"""5"""', "'5'")],
+        ids=["underscore", "float", "empty", "json-string"],
     )
-    def test_bad_coverage_row_names_line(self, workspace, caplog, cells, message):
+    def test_bad_count_cell_names_line(self, workspace, caplog, cell, got):
+        # A CSV cell is its field's JSON value: an integer field takes no other.
         config = str(workspace / "config.yaml")
         assert main(["all", "--config", config]) == EXIT_OK
-        path = workspace / "out" / "resolve" / "coverage.csv"
+        path = workspace / "out" / "stats" / "tests_funders.csv"
         data = path.read_bytes()
-        assert b"\nCAG-00101N,16,14," in data
-        path.write_bytes(data.replace(b"\nCAG-00101N,16,14,", b"\nCAG-00101N," + cells + b",", 1))
+        assert b"\nNCI,5," in data
+        path.write_bytes(data.replace(b"\nNCI,5,", b"\nNCI," + cell + b",", 1))
         assert main(["report", "--config", config]) == EXIT_DEPENDENCY
-        assert f"{path}:2: {message}" in caplog.text
+        assert f"{path}:2: n: expected an integer, got {got}" in caplog.text
 
 
 class TestLoadOnce:
@@ -682,7 +675,7 @@ class TestHandOff:
             run(config, upstream=upstream)
         artifacts = [a for a in vars(pipeline).values() if isinstance(a, Artifact)]
         raw = [pipeline.CORPUS, pipeline.RECORDS, pipeline.AWARD_DB, pipeline.ALIASES]
-        assert len(artifacts) == 10 and set(artifacts + raw) <= upstream.keys()
+        assert len(artifacts) == 9 and set(artifacts + raw) <= upstream.keys()
 
         def comparable(loaded):
             # The award database and the alias table have no __eq__: compare their attributes.
@@ -908,7 +901,6 @@ class TestCliErrors:
             ("awards.jsonl", "org_id", 44387102),
             ("memos.jsonl", "body_text", 12345),
             ("memos.jsonl", "title", None),
-            ("memos.jsonl", "decision_date", "2004-13-01"),
         ],
     )
     def test_input_field_of_wrong_type(self, workspace, caplog, name, field, value):

@@ -11,6 +11,7 @@ from oracles import (
     exact_edges,
     flow_graph,
     oracle_build_flow_graph,
+    oracle_coverage,
     oracle_flag_retracted,
     oracle_node_weights,
     oracle_sankey_json,
@@ -22,7 +23,6 @@ from memomap.resolver import (
     METHOD_LEXICAL,
     METHOD_REMOTE,
     METHOD_UNRESOLVED,
-    CoverageStats,
     ResolutionResult,
 )
 from memomap.report import (
@@ -559,19 +559,56 @@ class TestFlags:
             assert flag_retracted(iter(resolution), records) == expected, case
 
 
+def resolution_rows(counts: dict[str, tuple[int, int, int]]) -> list[ResolutionResult]:
+    """Per memo, (lexical, remote_fallback, unresolved) rows in that order."""
+    rows = []
+    for memo_id, (lexical, remote, unresolved) in counts.items():
+        methods = [METHOD_LEXICAL] * lexical + [METHOD_REMOTE] * remote
+        methods += [METHOD_UNRESOLVED] * unresolved
+        for ordinal, method in enumerate(methods):
+            article_id = None if method == METHOD_UNRESOLVED else f"{memo_id}{ordinal}"
+            score = 0.9 if method == METHOD_LEXICAL else None
+            rows.append(ResolutionResult(memo_id, ordinal, article_id, score, method))
+    return rows
+
+
 class TestCoverageReport:
     def test_two_memos_median(self):
-        scatter, summary = coverage_report(
-            [CoverageStats("a", 10, 6), CoverageStats("b", 10, 8)]
-        )
-        assert "a,10,60.0" in scatter
-        assert summary.splitlines()[1].startswith("2,70.0")
+        scatter, summary = coverage_report(resolution_rows({"b": (8, 0, 2), "a": (5, 1, 4)}))
+        assert scatter.splitlines()[1:] == ["a,10,60.0", "b,10,80.0"]
+        assert summary.splitlines()[1] == "2,70.0,10.0"
 
     def test_full_coverage(self):
-        _, summary = coverage_report([CoverageStats(m, 4, 4) for m in "abc"])
-        assert summary.splitlines()[1] == "3,100.0,0.0"
+        rows = resolution_rows({m: (3, 2, 0) for m in "abcd"})
+        _, summary = coverage_report(rows)
+        assert summary.splitlines()[1] == "4,100.0,0.0"
 
     def test_empty_corpus(self):
         scatter, summary = coverage_report([])
         assert scatter.strip() == "memo_id,fragment_count,linked_pct"
         assert summary.splitlines()[1] == "0,,"
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            {},
+            {"m": (0, 0, 3)},
+            {"m": (2, 1, 0)},
+            {"a": (0, 0, 2), "b": (1, 2, 1), "c": (0, 3, 0)},
+        ],
+        ids=["no-memo", "all-unresolved", "one-memo", "remote-fallback"],
+    )
+    def test_matches_per_memo_count_oracle(self, counts):
+        rows = resolution_rows(counts)
+        assert coverage_report(rows) == oracle_coverage(rows)
+
+    def test_matches_per_memo_count_oracle_on_random_cases(self):
+        rng = random.Random(30)
+        for case in range(200):
+            counts = {
+                f"m{i}": (rng.randint(0, 4), rng.randint(0, 2), rng.randint(0, 4))
+                for i in range(rng.randint(0, 6))
+            }
+            rows = resolution_rows(counts)  # a memo of (0, 0, 0) has no row
+            rng.shuffle(rows)
+            assert coverage_report(iter(rows)) == oracle_coverage(rows), case

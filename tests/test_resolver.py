@@ -11,6 +11,7 @@ from memomap.config import load_config
 from memomap.corpus import ReferenceFragment, normalize_fragment
 from memomap.pipeline import RESOLUTION
 from memomap.remote import RemoteUnavailableError
+from memomap.report import coverage_summary
 from memomap.resolver import (
     METHOD_LEXICAL,
     METHOD_REMOTE,
@@ -18,7 +19,6 @@ from memomap.resolver import (
     ResolutionResult,
     ResolverConfig,
     cited_articles,
-    coverage_summary,
     fragment_years,
     record_views,
     resolve_corpus,
@@ -187,7 +187,7 @@ class TestMatchesOracles:
             slots.update(record.article_id for record in found)
         assert sum(slots.values()) > len(slots)  # the fragments share candidates
 
-        results, _ = resolve_corpus(fragments, index, config)
+        results = resolve_corpus(fragments, index, config)
         assert tokenized == Counter(set(slots))
         assert results == expected
         assert any(row.method == METHOD_LEXICAL for row in results)
@@ -282,28 +282,23 @@ class TestResolveCorpus:
 
     def test_ordering_and_coverage(self, small_index):
         frags = self.make_fragments(small_index)
-        results, coverage = resolve_corpus(reversed(frags), small_index, CONFIG)
-        assert [(r.memo_id, r.ordinal) for r in results] == [
-            ("m1", 0),
-            ("m1", 1),
-            ("m2", 0),
-            ("m2", 1),
+        results = resolve_corpus(reversed(frags), small_index, CONFIG)
+        assert [(r.memo_id, r.ordinal, r.method != METHOD_UNRESOLVED) for r in results] == [
+            ("m1", 0, True),
+            ("m1", 1, True),
+            ("m2", 0, True),
+            ("m2", 1, False),
         ]
-        by_memo = {c.memo_id: c for c in coverage}
-        assert by_memo["m1"].linked_count == 2
-        assert by_memo["m1"].linked_pct == 100.0
-        assert by_memo["m2"].linked_count == 1
-        assert by_memo["m2"].linked_pct == 50.0
 
     def test_memo_without_fragments_absent(self, small_index):
-        _, coverage = resolve_corpus(self.make_fragments(small_index), small_index, CONFIG)
-        assert {c.memo_id for c in coverage} == {"m1", "m2"}
+        results = resolve_corpus(self.make_fragments(small_index), small_index, CONFIG)
+        assert {r.memo_id for r in results} == {"m1", "m2"}
 
     def test_deterministic_bytes(self, small_index):
         frags = self.make_fragments(small_index)
         runs = []
         for _ in range(2):
-            results, _ = resolve_corpus(frags, small_index, CONFIG)
+            results = resolve_corpus(frags, small_index, CONFIG)
             runs.append(b"".join(RESOLUTION.encode(results)))
         assert runs[0] and runs[0] == runs[1]
 
@@ -311,10 +306,8 @@ class TestResolveCorpus:
         frags = self.make_fragments(small_index)
         previous = None
         for threshold in (0.2, 0.4, 0.6, 0.8, 0.95):
-            _, coverage = resolve_corpus(
-                frags, small_index, ResolverConfig(threshold=threshold)
-            )
-            linked = {c.memo_id: c.linked_count for c in coverage}
+            results = resolve_corpus(frags, small_index, ResolverConfig(threshold=threshold))
+            linked = Counter(r.memo_id for r in results if r.method != METHOD_UNRESOLVED)
             if previous is not None:
                 assert all(linked[m] <= previous[m] for m in linked)
             previous = linked
@@ -322,10 +315,7 @@ class TestResolveCorpus:
 
 class TestCoverageSummary:
     def test_two_memos(self):
-        from memomap.resolver import CoverageStats
-
-        stats = [CoverageStats("a", 10, 6), CoverageStats("b", 10, 8)]
-        summary = coverage_summary(stats)
+        summary = coverage_summary([60.0, 80.0])
         assert summary["median_linked_pct"] == pytest.approx(70.0)
         assert summary["n"] == 2
 
@@ -334,10 +324,7 @@ class TestCoverageSummary:
         assert summary == {"n": 0, "median_linked_pct": None, "iqr_linked_pct": None}
 
     def test_all_full_coverage(self):
-        from memomap.resolver import CoverageStats
-
-        stats = [CoverageStats(m, 5, 5) for m in "abcd"]
-        summary = coverage_summary(stats)
+        summary = coverage_summary([100.0] * 4)
         assert summary["median_linked_pct"] == 100.0
         assert summary["iqr_linked_pct"] == 0.0
 
