@@ -3,8 +3,9 @@
 ``build_links`` makes each article's links in one pass over its grant tags
 and the award rows citing it; ``source`` records whether a citing award row
 has the link's core (``award_database``) or only a tag does. The alias table
-only maps funder strings; what an unmapped one means, a warning or an error,
-is the config's ``funding.on_unmapped``, which ``build_links`` takes.
+alone maps funder strings, and only a link whose core has no award rows
+takes one; what an unmapped one means, a warning or an error, is the
+config's ``funding.on_unmapped``, which ``build_links`` takes.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ SOURCE_AWARD_DB = "award_database"
 # The funder alias table shipped with the package, used when the config names none.
 DEFAULT_ALIASES = Path(__file__).parent / "data" / "funder_aliases.csv"
 
-# Retired funder codes folded into their successor.
-_FUNDER_MERGES = {"NCRR": "NCATS"}
-_RAW_MERGES = {"ncrr": "NCATS", "national center for research resources": "NCATS"}
-
 _PUNCT_RE = re.compile(r"[^\w\s]", re.UNICODE)
+# One trailing parenthesized group, such as the "(NIH)" of "National Cancer Institute (NIH)".
+_QUALIFIER_RE = re.compile(r"\([^()]*\)\s*$")
 _WS_RE = re.compile(r"\s+")
 
 
@@ -40,7 +39,7 @@ class FundingError(InputError):
 
 
 class UnmappedFunderError(FundingError):
-    """A funder string missed the alias table while policy is 'fail'."""
+    """A funder string that a link takes missed the alias table while policy is 'fail'."""
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,24 @@ class ArticleAwardLink:
 class FunderAliasTable:
     """Maps raw funder strings to canonical codes.
 
-    Lookup keys are normalized (case-folded, punctuation stripped); retired
-    codes are folded into their successors.
+    The table's rows are the only fold: a retired code maps to its successor
+    by a row of its own. Lookup keys are normalized (case-folded, ``&`` read
+    as ``and``, punctuation stripped). A string that misses is tried once
+    more without one trailing parenthesized group.
     """
 
     def __init__(self, mapping: dict[str, str]) -> None:
         self._mapping = {_normalize_name(raw): code.strip() for raw, code in mapping.items()}
 
     def lookup(self, raw: str) -> str:
-        key = _normalize_name(raw)
-        code = self._mapping.get(key)
+        code = self._mapping.get(_normalize_name(raw))
         if code is None:
-            code = _RAW_MERGES.get(key, UNMAPPED)
-        return _FUNDER_MERGES.get(code, code)
+            code = self._mapping.get(_normalize_name(_QUALIFIER_RE.sub("", raw)), UNMAPPED)
+        return code
 
 
 def _normalize_name(raw: str) -> str:
-    return _WS_RE.sub(" ", _PUNCT_RE.sub(" ", raw.casefold())).strip()
+    return _WS_RE.sub(" ", _PUNCT_RE.sub(" ", raw.casefold().replace("&", " and "))).strip()
 
 
 def load_aliases(path: str | Path, digest: Any = None) -> FunderAliasTable:
@@ -138,27 +138,6 @@ def load_award_db(path: str | Path, digest: Any = None) -> list[Award]:
     return list(awards.values())
 
 
-def extract_article_awards(
-    record: ArticleRecord, aliases: FunderAliasTable, unmapped: Counter[str], empty: Counter[str]
-) -> list[tuple[str, str]]:
-    """(core project number, funder code) for each grant tag of the article.
-
-    A tag with empty award text is skipped and counted in ``empty`` under the
-    article's id. An unmapped funder string is counted in ``unmapped``.
-    """
-    pairs = []
-    for tag in record.grant_tags:
-        core = parse_core_project(tag.award_text)
-        if not core:
-            empty[record.article_id] += 1
-            continue
-        funder = aliases.lookup(tag.funder_text)
-        if funder == UNMAPPED:
-            unmapped[tag.funder_text] += 1
-        pairs.append((core, funder))
-    return pairs
-
-
 def _closest(records: Sequence[Award], pub_year: int | None) -> Award:
     """Of non-empty ``records``, the award whose d = pub_year - fiscal_year is
     closest to one; ties go to the larger d (the project strictly before
@@ -189,11 +168,12 @@ def build_links(
     ``award_database`` when a citing record has the core, ``article_metadata``
     otherwise. A core with award records takes the full number, fiscal year
     (None for an undated article), funder and org of the closest one; any
-    other keeps its first tag's funder and imputes the year before
-    publication. Grant tags with empty award text are skipped and logged in
-    one warning. Unmapped funder strings are logged in one warning when
-    ``on_unmapped`` is "warn"; when it is "fail", the first article with one
-    raises UnmappedFunderError naming the article and its first such string.
+    other takes its first tag's funder string, looked up in ``aliases``, and
+    imputes the year before publication. Grant tags with empty award text are
+    skipped and logged in one warning. Links whose funder string is unmapped
+    are logged in one warning when ``on_unmapped`` is "warn"; when it is
+    "fail", the first such link raises UnmappedFunderError naming its article
+    and string.
     """
     by_core: dict[str, list[Award]] = {}
     cited_cores: dict[str, set[str]] = {}
@@ -208,11 +188,12 @@ def build_links(
         article_id, pub_year = record.article_id, record.pub_year
         cited = cited_cores.get(article_id, set())
         tag_funders: dict[str, str] = {}
-        for core, funder in extract_article_awards(record, aliases, unmapped, empty):
-            tag_funders.setdefault(core, funder)
-        if unmapped and on_unmapped == "fail":
-            first = next(iter(unmapped))
-            raise UnmappedFunderError(f"article {article_id}: unmapped funder {first!r}")
+        for tag in record.grant_tags:
+            core = parse_core_project(tag.award_text)
+            if core:
+                tag_funders.setdefault(core, tag.funder_text)
+            else:
+                empty[article_id] += 1
         for core in sorted(cited | tag_funders.keys()):
             source = SOURCE_AWARD_DB if core in cited else SOURCE_ARTICLE
             records = by_core.get(core)
@@ -224,8 +205,14 @@ def build_links(
                     chosen.full_project_number, year, chosen.org_id, chosen.org_name,
                 )
             else:
+                raw = tag_funders[core]
+                funder = aliases.lookup(raw)
+                if funder == UNMAPPED:
+                    if on_unmapped == "fail":
+                        raise UnmappedFunderError(f"article {article_id}: unmapped funder {raw!r}")
+                    unmapped[raw] += 1
                 year = None if pub_year is None else pub_year - 1
-                link = ArticleAwardLink(article_id, core, tag_funders[core], source, None, year)
+                link = ArticleAwardLink(article_id, core, funder, source, None, year)
             links.append(link)
     if empty:
         logger.warning(
@@ -237,7 +224,7 @@ def build_links(
     if unmapped:
         counts = sorted(unmapped.items(), key=lambda item: (-item[1], item[0]))
         logger.warning(
-            "unmapped funder in %d grant tags, %d distinct: %s",
+            "unmapped funder in %d links, %d distinct: %s",
             sum(unmapped.values()),
             len(unmapped),
             ", ".join(f"{name!r} ({count})" for name, count in counts),

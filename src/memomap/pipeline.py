@@ -244,20 +244,25 @@ def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
     """Share differences, signed-rank tests, and concentration measures."""
     options = config.stats
 
-    def shares_and_tests(memo_pairs: list, pool_pairs: list) -> tuple[list, list]:
+    def shares_and_tests(kind: str, memo_pairs: list, pool_pairs: list) -> tuple[list, list]:
         shares = stats.yearly_shares(memo_pairs, pool_pairs, denominator=options.denominator)
-        tests = stats.compute_entity_stats(shares, min_obs=options.min_obs, level=options.ci_level)
+        tests = stats.compute_entity_stats(
+            shares, kind, min_obs=options.min_obs, level=options.ci_level
+        )
         return shares, tests
 
     dated = [l for l in links if l.imputed_year is not None]
     funder_shares, funder_results = shares_and_tests(
+        "funders",
         [(l.funder_code, l.imputed_year) for l in dated if l.funder_code != funding.UNMAPPED],
         [(a.funder_code, a.fiscal_year) for a in awards],
     )
     pool_org_pairs = [(a.org_id, a.fiscal_year) for a in awards if a.org_id is not None]
     if pool_org_pairs:
         org_shares, org_results = shares_and_tests(
-            [(l.org_id, l.imputed_year) for l in dated if l.org_id is not None], pool_org_pairs
+            "orgs",
+            [(l.org_id, l.imputed_year) for l in dated if l.org_id is not None],
+            pool_org_pairs,
         )
     else:
         logger.warning("award database carries no org identities; org shares skipped")

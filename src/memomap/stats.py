@@ -332,13 +332,14 @@ def paired_wilcoxon(
 
 
 def compute_entity_stats(
-    shares: Iterable[FunderYearShare], min_obs: int = 5, level: float = 0.95
+    shares: Iterable[FunderYearShare], kind: str, min_obs: int = 5, level: float = 0.95
 ) -> list[StatResult]:
     """Signed-rank test and Hodges-Lehmann interval per entity.
 
     Entities observed in fewer than ``min_obs`` years are excluded, as are
     entities whose differences are all exactly zero (no test possible);
-    exclusions are logged, not errors, in one line per reason.
+    exclusions are logged, not errors, in one line per reason, each naming
+    the entities' ``kind``, such as "funders".
     """
     by_entity: dict[str, list[float]] = {}
     for row in shares:
@@ -367,7 +368,7 @@ def compute_entity_stats(
             )
         )
     if few:
-        logger.info("entities in fewer than %d years, excluded: %s", min_obs, ", ".join(few))
+        logger.info("%s in fewer than %d years, excluded: %s", kind, min_obs, ", ".join(few))
     if zero:
-        logger.info("entities with all differences zero, excluded: %s", ", ".join(zero))
+        logger.info("%s with all differences zero, excluded: %s", kind, ", ".join(zero))
     return results

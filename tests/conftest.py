@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -8,6 +9,16 @@ import pytest
 from memomap.biblio import ArticleRecord, GrantTag, ingest_records, read_records
 from memomap.funding import Award, FunderAliasTable, build_links, load_aliases
 from memomap.resolver import cited_articles
+
+
+def perfbench_gen():
+    """``perfbench/gen.py``, the benchmark's input generator, loaded by path
+    (it imports nothing from the package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -99,9 +110,9 @@ def aliases(alias_csv):
 
 
 def alias_codes(path: Path) -> set[str]:
-    """The canonical codes an alias CSV maps to, with NCATS, which NCRR folds into."""
+    """The canonical codes an alias CSV maps to."""
     rows = path.read_text(encoding="utf-8").splitlines()[1:]
-    return {row.split(",")[1] for row in rows} | {"NCATS"}
+    return {row.split(",")[1] for row in rows}
 
 
 @pytest.fixture

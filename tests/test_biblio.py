@@ -11,10 +11,9 @@ from memomap.biblio import ArticleRecord, IngestError, ingest_records, read_reco
 from memomap.config import load_config
 from memomap.resolver import fragment_years
 
-from conftest import article_row, write_jsonl
+from conftest import article_row, perfbench_gen, write_jsonl
 from oracles import oracle_record_tokens, oracle_search
 from test_pipeline import FIXTURES
-from test_scale_goldens import _gen
 
 
 class TestIngest:
@@ -290,7 +289,7 @@ class TestTopKMatchesFullSort:
         assert top_shared >= 16  # counts of five bits
 
     def test_benchmark_fragments(self, tmp_path):
-        _gen().generate("resolve-zipf", 11, tmp_path, "smoke")
+        perfbench_gen().generate("resolve-zipf", 11, tmp_path, "smoke")
         config = load_config(tmp_path / "config.yaml")
         mapping = read_records(config.records_path)
         index = ingest_records(mapping)

@@ -12,6 +12,7 @@ import pytest
 from memomap.biblio import ArticleRecord, GrantTag, read_records
 from memomap.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_OK, main
 from memomap.funding import (
+    DEFAULT_ALIASES,
     SOURCE_ARTICLE,
     SOURCE_AWARD_DB,
     UNMAPPED,
@@ -20,12 +21,12 @@ from memomap.funding import (
     FundingError,
     UnmappedFunderError,
     build_links,
-    extract_article_awards,
+    load_aliases,
     load_award_db,
     parse_core_project,
 )
 
-from conftest import alias_codes, article_row, imputed_award, write_jsonl
+from conftest import alias_codes, article_row, imputed_award, perfbench_gen, write_jsonl
 from oracles import oracle_impute, oracle_links
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
@@ -46,10 +47,28 @@ class TestAliases:
     def test_full_name_maps(self, aliases):
         assert aliases.lookup("National Cancer Institute") == "NCI"
 
-    def test_retired_code_folds_into_successor(self, aliases):
-        # The merge applies even when the alias file itself has no NCRR row.
-        assert aliases.lookup("NCRR") == "NCATS"
-        assert aliases.lookup("National Center for Research Resources") == "NCATS"
+    def test_retired_code_folds_into_successor(self):
+        # The fold is the bundled table's own rows; no merge lives in code.
+        bundled = load_aliases(DEFAULT_ALIASES)
+        assert bundled.lookup("NCRR") == "NCATS"
+        assert bundled.lookup("National Center for Research Resources") == "NCATS"
+        table = FunderAliasTable({"NCATS": "NCATS"})
+        assert table.lookup("NCRR") == UNMAPPED
+
+    def test_trailing_qualifier_retried_once(self, aliases):
+        assert aliases.lookup("National Cancer Institute (NIH)") == "NCI"
+        assert aliases.lookup("NCI (NIH) ") == "NCI"
+        assert aliases.lookup("National Cancer Institute (NIH) (HHS)") == UNMAPPED
+        assert aliases.lookup("(NIH) National Cancer Institute") == UNMAPPED
+        # The table is tried first: a row naming the qualified string wins.
+        table = FunderAliasTable({"NCI": "NCI", "NCI (intramural)": "NIH-INTRAMURAL"})
+        assert table.lookup("NCI (intramural)") == "NIH-INTRAMURAL"
+        assert table.lookup("NCI (extramural)") == "NCI"
+
+    def test_ampersand_reads_as_and(self):
+        table = FunderAliasTable({"Agency for Healthcare Research & Quality": "AHRQ"})
+        assert table.lookup("Agency for Healthcare Research and Quality") == "AHRQ"
+        assert table.lookup("Agency for Healthcare Research&Quality") == "AHRQ"
 
     def test_unknown_is_unmapped(self, aliases):
         assert aliases.lookup("Acme Trust") == UNMAPPED
@@ -88,17 +107,38 @@ class TestAliases:
         articles = tmp_path / "articles.jsonl"
         rows = [json.loads(line) for line in articles.read_text(encoding="utf-8").splitlines()]
         assert rows[1]["article_id"] == "8000002" and rows[1]["grant_tags"]  # a cited article
-        rows[1]["grant_tags"][0]["funder_text"] = "Mystery Fund"
+        assert "R01ZZ000001" not in (tmp_path / "awards.jsonl").read_text(encoding="utf-8")
+        # A core with no award row: its link takes the tag's funder string.
+        rows[1]["grant_tags"][0] = {"award_text": "R01ZZ000001-01", "funder_text": "Mystery Fund"}
         articles.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
         assert main(["all", "--config", str(config)]) == status
         if policy == "fail":
             assert "article 8000002: unmapped funder 'Mystery Fund'" in caplog.text
             assert not (tmp_path / "out" / "link").exists()
         else:
-            assert "unmapped funder in 1 grant tags, 1 distinct: 'Mystery Fund' (1)" in caplog.text
+            assert "unmapped funder in 1 links, 1 distinct: 'Mystery Fund' (1)" in caplog.text
+            links = (tmp_path / "out" / "link" / "links.jsonl").read_text(encoding="utf-8")
+            [link] = [json.loads(l) for l in links.splitlines() if "R01ZZ000001" in l]
+            assert (link["article_id"], link["funder_code"]) == ("8000002", UNMAPPED)
+
+    def test_generated_workload_passes_fail_policy(self, tmp_path):
+        # Every tag core of the generated inputs has award rows, so no link
+        # takes a tag's funder string, whatever its "(NIH)" qualifier.
+        links = {}
+        for policy in ("warn", "fail"):
+            perfbench_gen().generate("tail-rerun", 11, tmp_path / policy, "smoke")
+            config = tmp_path / policy / "config.yaml"
+            text = config.read_text(encoding="utf-8")
+            assert "  on_unmapped: warn\n" in text
+            config.write_text(text.replace("on_unmapped: warn", f"on_unmapped: {policy}"), "utf-8")
+            assert main(["all", "--config", str(config)]) == EXIT_OK
+            links[policy] = (tmp_path / policy / "out" / "link" / "links.jsonl").read_bytes()
+        assert links["fail"] == links["warn"] != b""
 
 
 class TestExtract:
+    """Links from an article's grant tags, as ``build_links`` makes them."""
+
     @pytest.fixture
     def make_record(self, tmp_path):
         def make(tags):
@@ -109,11 +149,12 @@ class TestExtract:
 
     def test_suffix_stripped_and_funder_mapped(self, aliases, make_record):
         record = make_record([{"award_text": "R01 CA031770-02", "funder_text": "NCI"}])
-        pairs = extract_article_awards(record, aliases, Counter(), Counter())
-        assert pairs == [("R01CA031770", "NCI")]
+        [link] = build_links([record], [], aliases, "warn")
+        assert (link.core_project_number, link.funder_code) == ("R01CA031770", "NCI")
+        assert (link.source, link.imputed_year) == (SOURCE_ARTICLE, 2004)
 
     def test_no_tags_empty(self, aliases, make_record):
-        assert extract_article_awards(make_record([]), aliases, Counter(), Counter()) == []
+        assert build_links([make_record([])], [], aliases, "warn") == []
 
     def test_empty_award_text_is_one_line_per_run(self, aliases, caplog):
         # Seeded articles, some with tags whose award text parses to no core.
@@ -161,13 +202,14 @@ class TestExtract:
         ]
         [line] = [r.getMessage() for r in caplog.records if "unmapped funder" in r.getMessage()]
         assert line == (
-            "unmapped funder in 3 grant tags, 2 distinct: 'Mystery Fund' (2), 'Acme Trust' (1)"
+            "unmapped funder in 3 links, 2 distinct: 'Mystery Fund' (2), 'Acme Trust' (1)"
         )
 
     def test_unmapped_can_hard_fail(self, caplog):
-        # Raised after the first article with one, naming its first unmapped string.
+        # Raised at the first link with one, in output order: articles by id,
+        # each article's cores sorted, so not the article's first tag.
         def article(article_id, *funders):
-            tags = tuple(GrantTag(f"R01CA{i}-01", f) for i, f in enumerate(funders))
+            tags = tuple(GrantTag(f"R01CA{9 - i}-01", f) for i, f in enumerate(funders))
             return ArticleRecord(article_id, "T", (), "J", 2005, grant_tags=tags)
 
         records = [
@@ -178,8 +220,36 @@ class TestExtract:
         table = FunderAliasTable({"NCI": "NCI"})
         with pytest.raises(UnmappedFunderError) as caught:
             build_links(records, [], table, "fail")
-        assert str(caught.value) == "article 11: unmapped funder 'Mystery Fund'"
+        assert str(caught.value) == "article 11: unmapped funder 'Acme Trust'"
         assert "unmapped funder in" not in caplog.text  # no warning under 'fail'
+
+    @pytest.mark.parametrize("policy", ["warn", "fail"])
+    def test_unmapped_tag_on_award_core_not_judged(self, aliases, award_db, caplog, policy):
+        # The core has award rows, so its link takes the row's funder and no
+        # output carries the tag's string: it is neither counted nor fatal.
+        tags = (GrantTag("R01 CA031770-02", "Mystery Fund"), GrantTag("R01CA031770", "NCI"))
+        record = ArticleRecord("2002", "T", (), "J", 2004, grant_tags=tags)
+        with caplog.at_level(logging.WARNING):
+            [link] = build_links([record], award_db, aliases, policy)
+        assert (link.funder_code, link.source) == ("NCI", SOURCE_ARTICLE)
+        assert link.imputed_full_project == "R01CA031770-03"
+        assert "unmapped funder" not in caplog.text
+
+    def test_generator_names_map_through_bundled_table(self, caplog):
+        # Tag-only cores, one per funder string: each generator name in its
+        # plain, code, "(NIH)" and "&" forms must map to its code.
+        records, expected = [], []
+        for n, (code, name, ic) in enumerate(perfbench_gen().FUNDERS):
+            for form in (name, code, f"{name} (NIH)", name.replace(" and ", " & ")):
+                article_id = f"A{len(records):03d}"
+                tags = (GrantTag(f"R01{ic}{n:06d}", form),)
+                records.append(ArticleRecord(article_id, "T", (), "J", 2005, grant_tags=tags))
+                expected.append((article_id, code))
+        assert any("&" in r.grant_tags[0].funder_text for r in records)
+        with caplog.at_level(logging.WARNING):
+            links = build_links(records, [], load_aliases(DEFAULT_ALIASES), "fail")
+        assert [(l.article_id, l.funder_code) for l in links] == expected
+        assert caplog.text == ""
 
 
 class TestLookup:
@@ -444,14 +514,22 @@ class TestOracleLinks:
         ]
         return articles, awards
 
-    def test_matches_oracle_links(self, aliases):
+    def test_matches_oracle_links(self, aliases, caplog):
         rng = random.Random(19)
         seen: Counter[str] = Counter()
         for _ in range(400):
             articles, awards = self.random_case(rng)
             rng.shuffle(articles)
-            links = build_links(articles, awards, aliases, "warn")
-            assert links == oracle_links(articles, awards, aliases)
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                links = build_links(articles, awards, aliases, "warn")
+            expected = oracle_links(articles, awards, aliases)
+            assert links == expected
+            # The warning counts exactly the links whose funder is unmapped.
+            warned = [r.getMessage() for r in caplog.records if "unmapped funder" in r.getMessage()]
+            count = sum(l.funder_code == UNMAPPED for l in expected)
+            assert [int(m.split()[3]) for m in warned] == ([count] if count else [])
+            seen["unmapped link"] += bool(count)
             by_core = {a.core_project_number for a in awards}
             for record in articles:
                 tag_cores = [parse_core_project(t.award_text) for t in record.grant_tags]
@@ -468,4 +546,4 @@ class TestOracleLinks:
                     a.cited_article_ids.count(record.article_id) > 1 for a in citing
                 )
                 seen["no tags"] += not record.grant_tags
-        assert len(seen) == 6 and min(seen.values()) >= 20, seen
+        assert len(seen) == 7 and min(seen.values()) >= 20, seen

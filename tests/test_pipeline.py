@@ -582,6 +582,15 @@ class TestLogLines:
         lines = [r.getMessage() for r in caplog.records if "entity data" in r.getMessage()]
         assert lines == ["3 memos without entity data, no concentration: M1, M2, M3"]
 
+    def test_stats_exclusions_name_their_level(self, workspace, caplog):
+        with caplog.at_level(logging.INFO, logger="memomap"):
+            assert main(["all", "--config", str(workspace / "config.yaml")]) == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if "in fewer than" in r.getMessage()]
+        assert [line.split(" in fewer than 5 years, excluded: ")[0] for line in lines] == [
+            "funders",
+            "orgs",
+        ]
+
     def test_offline_cache_misses_in_one_line(self, workspace, caplog):
         path = workspace / "config.yaml"
         data = yaml.safe_load(path.read_text())

@@ -26,10 +26,9 @@ from memomap.resolver import (
     score_candidate,
 )
 
-from conftest import article_row, write_jsonl
+from conftest import article_row, perfbench_gen, write_jsonl
 from oracles import oracle_resolve, oracle_score
 from test_biblio import seeded_records
-from test_scale_goldens import _gen
 
 
 CONFIG = ResolverConfig()
@@ -126,7 +125,7 @@ def resolve_inputs(case, tmp_path) -> tuple[dict, list[ReferenceFragment], Resol
     if isinstance(case, int):
         records = seeded_records(case)
         return records, citing_fragments(records, case), CONFIG
-    _gen().generate(case, 11, tmp_path, "smoke")
+    perfbench_gen().generate(case, 11, tmp_path, "smoke")
     config = load_config(tmp_path / "config.yaml")
     fragments = [
         f

@@ -26,7 +26,6 @@ and says why in CHANGES.md; a refactor or a speed-up never does.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -34,20 +33,14 @@ import pytest
 
 from memomap.cli import EXIT_OK, main
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import perfbench_gen
+
 TABLES = {
     "smoke": Path(__file__).parent / "scale_goldens.json",
     "full": Path(__file__).parent / "scale_goldens_full.json",
 }
 WORKLOADS = ("resolve-zipf", "tail-rerun")
 SEED = 11
-
-
-def _gen():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _digests(workdir: Path) -> dict[str, str]:
@@ -60,7 +53,7 @@ def _digests(workdir: Path) -> dict[str, str]:
 
 def run_workload(workload: str, directory: Path, size: str = "smoke") -> dict:
     """Every artifact's sha256 after ``all`` and after ``report --memo``."""
-    _gen().generate(workload, SEED, directory, size)
+    perfbench_gen().generate(workload, SEED, directory, size)
     config = str(directory / "config.yaml")
     workdir = directory / "out"
     assert main(["all", "--config", config]) == EXIT_OK

@@ -341,18 +341,18 @@ class TestEntityStats:
 
     def test_small_entities_excluded(self):
         rows = self.shares("A", [1, 2, 3]) + self.shares("B", [1, 2, 3, 4, 5])
-        results = compute_entity_stats(rows, min_obs=5)
+        results = compute_entity_stats(rows, "funders", min_obs=5)
         assert [r.entity for r in results] == ["B"]
         assert results[0].n == 5
         assert results[0].p_value == 0.0625
 
     def test_all_zero_entity_excluded(self):
         rows = self.shares("Z", [0, 0, 0, 0, 0])
-        assert compute_entity_stats(rows, min_obs=5) == []
+        assert compute_entity_stats(rows, "funders", min_obs=5) == []
 
     def test_interval_brackets_median(self):
         rows = self.shares("A", [3, 5, 2, 8, 6, 4, 9])
-        result = compute_entity_stats(rows, min_obs=5)[0]
+        result = compute_entity_stats(rows, "funders", min_obs=5)[0]
         assert result.ci_lo <= result.median_diff <= result.ci_hi
 
     def test_exclusions_logged_in_one_line_per_reason(self, caplog):
@@ -364,9 +364,9 @@ class TestEntityStats:
             + self.shares("B", [1, 2, 3, 4, 5])
         )
         with caplog.at_level(logging.INFO, logger="memomap.stats"):
-            assert [r.entity for r in compute_entity_stats(rows, min_obs=5)] == ["B"]
-            compute_entity_stats(self.shares("B", [1, 2, 3, 4, 5]), min_obs=5)  # no line
+            assert [r.entity for r in compute_entity_stats(rows, "funders", min_obs=5)] == ["B"]
+            compute_entity_stats(self.shares("B", [1, 2, 3, 4, 5]), "orgs", min_obs=5)  # no line
         assert [r.getMessage() for r in caplog.records] == [
-            "entities in fewer than 5 years, excluded: A (3), C (2)",
-            "entities with all differences zero, excluded: Y, Z",
+            "funders in fewer than 5 years, excluded: A (3), C (2)",
+            "funders with all differences zero, excluded: Y, Z",
         ]
