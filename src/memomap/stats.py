@@ -1,21 +1,23 @@
 """Share differences, signed-rank inference, and concentration measures.
 
-One-sample Wilcoxon signed-rank p-values are exact (full distribution of the
-rank-sum statistic) for tie-free samples up to n = 20 and otherwise use a
-normal approximation with tie-corrected variance, continuity correction, and
-a fourth-moment refinement. Interval estimates are Hodges-Lehmann:
-Walsh-average order statistics at signed-rank quantiles.
+One-sample Wilcoxon signed-rank p-values are exact up to n = 20, ties
+included (the sign-flip distribution over the sample's own midranks), and
+otherwise use a normal approximation with tie-corrected variance, continuity
+correction, and a fourth-moment refinement. Interval estimates are
+Hodges-Lehmann: Walsh-average order statistics at tie-free signed-rank
+quantiles, so on a tied sample the interval is approximate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import statistics
 from collections import Counter
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable, Sequence, TypeVar
 
@@ -42,10 +44,15 @@ class InsufficientDataError(StatsError):
 
 @dataclass(frozen=True)
 class FunderYearShare:
+    """One entity-year's shares; ``diff_units`` is their difference exactly, an
+    integer on one scale per ``yearly_shares`` call. The CSV omits it, so a
+    row read back from it has None."""
+
     entity: str
     year: int
     memo_pct: float
     pool_pct: float
+    diff_units: int | None = field(compare=False)
 
     @property
     def diff_pct(self) -> float:
@@ -120,91 +127,93 @@ def yearly_shares(
         memo_totals = Counter(t for _, t in memo_pairs)
 
     years = sorted(t for t in memo_totals if memo_totals[t] > 0 and pool_totals.get(t, 0) > 0)
+    # m/M - p/P is (m*P - p*M) / (M*P); over the lcm of every year's M*P the
+    # differences of all rows are integers on one scale, as split_weights does.
+    common = math.lcm(*(memo_totals[t] * pool_totals[t] for t in years))
     rows = []
     for year in years:
+        memo_total, pool_total = memo_totals[year], pool_totals[year]
+        scale = common // (memo_total * pool_total)
         entities = sorted(
             {e for e in universe if memo_counts[(e, year)] or pool_counts[(e, year)]}
         )
         for entity in entities:
+            m, p = memo_counts[(entity, year)], pool_counts[(entity, year)]
             rows.append(
                 FunderYearShare(
                     entity=entity,
                     year=year,
-                    memo_pct=100.0 * memo_counts[(entity, year)] / memo_totals[year],
-                    pool_pct=100.0 * pool_counts[(entity, year)] / pool_totals[year],
+                    memo_pct=100.0 * m / memo_total,
+                    pool_pct=100.0 * p / pool_total,
+                    diff_units=(m * pool_total - p * memo_total) * scale,
                 )
             )
     rows.sort(key=lambda r: (r.entity, r.year))
     return rows
 
 
-def _midranks(values: Sequence[float]) -> tuple[list[float], list[int]]:
-    """Midranks of |values| plus the tie-group sizes."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    tie_sizes = []
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and values[order[j]] == values[order[i]]:
-            j += 1
-        mid = (i + 1 + j) / 2.0
-        for idx in order[i:j]:
-            ranks[idx] = mid
-        tie_sizes.append(j - i)
-        i = j
-    return ranks, tie_sizes
+def _doubled_midranks(values: Sequence) -> list[int]:
+    """Twice each value's midrank: tied values share the mean of the ranks
+    they span, which doubled is always an integer."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    doubled = [0] * len(values)
+    below = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        tied = list(group)
+        for i in tied:
+            doubled[i] = 2 * below + len(tied) + 1  # ranks below+1 .. below+len(tied)
+        below += len(tied)
+    return doubled
 
 
-@functools.cache
-def _signed_rank_counts(n: int) -> tuple[int, ...]:
-    """counts[w] = number of rank subsets of {1..n} summing to w; built once per n."""
-    counts = [1]
-    for rank in range(1, n + 1):
-        grown = counts + [0] * rank
-        for w in range(len(counts) - 1, -1, -1):
-            grown[w + rank] += counts[w]
-        counts = grown
-    return tuple(counts)
+def _signed_rank_tails(ranks: Sequence[int], w: int) -> tuple[int, int]:
+    """How many of the 2^n equally likely sign patterns of ``ranks`` give a
+    positive-rank sum of at most ``w``, and of at least ``w``: the exact null,
+    built by the shift algorithm (Streitberg and Roehmel 1986).
+
+    ``packed`` is the product of (1 + x^r) over the ranks at x = 2^width, one
+    shift and one add per rank. Its width-bit digit w counts the patterns
+    summing to w, as no count exceeds 2^n < 2^width. As x is 1 modulo
+    2^width - 1, a packed int taken modulo that is its digit sum, which is
+    at most 2^n and so below the modulus.
+    """
+    width = len(ranks) + 1
+    packed = 1
+    for rank in ranks:
+        packed += packed << (rank * width)
+    digits = (1 << width) - 1
+    at_most = packed & ((1 << ((w + 1) * width)) - 1)
+    return at_most % digits, (packed >> (w * width)) % digits
 
 
-def wilcoxon_signed_rank(xs: Sequence[float], method: str = "auto") -> float:
+def wilcoxon_signed_rank(xs: Sequence) -> float:
     """Two-sided p-value of the one-sample Wilcoxon signed-rank test.
 
     Zero observations are discarded (classical zero handling); an all-zero
-    sample is degenerate. ``method`` is "auto", "exact", or "approx"; auto
-    picks exact for tie-free samples up to n = 20.
+    sample is degenerate. Up to ``EXACT_MAX_N`` observations the p-value is
+    exact, ties by midranks included; ``xs`` may be ints or Fractions, whose
+    ties float rounding cannot split.
     """
-    if method not in ("auto", "exact", "approx"):
-        raise StatsError(f"bad method {method!r}")
     diffs = [x for x in xs if x != 0]
     if not diffs:
         raise DegenerateSampleError("no observations differ from the null location")
     n = len(diffs)
-    magnitudes = [abs(d) for d in diffs]
-    ranks, tie_sizes = _midranks(magnitudes)
-    has_ties = any(t > 1 for t in tie_sizes)
+    if n > EXACT_MAX_N:
+        return normal_approximation_p(diffs)
+    doubled = _doubled_midranks([abs(d) for d in diffs])
+    w = sum(r for r, d in zip(doubled, diffs) if d > 0)
+    at_most, at_least = _signed_rank_tails(doubled, w)
+    return min(2 * min(at_most, at_least), 2**n) / 2**n
+
+
+def normal_approximation_p(diffs: Sequence) -> float:
+    """The signed-rank p-value of nonzero ``diffs`` by the normal approximation."""
+    ranks = [r / 2 for r in _doubled_midranks([abs(d) for d in diffs])]
     w_plus = sum(r for r, d in zip(ranks, diffs) if d > 0)
-
-    if method == "auto":
-        method = "exact" if (n <= EXACT_MAX_N and not has_ties) else "approx"
-
-    if method == "exact":
-        if has_ties:
-            raise StatsError("exact p-value requires tie-free magnitudes")
-        counts = _signed_rank_counts(n)
-        w = round(w_plus)
-        c_le = sum(counts[: w + 1])
-        c_ge = sum(counts[w:])
-        numerator = min(2 * min(c_le, c_ge), 2**n)
-        return numerator / 2**n
-
     # Moments from the midranks directly; sum(r^2)/4 equals the textbook
     # tie-corrected variance n(n+1)(2n+1)/24 - sum(t^3 - t)/48.
     mean = sum(ranks) / 2.0
     variance = sum(r * r for r in ranks) / 4.0
-    if variance <= 0:
-        raise StatsError("zero variance in normal approximation")
     excess_kurtosis = (-sum(r**4 for r in ranks) / 8.0) / variance**2
     z = (abs(w_plus - mean) - 0.5) / math.sqrt(variance)
     density = math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi)
@@ -217,29 +226,16 @@ def wilcoxon_signed_rank(xs: Sequence[float], method: str = "auto") -> float:
     return min(1.0, max(0.0, 2.0 * tail))
 
 
-def _walsh_averages(xs: Sequence[float]) -> list[float]:
-    walsh = [
-        (xs[i] + xs[j]) / 2.0 for i in range(len(xs)) for j in range(i, len(xs))
-    ]
-    walsh.sort()
-    return walsh
-
-
+@functools.cache
 def _hl_offset(n: int, level: float) -> int:
-    """Number of Walsh averages trimmed at each end of the interval."""
+    """Number of Walsh averages trimmed at each end of the interval: from the
+    tie-free null (ranks 1..n) up to n = ``EXACT_MAX_N``."""
     alpha = 1.0 - level
     if n <= EXACT_MAX_N:
-        counts = _signed_rank_counts(n)
-        total = 2**n
-        k = -1
-        cumulative = 0
-        for w, c in enumerate(counts):
-            cumulative += c
-            if cumulative / total <= alpha / 2.0:
-                k = w
-            else:
-                break
-        return max(k, 0)
+        k = 0
+        while _signed_rank_tails(range(1, n + 1), k + 1)[0] / 2**n <= alpha / 2.0:
+            k += 1
+        return k
     mean = n * (n + 1) / 4.0
     sd = math.sqrt(n * (n + 1) * (2 * n + 1) / 24.0)
     z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
@@ -258,7 +254,7 @@ def hodges_lehmann_ci(xs: Sequence[float], level: float = 0.95) -> tuple[float, 
     n = len(xs)
     if n < 2:
         raise InsufficientDataError("need at least 2 observations for an interval")
-    walsh = _walsh_averages(xs)
+    walsh = sorted((xs[i] + xs[j]) / 2.0 for i in range(n) for j in range(i, n))
     pseudo_median = statistics.median(walsh)
     k = _hl_offset(n, level)
     k = min(k, (len(walsh) - 1) // 2)
@@ -336,31 +332,32 @@ def compute_entity_stats(
 ) -> list[StatResult]:
     """Signed-rank test and Hodges-Lehmann interval per entity.
 
-    Entities observed in fewer than ``min_obs`` years are excluded, as are
-    entities whose differences are all exactly zero (no test possible);
-    exclusions are logged, not errors, in one line per reason, each naming
-    the entities' ``kind``, such as "funders".
+    The test ranks each row's exact ``diff_units``; the interval averages
+    the float ``diff_pct``. Entities observed in fewer than ``min_obs``
+    years are excluded, as are entities whose differences are all exactly
+    zero (no test possible); exclusions are logged, not errors, in one line
+    per reason, each naming the entities' ``kind``, such as "funders".
     """
-    by_entity: dict[str, list[float]] = {}
+    by_entity: dict[str, list[FunderYearShare]] = {}
     for row in shares:
-        by_entity.setdefault(row.entity, []).append(row.diff_pct)
+        by_entity.setdefault(row.entity, []).append(row)
 
     results, few, zero = [], [], []
     for entity in sorted(by_entity):
-        diffs = by_entity[entity]
-        if len(diffs) < min_obs:
-            few.append(f"{entity} ({len(diffs)})")
+        rows = by_entity[entity]
+        if len(rows) < min_obs:
+            few.append(f"{entity} ({len(rows)})")
             continue
         try:
-            p_value = wilcoxon_signed_rank(diffs)
+            p_value = wilcoxon_signed_rank([r.diff_units for r in rows])
         except DegenerateSampleError:
             zero.append(entity)
             continue
-        pseudo_median, ci_lo, ci_hi = hodges_lehmann_ci(diffs, level)
+        pseudo_median, ci_lo, ci_hi = hodges_lehmann_ci([r.diff_pct for r in rows], level)
         results.append(
             StatResult(
                 entity=entity,
-                n=len(diffs),
+                n=len(rows),
                 median_diff=pseudo_median,
                 ci_lo=ci_lo,
                 ci_hi=ci_hi,

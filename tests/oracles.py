@@ -1,7 +1,11 @@
 """Independent reference implementations the tests check the package against.
 
 These deliberately avoid the package's own code paths: the signed-rank
-oracle walks every sign pattern, the year-imputation oracle applies the
+oracles rank by ``Fraction`` midranks, each counted from the values below
+and equal to it, and either list the rank sum of every sign pattern or
+convolve a dict of sums one rank at a time; the share oracle recomputes
+each entity's yearly share differences as ``Fraction``s from the links and
+award rows; the year-imputation oracle applies the
 selection rule as explicit filter passes, the linkage oracle builds
 half-filled draft links from both directions and merges them per core, as
 ``funding.build_links`` did before it made each link in one pass, the
@@ -26,10 +30,10 @@ memo first, as ``resolve`` did for the ``resolve/coverage.csv`` that
 
 from __future__ import annotations
 
+import collections
 import csv
 import functools
 import io
-import itertools
 import json
 import math
 import statistics
@@ -72,19 +76,69 @@ from memomap.resolver import (
 )
 
 
-def enumeration_p(xs: list[float]) -> float:
-    """Two-sided signed-rank p-value by enumerating all 2^n sign patterns."""
+def oracle_midranks(values: list) -> list[Fraction]:
+    """Each value's rank, tied values sharing the mean of the ranks they span:
+    the count of values below it plus the mean of 1..k over the k equal to it."""
+    return [
+        sum(v < x for v in values) + Fraction(sum(v == x for v in values) + 1, 2)
+        for x in values
+    ]
+
+
+def _signed_ranks(xs: list) -> tuple[list[Fraction], Fraction]:
+    """The midranks of the nonzero ``xs``' magnitudes and the positive ones' sum."""
     diffs = [x for x in xs if x != 0]
-    n = len(diffs)
-    magnitudes = sorted(abs(d) for d in diffs)
-    rank_of = {m: i + 1 for i, m in enumerate(magnitudes)}
-    observed = sum(rank_of[abs(d)] for d in diffs if d > 0)
-    le = ge = 0
-    for signs in itertools.product((1, -1), repeat=n):
-        w = sum(rank_of[abs(d)] for s, d in zip(signs, diffs) if s > 0)
-        le += w <= observed
-        ge += w >= observed
-    return min(2 * min(le, ge), 2**n) / 2**n
+    ranks = oracle_midranks([abs(d) for d in diffs])
+    return ranks, sum((r for r, d in zip(ranks, diffs) if d > 0), Fraction(0))
+
+
+def _two_sided_p(null: Mapping[Fraction, int], observed: Fraction, n: int) -> float:
+    at_most = sum(c for w, c in null.items() if w <= observed)
+    at_least = sum(c for w, c in null.items() if w >= observed)
+    return min(2 * min(at_most, at_least), 2**n) / 2**n
+
+
+def enumeration_p(xs: list) -> float:
+    """Two-sided signed-rank p-value from the positive-rank sum of each of the
+    2^n sign patterns. ``xs`` may hold ties and be ``Fraction``s."""
+    ranks, observed = _signed_ranks(xs)
+    sums = [Fraction(0)]
+    for rank in ranks:
+        sums += [w + rank for w in sums]
+    return _two_sided_p(collections.Counter(sums), observed, len(ranks))
+
+
+def convolution_p(xs: list) -> float:
+    """``enumeration_p`` from a {sum: count} null grown one rank at a time, for
+    samples too large to list every sign pattern of."""
+    ranks, observed = _signed_ranks(xs)
+    null = {Fraction(0): 1}
+    for rank in ranks:
+        grown = dict(null)
+        for w, count in null.items():
+            grown[w + rank] = grown.get(w + rank, 0) + count
+        null = grown
+    return _two_sided_p(null, observed, len(ranks))
+
+
+def oracle_share_diffs(
+    memo_pairs: list[tuple[str, int]], pool_pairs: list[tuple[str, int]]
+) -> dict[str, list[Fraction]]:
+    """Each pool entity's memo share minus pool share per year, as ``Fraction``s,
+    in year order: for every year in which both sets have an award of a pool
+    entity, and every entity either set has that year. Memo shares are taken
+    over the memo awards of pool entities (the "pool_entities" denominator)."""
+    universe = {e for e, _ in pool_pairs}
+    memo_pairs = [(e, t) for e, t in memo_pairs if e in universe]
+    diffs: dict[str, list[Fraction]] = {}
+    for year in sorted({t for _, t in memo_pairs} & {t for _, t in pool_pairs}):
+        memo = [e for e, t in memo_pairs if t == year]
+        pool = [e for e, t in pool_pairs if t == year]
+        for entity in sorted(set(memo) | set(pool)):
+            memo_share = Fraction(memo.count(entity), len(memo))
+            pool_share = Fraction(pool.count(entity), len(pool))
+            diffs.setdefault(entity, []).append(memo_share - pool_share)
+    return diffs
 
 
 def oracle_impute(pub_year: int, records: list[Award]) -> tuple[str | None, int]:

@@ -21,10 +21,16 @@ from memomap.funding import Award
 from memomap.pipeline import LINKS, RESOLUTION
 from memomap.report import build_flow_graph
 from memomap.resolver import ResolverConfig, resolve_fragment
-from memomap.stats import kld, share_of_total, wilcoxon_signed_rank, yearly_shares
+from memomap.stats import (
+    kld,
+    normal_approximation_p,
+    share_of_total,
+    wilcoxon_signed_rank,
+    yearly_shares,
+)
 
 from conftest import cited_links, imputed_award, write_jsonl
-from oracles import enumeration_p, oracle_impute
+from oracles import convolution_p, enumeration_p, oracle_impute
 from synth import build_labeled_corpus
 from test_pipeline import FIXTURES, INPUT_FILES, read_tree
 
@@ -88,17 +94,23 @@ def test_criterion_1_share_arithmetic():
 
 
 def test_criterion_2_wilcoxon_exactness():
-    with criterion(2, "signed-rank p-values: exact vs enumeration, approx within 0.01"):
+    with criterion(2, "signed-rank p-values: exact vs enumeration, ties too; approx within 0.01"):
         start = time.perf_counter()
         rng = random.Random(777)
         for _ in range(500):
             xs = tie_free_sample(rng, rng.randint(1, 12))
             assert wilcoxon_signed_rank(xs) == enumeration_p(xs), xs
+        for _ in range(300):
+            # Share differences over small denominators: exact ties, and some zeros.
+            n = rng.randint(1, 12)
+            xs = [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 6))) for _ in range(n)]
+            if any(xs):
+                assert wilcoxon_signed_rank(xs) == enumeration_p(xs), xs
         for n in range(10, 26):
             for _ in range(6):
                 xs = tie_free_sample(rng, n)
-                exact = wilcoxon_signed_rank(xs, method="exact")
-                approx = wilcoxon_signed_rank(xs, method="approx")
+                exact = convolution_p(xs)
+                approx = normal_approximation_p(xs)
                 assert abs(exact - approx) <= 0.01, (n, exact, approx)
         assert time.perf_counter() - start < 30.0
 

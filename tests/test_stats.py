@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import enumeration_p, oracle_entity_weights, oracle_memo_proportions
+from oracles import (
+    convolution_p,
+    enumeration_p,
+    oracle_entity_weights,
+    oracle_memo_proportions,
+    oracle_share_diffs,
+)
 
 from memomap.stats import (
     DegenerateSampleError,
@@ -18,6 +24,7 @@ from memomap.stats import (
     hodges_lehmann_ci,
     kld,
     memo_kld,
+    normal_approximation_p,
     paired_wilcoxon,
     share_of_total,
     split_weights,
@@ -31,6 +38,15 @@ def tie_free_sample(rng: random.Random, n: int) -> list[float]:
         xs = [round(rng.uniform(-50, 50), 4) for _ in range(n)]
         xs = [x or 1.0 for x in xs]
         if len({abs(x) for x in xs}) == len(xs):
+            return xs
+
+
+def tied_sample(rng: random.Random, n: int) -> list[Fraction]:
+    """n differences of small-denominator shares, so magnitudes often tie
+    exactly; a few are zero, but never all of them."""
+    while True:
+        xs = [Fraction(rng.randint(-4, 4), rng.choice((2, 3, 6))) for _ in range(n)]
+        if any(xs):
             return xs
 
 
@@ -91,6 +107,19 @@ class TestYearlyShares:
         ic_only = {r.entity: r for r in yearly_shares(memo, pool)}
         assert ic_only["A"].memo_pct == pytest.approx(100.0)
 
+    def test_units_are_exact_differences_on_one_scale(self):
+        rng = random.Random(13)
+        for _ in range(50):
+            entities = "ABCD"[: rng.randint(2, 4)]
+            memo = [(rng.choice(entities), rng.randint(2000, 2005)) for _ in range(30)]
+            pool = [(rng.choice(entities), rng.randint(2000, 2005)) for _ in range(90)]
+            rows = yearly_shares(memo, pool)
+            exact = oracle_share_diffs(memo, pool)
+            # Each entity's rows are in year order, as are its oracle differences.
+            pairs = [(r.diff_units, exact[r.entity].pop(0)) for r in rows]
+            unit, difference = next((u, d) for u, d in pairs if d)
+            assert all(Fraction(u, unit) == d / difference for u, d in pairs)
+
     def test_empty_pool_rejected(self):
         with pytest.raises(StatsError, match="pool"):
             yearly_shares([("A", 1999)], [])
@@ -144,22 +173,35 @@ class TestWilcoxon:
             xs = tie_free_sample(rng, rng.randint(1, 10))
             assert wilcoxon_signed_rank(xs) == enumeration_p(xs)
 
-    def test_exact_refuses_ties(self):
-        with pytest.raises(StatsError, match="tie-free"):
-            wilcoxon_signed_rank([1, 1, 2], method="exact")
+    def test_two_tied_observations_is_half(self):
+        # Two observations give no two-sided p below 0.5, tied or not.
+        assert wilcoxon_signed_rank([3, 3]) == 0.5
+        assert wilcoxon_signed_rank([Fraction(2, 3), Fraction(-2, 3), 0]) == 1.0
+
+    def test_ties_match_enumeration(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            xs = tied_sample(rng, rng.randint(1, 12))
+            assert wilcoxon_signed_rank(xs) == enumeration_p(xs), xs
+
+    def test_ties_up_to_twenty_match_convolution(self):
+        rng = random.Random(8)
+        for n in range(15, 21):
+            xs = tied_sample(rng, n)
+            assert wilcoxon_signed_rank(xs) == convolution_p(xs), xs
 
     def test_approximation_close_to_exact(self):
         rng = random.Random(4)
         for _ in range(50):
             xs = tie_free_sample(rng, rng.randint(10, 20))
-            exact = wilcoxon_signed_rank(xs, method="exact")
-            approx = wilcoxon_signed_rank(xs, method="approx")
-            assert abs(exact - approx) <= 0.01
+            assert abs(wilcoxon_signed_rank(xs) - normal_approximation_p(xs)) <= 0.01
 
     def test_large_n_uses_approximation(self):
         rng = random.Random(5)
         xs = tie_free_sample(rng, 25)
-        assert wilcoxon_signed_rank(xs) == wilcoxon_signed_rank(xs, method="approx")
+        assert wilcoxon_signed_rank(xs) == normal_approximation_p(xs)
+        tied = [x for x in tied_sample(rng, 30) if x]
+        assert wilcoxon_signed_rank(tied) == normal_approximation_p(tied)
 
     def test_p_in_unit_interval_with_ties(self):
         rng = random.Random(6)
@@ -335,7 +377,7 @@ class TestPairedWilcoxon:
 class TestEntityStats:
     def shares(self, entity, diffs, start_year=2000):
         return [
-            FunderYearShare(entity=entity, year=start_year + i, memo_pct=d, pool_pct=0.0)
+            FunderYearShare(entity, start_year + i, memo_pct=d, pool_pct=0.0, diff_units=d)
             for i, d in enumerate(diffs)
         ]
 
@@ -349,6 +391,20 @@ class TestEntityStats:
     def test_all_zero_entity_excluded(self):
         rows = self.shares("Z", [0, 0, 0, 0, 0])
         assert compute_entity_stats(rows, "funders", min_obs=5) == []
+
+    def test_exact_differences_tie_where_floats_split(self):
+        # A's difference is 0/1 - 2/3 in three years and 1/1 - 1/3 in two. As
+        # floats the magnitudes are 66.66666666666667 and 66.66666666666666;
+        # ranked as floats, the sample would read p = 0.25.
+        memo, pool = [], []
+        for year, (m, p) in zip(range(2000, 2005), [(0, 2)] * 3 + [(1, 1)] * 2):
+            memo += [("A", year)] * m + [("B", year)] * (1 - m)
+            pool += [("A", year)] * p + [("B", year)] * (3 - p)
+        rows = [r for r in yearly_shares(memo, pool) if r.entity == "A"]
+        assert len({abs(r.diff_pct) for r in rows}) == 2
+        assert len({abs(r.diff_units) for r in rows}) == 1
+        [result] = compute_entity_stats(rows, "funders", min_obs=5)
+        assert result.p_value == enumeration_p(oracle_share_diffs(memo, pool)["A"]) == 1.0
 
     def test_interval_brackets_median(self):
         rows = self.shares("A", [3, 5, 2, 8, 6, 4, 9])
