@@ -1,14 +1,15 @@
 """Typed rows and stage artifacts: one decoder, one declaration per file.
 
-``decode(row_type, mapping)`` builds every config section, raw input row and
-JSONL artifact row, checking each value against its field's annotation:
-``str``, ``bool``, ``int`` (not a bool), ``float`` (an int loads as the equal
-float), ``X | None``, ``tuple[T, ...]`` from a list, a nested dataclass from
-a mapping. Absent fields take their defaults (``X | None`` ones without one
-are None); other keys are ignored, or with ``exact`` rejected at every
-level. A wrong value raises DecodeError naming the field, which the caller
-prefixes with its ``file:line`` or ``section.`` The row is built by its
-dataclass's ``__init__``, so ``__post_init__`` checks hold.
+``decode(row_type, mapping)`` builds the whole config, each raw input row and
+each JSONL artifact row, checking each value against its field's annotation:
+``str``, ``bool``, ``int`` (not a bool), ``float`` (finite: not NaN or ±inf;
+an int loads as the equal float), ``X | None``, ``tuple[T, ...]`` from a
+list, a nested dataclass from a mapping. Absent fields take their defaults
+(``X | None`` ones without one are None); other keys are ignored, or with
+``exact`` rejected at every level. A wrong value raises DecodeError naming
+the field, as ``section.key`` when it is nested, which the caller prefixes
+with its file or ``file:line``. The row is built by its dataclass's
+``__init__``, so ``__post_init__`` checks hold.
 
 An ``Artifact`` names a file under the working directory and the dataclass
 its rows hold. A JSONL row is the dataclass's fields, keys sorted, less
@@ -39,6 +40,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import types
 from dataclasses import MISSING, Field, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -70,7 +72,7 @@ def _check(annotation: Any, exact: bool) -> tuple[dict[type, Any], str]:
     """The value types a field takes, each mapped to _KEEP or a converter, and what it expects."""
     origin, args = get_origin(annotation), get_args(annotation)
     if annotation in _SCALARS:
-        accepts = {annotation: _KEEP, int: float} if annotation is float else {annotation: _KEEP}
+        accepts = {float: _finite, int: _finite} if annotation is float else {annotation: _KEEP}
         return accepts, _SCALARS[annotation]
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
         accepts, expected = _check(args[0], exact)
@@ -87,13 +89,22 @@ def _value(check: tuple[dict[type, Any], str], value: Any, where: str) -> Any:
     """``value`` checked and converted; an error inside it reads ``where[i]`` or ``where.field``."""
     accepts, expected = check
     convert = accepts.get(type(value))
-    if convert is None:
-        got = "nothing" if value is _REQUIRED else repr(value)
-        raise DecodeError(f"{where}: expected {expected}, got {got}")
     try:
-        return value if convert is _KEEP else convert(value)
+        if convert is not None:
+            return value if convert is _KEEP else convert(value)
     except DecodeError as exc:
         raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
+    except OverflowError:  # from _finite
+        expected = "a finite number"
+    got = "nothing" if value is _REQUIRED else repr(value)
+    raise DecodeError(f"{where}: expected {expected}, got {got}")
+
+
+def _finite(value: float | int) -> float:
+    """``value`` as a float; OverflowError if it is NaN, ±inf or an int past a float's range."""
+    if math.isfinite(value):
+        return float(value)
+    raise OverflowError(value)
 
 
 def _tuple(of: tuple[dict[type, Any], str], keep: frozenset[type], items: list) -> tuple:
@@ -288,7 +299,7 @@ class Artifact:
         A missing file or a malformed row raises StageDependencyError, a
         malformed row naming its ``file:line``.
         """
-        path = config.workdir / self.path
+        path = config.paths.workdir / self.path
         if not path.is_file():
             stage = self.path.split("/", 1)[0]
             raise StageDependencyError(f"missing artifact {path}; run stage '{stage}' first")
@@ -344,19 +355,18 @@ class RawInput(NamedTuple):
     ``ingest`` reads it, so ``read`` never runs for it.
     """
 
-    key: str
-    config_path: str  # the PipelineConfig attribute that holds the file's path
+    key: str  # also the config's paths field that holds the file's path
     load: Callable[[Path, Any], Any]  # (path, sha256 to update) -> objects
 
     def parse(self, config: PipelineConfig) -> Loaded:
         """The objects and the file's digest; a malformed file raises InputError."""
         digest = hashlib.sha256()
-        objects = self.load(getattr(config, self.config_path), digest)
+        objects = self.load(getattr(config.paths, self.key), digest)
         return Loaded(self, objects, digest.hexdigest())
 
     def read(self, config: PipelineConfig, ingested: Mapping[str, Any]) -> Loaded:
         """The objects, if the file still has the digest ``ingested[key]``."""
-        path = getattr(config, self.config_path)
+        path = getattr(config.paths, self.key)
         try:
             loaded = self.parse(config)
         except InputError:

@@ -8,11 +8,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .artifacts import InputError, decoded_rows
+from .artifacts import DecodeError, InputError, decoded_rows
 
 
 class CorpusError(InputError):
-    """Malformed corpus input or segmenter configuration."""
+    """Malformed corpus input."""
 
 
 DEFAULT_HEADINGS = ("References", "Bibliography", "Sources")
@@ -47,7 +47,7 @@ class SegmenterConfig:
 
     def __post_init__(self) -> None:
         if not self.headings:
-            raise CorpusError("segmenter heading list must not be empty")
+            raise DecodeError("headings: expected a non-empty list, got []")
 
 
 def normalize_fragment(raw_text: str) -> str:

@@ -42,16 +42,10 @@ logger = logging.getLogger(__name__)
 
 
 # The loaders look the parsers up on each call, so a wrapper bound in their place runs.
-CORPUS = RawInput("corpus", "corpus_path", lambda path, digest: corpus.load_corpus(path, digest))
-RECORDS = RawInput(
-    "records", "records_path", lambda path, digest: biblio.read_records(path, digest)
-)
-AWARD_DB = RawInput(
-    "award_db", "award_db_path", lambda path, digest: funding.load_award_db(path, digest)
-)
-ALIASES = RawInput(
-    "aliases", "aliases_path", lambda path, digest: funding.load_aliases(path, digest)
-)
+CORPUS = RawInput("corpus", lambda path, digest: corpus.load_corpus(path, digest))
+RECORDS = RawInput("records", lambda path, digest: biblio.read_records(path, digest))
+AWARD_DB = RawInput("award_db", lambda path, digest: funding.load_award_db(path, digest))
+ALIASES = RawInput("aliases", lambda path, digest: funding.load_aliases(path, digest))
 FRAGMENTS = Artifact("ingest/fragments.jsonl", corpus.ReferenceFragment)
 RESOLUTION = Artifact(
     "resolve/resolution.jsonl", resolver.ResolutionResult, omit_none=("article_id", "score")
@@ -121,7 +115,7 @@ def _key(item: Input) -> str:
 
 def _ingested(config: PipelineConfig) -> dict[str, Any]:
     """The raw input digests that ``ingest`` recorded in its manifest."""
-    path = config.workdir / "ingest" / "manifest.json"
+    path = config.paths.workdir / "ingest" / "manifest.json"
     try:
         return dict(json.loads(path.read_bytes())["inputs"])
     except FileNotFoundError:
@@ -168,7 +162,7 @@ def _run(
     loaded = [upstream[i] for i in stage.inputs] if upstream else _read(config, stage)
     options = {"memo_id": memo_id} if memo_id is not None else {}
     outputs = stage.compute(config, *(item.objects for item in loaded), **options)
-    stage_dir = config.workdir / stage.name
+    stage_dir = config.paths.workdir / stage.name
     written: dict[str, Path] = {}
     digests: dict[str, str] = {}
     for key, value in outputs.items():
@@ -212,7 +206,7 @@ def _ingest(config: PipelineConfig, memos, records, awards, aliases) -> Outputs:
     fragments: list[corpus.ReferenceFragment] = []
     without: list[str] = []
     for memo in sorted(memos, key=lambda m: m.memo_id):
-        memo_fragments = corpus.extract_fragments(memo, config.segmenter)
+        memo_fragments = corpus.extract_fragments(memo, config.corpus)
         if not memo_fragments:
             without.append(memo.memo_id)
         fragments.extend(memo_fragments)
@@ -227,7 +221,7 @@ def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
     logger.info("article index: %d records, %d tokens", len(index), index.token_count)
     client = None
     if config.remote.enabled:
-        client = RemoteLookupClient(config.remote, config.cache_dir())
+        client = RemoteLookupClient(config.remote)
     results = resolver.resolve_corpus(fragments, index, config.resolver, client)
     if client is not None and client.offline_misses:
         logger.info("offline mode: %d remote cache misses, lookups skipped", client.offline_misses)
@@ -237,7 +231,7 @@ def _resolve(config: PipelineConfig, fragments, records) -> Outputs:
 def _link(config: PipelineConfig, resolution, records, awards, aliases) -> Outputs:
     """Article-award linkage for every resolved article."""
     cited = [records[a] for a in {r.article_id for r in resolution} if a in records]
-    return {LINKS: funding.build_links(cited, awards, aliases, config.on_unmapped)}
+    return {LINKS: funding.build_links(cited, awards, aliases, config.funding.on_unmapped)}
 
 
 def _stats(config: PipelineConfig, links, awards, resolution) -> Outputs:
@@ -336,7 +330,7 @@ def _report(
     links_by_article = _group(links, lambda l: l.article_id)
     for mid in memo_ids:
         memo_links = [l for a in cited[mid] for l in links_by_article.get(a, ())]
-        graph = report.build_flow_graph(mid, memo_links, top_k=config.top_k)
+        graph = report.build_flow_graph(mid, memo_links, top_k=config.report.top_k)
         outputs[f"sankey/{mid}.json"], outputs[f"sankey/{mid}.svg"] = report.emit_sankey(graph)
     return outputs
 

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
+from .artifacts import DecodeError
+
 logger = logging.getLogger(__name__)
 
 
@@ -31,6 +33,11 @@ class RemoteConfig:
     rps: float = 3.0
     max_retries: int = 3
     offline: bool = False
+    cache_dir: str | None = None  # load_config resolves it; None = <workdir>/remote_cache
+
+    def __post_init__(self) -> None:
+        if self.cache_dir == "":  # it would name the config file's directory
+            raise DecodeError("cache_dir: expected a path, got ''")
 
 
 def query_hash(query: str) -> str:
@@ -66,12 +73,11 @@ class RemoteLookupClient:
     def __init__(
         self,
         config: RemoteConfig,
-        cache_dir: str | Path,
         fetch: Callable[[str, dict], dict] | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.config = config
-        self.cache_dir = Path(cache_dir)
+        self.cache_dir = Path(config.cache_dir)
         self._fetch = fetch or _default_fetch
         self._sleep = sleep
         self._last_request = 0.0

@@ -18,7 +18,8 @@ entity-weight oracles sum ``Fraction``s over every link and resolution row, as t
 implementation did, and read a graph's integer weights as the
 ``Fraction``s they stand for. The codec
 oracle decodes a row with a loop over a per-field plan and the row type's
-keyword ``__init__``, and writes a JSONL row with ``sort_keys``, as
+keyword ``__init__``, checking a float for finiteness after it converts
+it, and writes a JSONL row with ``sort_keys``, as
 ``artifacts`` did before it built rows positionally and sorted each row
 type's keys once. The retraction oracle joins every resolved (memo, article)
 pair against the records in one set, as ``report.flag_retracted`` did before
@@ -555,9 +556,15 @@ def _oracle_value(check: tuple[dict[type, Any], str], value: Any, where: str) ->
         got = "nothing" if value is _REQUIRED else repr(value)
         raise DecodeError(f"{where}: expected {expected}, got {got}")
     try:
-        return value if convert is _KEEP else convert(value)
+        converted = value if convert is _KEEP else convert(value)
     except DecodeError as exc:
         raise DecodeError(f"{where}{'' if str(exc)[0] == '[' else '.'}{exc}") from None
+    except OverflowError:  # float() of an int past a float's range
+        converted = math.inf
+    # A float field takes only finite numbers: not NaN, and not ±inf.
+    if type(converted) is float and not -math.inf < converted < math.inf:
+        raise DecodeError(f"{where}: expected a finite number, got {value!r}")
+    return converted
 
 
 def oracle_decode(row_type: type, mapping: Mapping[str, Any], exact: bool = False) -> Any:

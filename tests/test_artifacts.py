@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 from dataclasses import dataclass, field, fields, is_dataclass
 from types import SimpleNamespace
@@ -12,7 +13,6 @@ import pytest
 from memomap import biblio, config, corpus, funding, pipeline, remote, resolver
 from memomap.artifacts import Artifact, DecodeError, decode, jsonl_rows
 from memomap.biblio import ArticleRecord
-from memomap.corpus import CorpusError
 from memomap.pipeline import TESTS_FUNDERS
 from memomap.stats import StatResult
 from oracles import oracle_decode, oracle_jsonl
@@ -76,6 +76,9 @@ class TestDecode:
             ({"items": [{"name": "a"}, "b"]}, "items[1]: expected a mapping, got 'b'"),
             ({"items": [{"name": 1}]}, "items[0].name: expected a string, got 1"),
             ({"items": [{}]}, "items[0].name: expected a string, got nothing"),
+            ({"ratio": math.nan}, "ratio: expected a finite number, got nan"),
+            ({"ratio": -math.inf}, "ratio: expected a finite number, got -inf"),
+            ({"ratio": 10**400}, f"ratio: expected a finite number, got {10**400}"),
         ],
     )
     def test_wrong_value_names_the_field(self, change, message):
@@ -108,7 +111,8 @@ def test_csv_string_field_keeps_its_cell(tmp_path):
     rows = [StatResult(entity, 5, 0.5, -1.0, 2.0, 0.25) for entity in ("0123", "true", "null")]
     (tmp_path / "stats").mkdir()
     (tmp_path / TESTS_FUNDERS.path).write_bytes(b"".join(TESTS_FUNDERS.encode(rows)))
-    assert TESTS_FUNDERS.read(SimpleNamespace(workdir=tmp_path)).objects == rows
+    config = SimpleNamespace(paths=SimpleNamespace(workdir=tmp_path))
+    assert TESTS_FUNDERS.read(config).objects == rows
 
 
 @dataclass(frozen=True)
@@ -124,8 +128,8 @@ ARTIFACT_ROWS = sorted(
 )
 RAW_ROWS = [corpus.Memo, biblio.ArticleRecord, biblio.GrantTag, funding.Award]
 CONFIG_ROWS = [
+    config.PipelineConfig,
     config._Paths,
-    config._RemoteCache,
     config._Funding,
     config._Report,
     config.StatsOptions,
@@ -142,7 +146,7 @@ FLAT_JSON_ROW_TYPES = [
 # Values put in each field in turn: wrong types, an int for a float, a bool for
 # an int, zero counts, lists and mappings, non-ASCII text.
 CANDIDATES = [
-    None, True, False, 0, 1, -1, 1.5, 2.0,
+    None, True, False, 0, 1, -1, 1.5, 2.0, math.nan, math.inf, -math.inf, 10**400,
     "x", "Zoë – café",
     [], ["x"], [1], [None], [{"award_text": "R01", "funder_text": "NCI"}], [{"name": 1}],
     {}, {"name": "a"}, {"name": "a", "other": 1},
@@ -196,7 +200,7 @@ class TestCodecOracle:
 
     def test_cases_cover_defaults_factories_and_post_init(self):
         assert decode(Made, {}) == Made() and decode(Made, {}).tags == ("made",)
-        with pytest.raises(CorpusError, match="^segmenter heading list must not be empty$"):
+        with pytest.raises(DecodeError, match=r"^headings: expected a non-empty list, got \[\]$"):
             decode(corpus.SegmenterConfig, {"headings": []})
         assert type(decode(resolver.ResolverConfig, {"threshold": 1}).threshold) is float
         with pytest.raises(DecodeError, match="^k: expected an integer, got True$"):
@@ -221,7 +225,8 @@ class TestCodecOracle:
             assert data == oracle_jsonl(rows, omit)
             (tmp_path / "stage").mkdir(exist_ok=True)
             (tmp_path / artifact.path).write_bytes(data)
-            assert artifact.read(SimpleNamespace(workdir=tmp_path)).objects == rows
+            config = SimpleNamespace(paths=SimpleNamespace(workdir=tmp_path))
+            assert artifact.read(config).objects == rows
 
     @pytest.mark.parametrize(
         "artifact",

@@ -291,14 +291,14 @@ class TestTopKMatchesFullSort:
     def test_benchmark_fragments(self, tmp_path):
         perfbench_gen().generate("resolve-zipf", 11, tmp_path, "smoke")
         config = load_config(tmp_path / "config.yaml")
-        mapping = read_records(config.records_path)
+        mapping = read_records(config.paths.records)
         index = ingest_records(mapping)
         records = list(mapping.values())
         views = tokens_once(records)
         fragments = [
             fragment
-            for memo in corpus.load_corpus(config.corpus_path)
-            for fragment in corpus.extract_fragments(memo, config.segmenter)
+            for memo in corpus.load_corpus(config.paths.corpus)
+            for fragment in corpus.extract_fragments(memo, config.corpus)
         ]
         assert len(fragments) >= 20
         for fragment in fragments:

@@ -6,6 +6,7 @@ import unicodedata
 
 import pytest
 
+from memomap.artifacts import DecodeError
 from memomap.corpus import (
     CorpusError,
     Memo,
@@ -66,7 +67,7 @@ class TestSegment:
         assert segment_reference_section(memo(body), config) == "some citation\n"
 
     def test_empty_heading_list_rejected(self):
-        with pytest.raises(CorpusError):
+        with pytest.raises(DecodeError, match=r"^headings: expected a non-empty list, got \[\]$"):
             SegmenterConfig(headings=())
 
 

@@ -91,9 +91,9 @@ def run_seed(workload: str, seed: int, directory: Path) -> tuple[int, list[str]]
     config = load_config(directory / "config.yaml")
     assert main(["all", "--config", str(directory / "config.yaml")]) == EXIT_OK
     return p_value_mismatches(
-        config.workdir / "link" / "links.jsonl",
+        config.paths.workdir / "link" / "links.jsonl",
         directory / "awards.jsonl",
-        config.workdir / "stats",
+        config.paths.workdir / "stats",
         config.stats.min_obs,
     )
 

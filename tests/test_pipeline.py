@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import json
 import logging
+import math
 import random
 import re
 import shutil
@@ -429,17 +430,17 @@ class TestSingleStageLoads:
             raise AssertionError("report must not decode the article records")
 
         monkeypatch.setattr(biblio, "read_records", forbidden)
-        reads = count_reads(monkeypatch, primed.workdir)
+        reads = count_reads(monkeypatch, primed.paths.workdir)
         run_report(primed, memo_id)
-        assert reads and not [p for p in reads if p.is_relative_to(primed.workdir / "ingest")]
+        assert reads and not [p for p in reads if p.is_relative_to(primed.paths.workdir / "ingest")]
 
     def test_resolve_flags_its_own_retracted_results(self, primed):
-        shutil.rmtree(primed.workdir / "resolve")
+        shutil.rmtree(primed.paths.workdir / "resolve")
         run_resolve(primed)
-        manifest = json.loads((primed.workdir / "resolve" / "manifest.json").read_bytes())
+        manifest = json.loads((primed.paths.workdir / "resolve" / "manifest.json").read_bytes())
         assert "retraction_flags.csv" in manifest["outputs"]
         expected = report.flag_retracted(
-            RESOLUTION.read(primed).objects, biblio.read_records(primed.records_path)
+            RESOLUTION.read(primed).objects, biblio.read_records(primed.paths.records)
         )
         assert len(expected) == 3
         assert FLAGS.read(primed).objects == expected
@@ -447,12 +448,12 @@ class TestSingleStageLoads:
     def test_each_input_opened_once(self, primed, monkeypatch):
         # Each upstream artifact and raw input once; ingest's manifest at most
         # once, and not at all by ingest, which parses the raw inputs.
-        out = primed.workdir
+        out = primed.paths.workdir
         raw = {
-            "corpus": primed.corpus_path,
-            "records": primed.records_path,
-            "award_db": primed.award_db_path,
-            "aliases": primed.aliases_path,
+            "corpus": primed.paths.corpus,
+            "records": primed.paths.records,
+            "award_db": primed.paths.award_db,
+            "aliases": primed.paths.aliases,
         }
         reads = count_reads(monkeypatch, out.parent)
         stages = (
@@ -482,7 +483,7 @@ class TestSingleStageLoads:
 
         monkeypatch.setattr(report, "build_flow_graph", spy)
         run_report(primed)
-        out = primed.workdir
+        out = primed.paths.workdir
         all_rows = [
             json.loads(line)
             for line in (out / "resolve" / "resolution.jsonl").read_text(encoding="utf-8").splitlines()
@@ -535,7 +536,7 @@ class TestIngestLoads:
         assert dict(reads) == {corpus_dir / f"{m}.txt": 1 for m in memos}
         # Each .txt file framed as name, NUL, bytes, NUL, in name order.
         framed = b"".join(f"{m}.txt".encode() + b"\0" + memos[m] + b"\0" for m in sorted(memos))
-        manifest = json.loads((config.workdir / "ingest" / "manifest.json").read_bytes())
+        manifest = json.loads((config.paths.workdir / "ingest" / "manifest.json").read_bytes())
         assert manifest["inputs"]["corpus"] == hashlib.sha256(framed).hexdigest()
 
     def test_ingest_builds_no_index(self, workspace, monkeypatch):
@@ -565,7 +566,7 @@ class TestLogLines:
 
     def test_memos_without_entity_data_in_one_line(self, workspace, caplog):
         config = load_config(workspace / "config.yaml")
-        awards = funding.load_award_db(config.award_db_path)
+        awards = funding.load_award_db(config.paths.award_db)
         resolution = [
             ResolutionResult("M3", 0, "X3", 1.0, METHOD_LEXICAL),
             ResolutionResult("M2", 0, "X1", 1.0, METHOD_LEXICAL),
@@ -605,7 +606,7 @@ class TestLogLines:
         config = workspace / "config.yaml"
         with caplog.at_level(logging.INFO, logger="memomap"):
             assert main(["all", "--config", str(config)]) == EXIT_OK
-        out = load_config(config).workdir
+        out = load_config(config).paths.workdir
         pattern = re.compile(r"stage (\w+): wrote (\d+) artifacts to (.+) in \d+\.\d\d s")
         found = [pattern.fullmatch(r.getMessage()) for r in caplog.records]
         logged = [(m[1], int(m[2]), m[3]) for m in found if m]
@@ -665,15 +666,15 @@ class TestStageTable:
 class TestHandOff:
     def test_all_reads_nothing_and_matches_single_stages(self, workspace, monkeypatch):
         config = load_config(workspace / "config.yaml")
-        reads = count_reads(monkeypatch, config.workdir)
+        reads = count_reads(monkeypatch, config.paths.workdir)
         run_all(config)
         assert not reads
         monkeypatch.undo()
-        handed_on = read_tree(config.workdir)
-        shutil.rmtree(config.workdir)
+        handed_on = read_tree(config.paths.workdir)
+        shutil.rmtree(config.paths.workdir)
         for run in (run_ingest, run_resolve, run_link, run_stats, run_report):
             run(config)
-        assert read_tree(config.workdir) == handed_on
+        assert read_tree(config.paths.workdir) == handed_on
 
     def test_handed_on_equals_read_back(self, workspace):
         # Every input a stage got and every artifact it wrote is handed on, as the
@@ -756,7 +757,7 @@ class TestBundledAliases:
         data = yaml.safe_load(path.read_text())
         del data["paths"]["aliases"]
         path.write_text(yaml.safe_dump(data))
-        assert load_config(path).aliases_path == funding.DEFAULT_ALIASES
+        assert load_config(path).paths.aliases == funding.DEFAULT_ALIASES
         assert main(["all", "--config", str(path)]) == EXIT_OK
         out = workspace / "out"
         bundled = hashlib.sha256(funding.DEFAULT_ALIASES.read_bytes()).hexdigest()
@@ -810,6 +811,7 @@ class TestCliErrors:
             ("paths", "workdir", ["out"]),
             ("paths", "aliases", 5),
             ("remote", "cache_dir", [1]),
+            ("resolver", "margin", math.nan),
         ],
     )
     def test_config_value_of_wrong_type(self, workspace, caplog, section, key, value):
@@ -828,7 +830,7 @@ class TestCliErrors:
         data[section] = value
         path.write_text(yaml.safe_dump(data))
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
-        assert f"section {section!r}" in caplog.text
+        assert f"{section}: expected a mapping, got {value!r}" in caplog.text
 
     @pytest.mark.parametrize(
         "section, key",
@@ -860,7 +862,7 @@ class TestCliErrors:
         data[section] = {}
         path.write_text(yaml.safe_dump(data))
         assert main(["all", "--config", str(path)]) == EXIT_CONFIG
-        assert f"{section}: not a config section" in caplog.text
+        assert f"{section}: not a field" in caplog.text
         assert not (workspace / "out").exists()
 
     def test_remote_section_takes_cache_dir_beside_client_keys(self, workspace):
@@ -869,14 +871,14 @@ class TestCliErrors:
         data["remote"] = {"enabled": True, "offline": True, "cache_dir": "answers"}
         path.write_text(yaml.safe_dump(data))
         config = load_config(path)
-        assert config.remote.offline and config.cache_dir() == workspace / "answers"
+        assert config.remote.offline and config.remote.cache_dir == workspace / "answers"
 
     def test_null_section_takes_defaults(self, workspace):
         path = workspace / "config.yaml"
         data = yaml.safe_load(path.read_text())
         data["report"] = None
         path.write_text(yaml.safe_dump(data))
-        assert load_config(path).top_k == 10
+        assert load_config(path).report.top_k == 10
 
     def test_missing_input_path(self, workspace):
         (workspace / "articles.jsonl").unlink()
@@ -998,12 +1000,12 @@ class TestConfig:
         assert config.resolver.threshold == 0.55
         assert config.stats.min_obs == 5
         assert config.remote.enabled is False
-        assert config.top_k == 3
+        assert config.report.top_k == 3
 
     def test_paths_resolved_relative_to_config(self, workspace):
         config = load_config(workspace / "config.yaml")
-        assert config.corpus_path == workspace / "memos.jsonl"
-        assert config.workdir == workspace / "out"
+        assert config.paths.corpus == workspace / "memos.jsonl"
+        assert config.paths.workdir == workspace / "out"
 
     def test_remote_requires_base_url(self, workspace):
         path = workspace / "config.yaml"
@@ -1055,8 +1057,16 @@ class TestConfig:
         assert not (workspace / "out").exists()
 
     def test_canonical_dict_is_stable(self, workspace):
-        config = load_config(workspace / "config.yaml")
-        assert config.to_canonical_dict() == config.to_canonical_dict()
+        # Every manifest records this hash: a change to the canonical dict's
+        # keys or values changes every stage's manifest bytes.
+        fixture_hash = "2d96e6a1fe874b8b0b71f18dbb98d9aada57a60912b78d0a99bc38415d0851e6"
+        path = workspace / "config.yaml"
+        assert pipeline._config_hash(load_config(path)) == fixture_hash
+        # A path is left out, however it is spelled.
+        data = yaml.safe_load(path.read_text())
+        data["remote"]["cache_dir"] = "answers"
+        path.write_text(yaml.safe_dump(data))
+        assert pipeline._config_hash(load_config(path)) == fixture_hash
 
     def test_directory_corpus_accepted(self, workspace):
         body = b"Title\nReferences\n1. A citation long enough to keep around for the split.\n"

@@ -25,8 +25,8 @@ class FakeTransport:
 def make_client(tmp_path, transport, **overrides):
     settings = {"enabled": True, "base_url": "https://example.test/search", "rps": 0.0}
     settings.update(overrides)
-    config = RemoteConfig(**settings)
-    return RemoteLookupClient(config, tmp_path / "cache", fetch=transport, sleep=lambda s: None)
+    config = RemoteConfig(**settings, cache_dir=str(tmp_path / "cache"))
+    return RemoteLookupClient(config, fetch=transport, sleep=lambda s: None)
 
 
 def test_unique_match_resolves(tmp_path):
@@ -80,8 +80,10 @@ def test_offline_reads_existing_cache(tmp_path):
 def test_retries_then_remote_unavailable(tmp_path):
     transport = FakeTransport(fail_times=99)
     sleeps = []
-    config = RemoteConfig(enabled=True, base_url="u", rps=0.0, max_retries=2)
-    client = RemoteLookupClient(config, tmp_path / "cache", fetch=transport, sleep=sleeps.append)
+    config = RemoteConfig(
+        enabled=True, base_url="u", rps=0.0, max_retries=2, cache_dir=str(tmp_path / "cache")
+    )
+    client = RemoteLookupClient(config, fetch=transport, sleep=sleeps.append)
     with pytest.raises(RemoteUnavailableError, match="after 3 attempts: ConnectionError$"):
         client.lookup("q")
     assert len(transport.calls) == 3
@@ -98,8 +100,8 @@ def test_recovers_within_retry_budget(tmp_path):
 def test_rate_limit_gate_sleeps_between_requests(tmp_path):
     transport = FakeTransport({"a": {"ids": []}, "b": {"ids": []}})
     sleeps = []
-    config = RemoteConfig(enabled=True, base_url="u", rps=2.0)
-    client = RemoteLookupClient(config, tmp_path / "cache", fetch=transport, sleep=sleeps.append)
+    config = RemoteConfig(enabled=True, base_url="u", rps=2.0, cache_dir=str(tmp_path / "cache"))
+    client = RemoteLookupClient(config, fetch=transport, sleep=sleeps.append)
     client.lookup("a")
     client.lookup("b")
     assert len(sleeps) >= 1

@@ -129,10 +129,10 @@ def resolve_inputs(case, tmp_path) -> tuple[dict, list[ReferenceFragment], Resol
     config = load_config(tmp_path / "config.yaml")
     fragments = [
         f
-        for memo in corpus.load_corpus(config.corpus_path)
-        for f in corpus.extract_fragments(memo, config.segmenter)
+        for memo in corpus.load_corpus(config.paths.corpus)
+        for f in corpus.extract_fragments(memo, config.corpus)
     ]
-    return read_records(config.records_path), fragments, config.resolver
+    return read_records(config.paths.records), fragments, config.resolver
 
 
 CASES = [0, 1, 2, "resolve-zipf", "tail-rerun"]

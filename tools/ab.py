@@ -5,10 +5,11 @@
 
 Each tree is a checkout with ``src/memomap``. The script generates one
 workload with ``perfbench/gen.py`` (in a child process, so this process
-stays small) and primes the working directory with ``memomap all`` from
-each tree. It then runs the command once per side in every pair, the side
-that runs first switching from pair to pair, as children with their own
-tree on ``PYTHONPATH``.
+stays small) and copies it once per side, so each side has a working
+directory of its own, which it primes with ``memomap all`` and the command.
+It then runs the command once per side in every pair, the side that runs
+first switching from pair to pair, as children with their own tree on
+``PYTHONPATH``.
 
 Before any timing, each side's bytecode is written into its own
 ``PYTHONPYCACHEPREFIX`` under the scratch directory: ``compileall`` over the
@@ -17,10 +18,13 @@ imports. A child then pays no compile time even under
 ``PYTHONDONTWRITEBYTECODE``.
 
 Wall time, CPU time (user + system) and peak RSS come from ``os.wait4``. A
-child that exits nonzero, or a run whose artifacts (manifests excluded)
-differ from the first priming run's, stops the script with exit status 1.
-It prints each side's median and quartiles, the pairs each side won and a
-two-sided sign-test p-value. Outside the benchmark and the test suite.
+child that exits nonzero, or a timed run whose artifacts (manifests
+excluded) differ from its own side's priming run's, stops the script with
+exit status 1. Sides whose artifacts differ from each other, as a change to
+the results makes them, are timed all the same; the script prints whether
+they match. It prints each side's median and quartiles, the pairs each side
+won and a two-sided sign-test p-value. Outside the benchmark and the test
+suite.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import hashlib
 import math
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -52,13 +57,17 @@ gen.generate(workload, seed, out, "full")
 
 
 class Side:
-    """One tree: its environment, with its own bytecode cache, and its samples."""
+    """One tree: its environment, with its own bytecode cache, its own copy of
+    the workload, the artifacts its priming run wrote and its samples."""
 
-    def __init__(self, name: str, tree: Path, scratch: Path) -> None:
+    def __init__(self, name: str, tree: Path, scratch: Path, data: Path) -> None:
         self.name, self.tree = name, tree.resolve()
         src = self.tree / "src"
         if not (src / "memomap").is_dir():
             sys.exit(f"{tree}: no src/memomap")
+        self.data = scratch / f"data-{name}"
+        shutil.copytree(data, self.data, dirs_exist_ok=True)
+        self.reference: dict[str, str] = {}
         prefix = scratch / f"pycache-{name}"
         self.env = dict(os.environ, PYTHONPATH=str(src), PYTHONPYCACHEPREFIX=str(prefix))
         # Priming runs write the bytecode that the timed runs only read.
@@ -70,13 +79,15 @@ class Side:
         self.cpu: list[float] = []
         self.rss: list[float] = []
 
-    def run(self, args: list[str], cwd: Path, priming: bool = False) -> tuple[float, float, float]:
-        """One child's wall and CPU seconds and peak RSS in MB; exits on failure."""
+    def run(self, args: list[str], priming: bool = False) -> tuple[float, float, float]:
+        """One child's wall and CPU seconds and peak RSS in MB, run on this side's
+        copy of the workload; exits on failure."""
         env = self.priming_env if priming else self.env
+        config = ["--config", str(self.data / "config.yaml")]
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "memomap.cli", *args], cwd=cwd, env=env,
-                                stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                                stderr=subprocess.PIPE)
+        proc = subprocess.Popen([sys.executable, "-m", "memomap.cli", *args, *config],
+                                cwd=self.data, env=env, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         stderr = proc.stderr.read()
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
@@ -147,27 +158,26 @@ def main(argv: list[str] | None = None) -> int:
         subprocess.run([sys.executable, "-c", _GENERATE, str(ROOT / "perfbench" / "gen.py"),
                         args.workload, str(args.seed), str(data), str(args.records_scale)],
                        check=True)
-        a, b = Side("A", args.a, scratch), Side("B", args.b, scratch)
-        config = ["--config", str(data / "config.yaml")]
-        command = [*shlex.split(args.command), *config]
-        reference = None
+        a, b = Side("A", args.a, scratch, data), Side("B", args.b, scratch, data)
+        command = shlex.split(args.command)
         for side in (a, b):
-            # Priming: the working directory's stage files, and the rest of the bytecode.
-            side.run(["all", *config], data, priming=True)
-            side.run(command, data, priming=True)
-            produced = artifacts(data / "out")
-            reference = reference or produced
-            if produced != reference:
-                sys.exit(f"{side.name}: artifacts differ from {a.name}'s after priming")
+            # Priming: the side's stage files, and the rest of its bytecode.
+            side.run(["all"], priming=True)
+            side.run(command, priming=True)
+            side.reference = artifacts(side.data / "out")
+        names = a.reference.keys() | b.reference.keys()
+        differ = sorted(n for n in names if a.reference.get(n) != b.reference.get(n))
+        print(f"artifacts after priming: {a.name} and {b.name} "
+              + (f"differ in {len(differ)} files, first {differ[0]}" if differ else "match"))
 
         for pair in range(args.pairs):
             for side in (a, b) if pair % 2 == 0 else (b, a):
-                wall, cpu, rss = side.run(command, data)
+                wall, cpu, rss = side.run(command)
                 side.wall.append(wall)
                 side.cpu.append(cpu)
                 side.rss.append(rss)
-                if artifacts(data / "out") != reference:
-                    sys.exit(f"{side.name}: pair {pair}: artifacts differ from the reference")
+                if artifacts(side.data / "out") != side.reference:
+                    sys.exit(f"{side.name}: pair {pair}: artifacts differ from its priming run's")
             print(f"pair {pair}: wall A {a.wall[-1]:.4f} s, B {b.wall[-1]:.4f} s", flush=True)
         print(f"memomap {args.command} on {args.workload} seed {args.seed}, records x"
               f"{args.records_scale}, {args.pairs} pairs; A = {a.tree}, B = {b.tree}")
